@@ -38,18 +38,15 @@ from .events import (
     write_events,
 )
 from .kernels import (
-    GradientSet,
     dense_forward_current,
     sparse_forward_current,
     sparse_input_grad,
     sparse_weight_grad,
 )
 from .lif import (
-    DenseLayerState,
     LayerWeights,
     LifParams,
     NetworkSpec,
-    lif_step_dense,
     surrogate,
     threshold_spikes_dense,
 )
@@ -71,7 +68,6 @@ from .sparse import (
     SparseSpikeBatch,
     decode_to_dense,
     encode_sparse,
-    merge_segments,
 )
 
 __version__ = "0.1.0"

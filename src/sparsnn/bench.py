@@ -80,7 +80,6 @@ class BenchConfig:
     repetitions: int = 2
     warmup_discard: int = 1
     seed: int = 42
-    threads: int = 1
     optimizer: str = "sgd"
     lr: float = 1e-3
     neurons_per_tile: int = 2
@@ -157,14 +156,10 @@ def collect_activity(spec: NetworkSpec, trace) -> tuple:
     act = np.zeros((T, num_layers))
     grad = np.zeros((T, num_layers))
     for t in range(T):
-        b = trace.input_sparse[t]
-        act[t, 0] = b.num_spikes.mean()
-        grad[t, 0] = b.num_grads.mean()
-    for l in range(spec.num_weight_layers - 1):
-        for t in range(T):
-            b = trace.spikes[l][t]
-            act[t, l + 1] = b.num_spikes.mean()
-            grad[t, l + 1] = b.num_grads.mean()
+        for k in range(spec.num_weight_layers):
+            b = trace.sent[k][t]
+            act[t, k] = b.num_spikes.mean()
+            grad[t, k] = b.num_grads.mean()
     return act, grad
 
 
@@ -181,7 +176,6 @@ def _timed_steps(net, frames, labels, opt, mode, config, force) -> list:
             opt,
             mode,
             rng if mode == SPARSE else None,
-            threads=config.threads,
             force_spikes=force,
         )
         times.append(time.perf_counter() - start)
@@ -212,7 +206,6 @@ def run_benchmark(config: BenchConfig) -> BenchResult:
         mode=SPARSE,
         rng=DropRng(config.seed, 0),
         force_spikes=force,
-        threads=config.threads,
     )
     act, grad = collect_activity(spec, trace)
 

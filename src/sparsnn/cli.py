@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import os
 
-# Pin BLAS pools before numpy loads: reproducibility across --threads
-# settings beats a faster dense baseline.
+# Pin BLAS pools to one thread before numpy loads: a threaded BLAS may split
+# its sums differently on machines with other core counts, and reproducible
+# dense results beat a faster dense baseline.
 for _var in (
     "OPENBLAS_NUM_THREADS",
     "OMP_NUM_THREADS",
@@ -67,7 +68,6 @@ _COMMON = {
     "config": (str, None, "flat key=value config file"),
     "seed": (int, 42, "random seed"),
     "out_dir": (str, None, "output directory (default runs/<timestamp>)"),
-    "threads": (int, 1, "worker cap for row-parallel kernels"),
 }
 
 _OPTIONS = {
@@ -277,7 +277,6 @@ def cmd_train(opts: dict) -> int:
             drop_seed=opts["seed"],
             epoch_index=epoch,
             reset_grad=opts["reset_grad"],
-            threads=opts["threads"],
         )
         rows.append(
             {"epoch": epoch, "loss": metrics.mean_loss, "accuracy": metrics.accuracy}
@@ -322,7 +321,6 @@ def cmd_bench(opts: dict) -> int:
         num_timesteps=opts["timesteps"],
         repetitions=opts["repetitions"],
         seed=opts["seed"],
-        threads=opts["threads"],
         neurons_per_tile=opts["neurons_per_tile"],
         machine=_machine_from(opts),
     )

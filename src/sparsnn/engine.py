@@ -1,34 +1,41 @@
 """Training engine: forward through time, backward through time, loss.
 
-Execution modes
----------------
-dense    binary spike matrices flow between layers; the reference path.
-sparse   fixed-capacity SparseSpikeBatch tensors flow between layers;
-         gradients exist only for retained entries. With capacities equal
-         to the layer sizes and a very low secondary threshold this path
-         reproduces the dense path exactly.
-relaxed  the hard threshold is replaced by a smooth spike in float64;
-         only used to validate the backward pass against finite
-         differences (the relaxed forward is differentiable, so central
-         differences of its loss are a ground truth).
+Spikes move between layers through a transport, chosen once per call from
+`mode`:
 
-The backward pass is the literal adjoint of the forward program, swept in
-reverse time. Per layer it propagates gradients through the membrane decay
-(alpha * (1 - S)), the current injection ((1 - alpha)/C), the threshold
-(surrogate derivative), optionally the reset factor, and the current
-computation (weight / input gradients). Weight gradients accumulate over
-all timesteps in float64 and are rounded to float32 once at the end.
+dense    binary spike matrices; the reference path.
+sparse   fixed-capacity SparseSpikeBatch payloads; gradients reach a neuron
+         only through a retained entry. With capacities equal to the layer
+         sizes and a very low secondary threshold this reproduces dense.
+relaxed  dense with a smooth spike in float64; only used to validate the
+         backward pass against finite differences (its forward is
+         differentiable, so central differences of its loss are a ground
+         truth).
+
+Transports return spike slopes and input gradients dense, zero outside
+the sent entries, so the backward pass, the literal adjoint of the forward
+program swept in reverse time, runs one recurrence for all of them:
+
+    du[t] = alpha * (1 - S[t]) * du[t+1] + h[t] * dS[t]
+
+with h the spike slope and dS the gradient from the layer above plus, with
+`reset_grad`, the reset term -alpha * u[t] * du[t+1]. Weight gradients
+accumulate over all timesteps in float64 and are rounded once at the end.
+
+Transports call kernels, encoders and LIF helpers through this module's
+names at call time, so wrappers installed on `sparsnn.engine` (profilers,
+activity counters) see each call; the forward pass makes them once per
+(timestep, layer) in time order, with the layer's own weights and params.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ContractViolation
 from .kernels import (
-    GradientSet,
     dense_forward_current,
     dense_input_grad,
     dense_weight_grad,
@@ -37,7 +44,6 @@ from .kernels import (
     sparse_weight_grad,
 )
 from .lif import (
-    MEMBRANE_SUM,
     SPIKE_COUNT,
     membrane_update,
     relaxed_spike,
@@ -47,7 +53,7 @@ from .lif import (
 )
 from .model import Network
 from .rng import DropRng
-from .sparse import SparseSpikeBatch, decode_to_dense, encode_binary, encode_sparse
+from .sparse import decode_to_dense, encode_binary, encode_sparse, scatter_to_dense
 
 DENSE = "dense"
 SPARSE = "sparse"
@@ -58,23 +64,136 @@ RELAXED = "relaxed"
 MAX_BATCHES_PER_EPOCH = 1 << 20
 
 
+class DenseTransport:
+    """Binary spike matrices between layers, float32 state."""
+
+    dtype = np.float32
+    always_reset_grad = False
+
+    def fire(self, u, params):
+        """Spikes of a layer that sends nothing (the spiking readout)."""
+        return threshold_spikes_dense(u, params.threshold)
+
+    def slope(self, u, params):
+        """Spike slope of every neuron of a layer that sends nothing."""
+        return surrogate(u - params.threshold, params.beta)
+
+    def send_input(self, t, frame):
+        return frame.astype(self.dtype)
+
+    def send(self, l, t, u, params):
+        """Hidden layer l's spikes at step t: (dense spikes, payload)."""
+        s = self.fire(u, params)
+        return s, s
+
+    def payloads(self, spikes):
+        """Where a trace keeps the payloads of the layer whose (T, B, n)
+        spike matrices are `spikes`: a dense payload is the matrix."""
+        return spikes
+
+    def current(self, w, payload):
+        return dense_forward_current(w, payload, dtype=self.dtype)
+
+    def sent_slope(self, u, params, payload):
+        return self.slope(u, params)
+
+    def weight_grad(self, dl_di, payload, dl_dw_acc):
+        dense_weight_grad(dl_di, payload, dl_dw_acc)
+
+    def input_grad(self, dl_di, w, w64, payload):
+        """dL/dS of the sending layer, dense (B, n_pre)."""
+        return dense_input_grad(dl_di, w, w64=w64, dtype=self.dtype)
+
+
+class RelaxedTransport(DenseTransport):
+    """Dense transport with a smooth spike, float64 state. The reset path
+    is part of the true derivative, so gradients always take it."""
+
+    dtype = np.float64
+    always_reset_grad = True
+
+    def fire(self, u, params):
+        return relaxed_spike(u - params.threshold, params.beta)
+
+    def slope(self, u, params):
+        return relaxed_spike_grad(u - params.threshold, params.beta)
+
+
+class SparseTransport(DenseTransport):
+    """Fixed-capacity spike batches between layers.
+
+    Drop decisions for step t at boundary k (0 = input) use stream position
+    `rng.position + t * num_weight_layers + k`. The spiking readout is
+    local, so it keeps the dense `fire` and `slope`.
+    """
+
+    def __init__(self, spec, rng: DropRng):
+        self.capacity = spec.sparse_sizes
+        self.rng = rng
+        self.boundaries = spec.num_weight_layers
+
+    def _rng_at(self, t, boundary):
+        return self.rng.at(self.rng.position + t * self.boundaries + boundary)
+
+    def send_input(self, t, frame):
+        return encode_binary(frame, self.capacity[0], self._rng_at(t, 0))
+
+    def send(self, l, t, u, params):
+        batch = encode_sparse(
+            u, params, self.capacity[l + 1], self._rng_at(t, l + 1), with_grads=True
+        )
+        return decode_to_dense(batch, u.shape[1]), batch
+
+    def payloads(self, spikes):
+        return [None] * len(spikes)
+
+    def current(self, w, payload):
+        return sparse_forward_current(w, payload)
+
+    def sent_slope(self, u, params, payload):
+        return scatter_to_dense(payload, payload.grad_values, payload.num_grads, u.shape[1])
+
+    def weight_grad(self, dl_di, payload, dl_dw_acc):
+        sparse_weight_grad(dl_di, payload, dl_dw_acc)
+
+    def input_grad(self, dl_di, w, w64, payload):
+        ds = sparse_input_grad(dl_di, w, payload, w64=w64)
+        return scatter_to_dense(payload, ds, payload.num_grads, w.fan_in)
+
+
+def _transport(mode: str, spec, rng: DropRng | None, force_spikes: bool):
+    """The transport that `mode` names; the one place the engine reads it."""
+    if mode == DENSE:
+        return DenseTransport()
+    if mode == SPARSE:
+        if rng is None:
+            raise ConfigError("sparse mode needs a DropRng")
+        return SparseTransport(spec, rng)
+    if mode == RELAXED:
+        if force_spikes:
+            raise ConfigError("force_spikes is not meaningful in relaxed mode")
+        return RelaxedTransport()
+    raise ConfigError(f"unknown mode {mode!r}")
+
+
 @dataclass
 class ForwardTrace:
     """Everything the backward sweep needs, recorded per weight layer.
 
+    transport: the transport the forward pass ran.
     u[l][t], i_syn[l][t]: membrane/current at the start of step t.
-    spikes[l]: (T, B, n) dense array, or a list of SparseSpikeBatch, or
-        None for the non-spiking readout layer.
-    inputs: the dense input frames (B, T, n_in).
-    input_sparse: per-step sparse encodings of the input (sparse mode).
+    spikes[l]: (T, B, n) spike matrices of a spiking layer, None for the
+        non-spiking readout layer.
+    sent[l][t]: the payload weight layer l read at step t; sent[0] holds
+        the input frames. Dense payloads are spike matrices, so there
+        sent[l] is spikes[l - 1] itself for l >= 1.
     """
 
-    mode: str
+    transport: DenseTransport
     u: list
     i_syn: list
     spikes: list
-    inputs: np.ndarray
-    input_sparse: list | None
+    sent: list
     num_timesteps: int
 
 
@@ -85,17 +204,12 @@ class EpochMetrics:
     batches: int
 
 
-def _rng_position(base: int, t: int, num_boundaries: int, boundary: int) -> int:
-    return base + t * num_boundaries + boundary
-
-
 def forward_pass(
     net: Network,
     inputs: np.ndarray,
     mode: str = DENSE,
     rng: DropRng | None = None,
     force_spikes: bool = False,
-    threads: int = 1,
     record_trace: bool = True,
 ):
     """Run the network over all timesteps; returns (trace, scores).
@@ -113,18 +227,12 @@ def forward_pass(
         raise ContractViolation(
             f"inputs shape {inputs.shape} != (B, {spec.num_timesteps}, {spec.input_size})"
         )
-    if mode not in (DENSE, SPARSE, RELAXED):
-        raise ConfigError(f"unknown mode {mode!r}")
-    if mode == SPARSE and rng is None:
-        raise ConfigError("sparse mode needs a DropRng")
-    dtype = np.float64 if mode == RELAXED else np.float32
-    if mode == RELAXED and force_spikes:
-        raise ConfigError("force_spikes is not meaningful in relaxed mode")
+    transport = _transport(mode, spec, rng, force_spikes)
+    dtype = transport.dtype
 
     batch = inputs.shape[0]
     T = spec.num_timesteps
     L = spec.num_weight_layers
-    base = rng.position if rng is not None else 0
     spike_count_readout = spec.output_mode == SPIKE_COUNT
 
     u = [np.zeros((batch, spec.layer_sizes[l + 1]), dtype=dtype) for l in range(L)]
@@ -133,33 +241,25 @@ def forward_pass(
 
     trace = None
     if record_trace:
+        spikes = [
+            np.empty((T,) + u[l].shape, dtype=dtype)
+            if _is_spiking(l, L, spike_count_readout)
+            else None
+            for l in range(L)
+        ]
         trace = ForwardTrace(
-            mode=mode,
+            transport=transport,
             u=[np.empty((T,) + u[l].shape, dtype=dtype) for l in range(L)],
             i_syn=[np.empty((T,) + u[l].shape, dtype=dtype) for l in range(L)],
-            spikes=[
-                ([] if mode == SPARSE and _transmits_sparse(l, L, spike_count_readout) else
-                 np.empty((T,) + u[l].shape, dtype=dtype))
-                if _is_spiking(l, L, spike_count_readout)
-                else None
-                for l in range(L)
-            ],
-            inputs=inputs,
-            input_sparse=[] if mode == SPARSE else None,
+            spikes=spikes,
+            sent=[[None] * T] + [transport.payloads(spikes[l]) for l in range(L - 1)],
             num_timesteps=T,
         )
 
     for t in range(T):
-        x_t = inputs[:, t, :]
-        if mode == SPARSE:
-            in_batch = encode_binary(
-                x_t, spec.sparse_sizes[0], rng.at(_rng_position(base, t, L, 0))
-            )
-            if record_trace:
-                trace.input_sparse.append(in_batch)
-            s_prev = in_batch
-        else:
-            s_prev = x_t.astype(dtype)
+        payload = transport.send_input(t, inputs[:, t, :])
+        if record_trace:
+            trace.sent[0][t] = payload
 
         for l in range(L):
             params = net.params[l]
@@ -172,47 +272,23 @@ def forward_pass(
                 trace.u[l][t] = u[l]
                 trace.i_syn[l][t] = i_syn[l]
 
-            if spiking:
-                if mode == RELAXED:
-                    s_out = relaxed_spike(u[l] - params.threshold, params.beta)
-                elif mode == SPARSE and _transmits_sparse(l, L, spike_count_readout):
-                    out_batch = encode_sparse(
-                        u[l],
-                        params,
-                        spec.sparse_sizes[l + 1],
-                        rng.at(_rng_position(base, t, L, l + 1)),
-                        with_grads=True,
-                    )
-                    s_out = decode_to_dense(out_batch, u[l].shape[1])
-                    if record_trace:
-                        trace.spikes[l].append(out_batch)
-                else:
-                    s_out = threshold_spikes_dense(u[l], params.threshold)
-                if record_trace and not (
-                    mode == SPARSE and _transmits_sparse(l, L, spike_count_readout)
-                ):
-                    trace.spikes[l][t] = s_out
-                u[l] = membrane_update(u[l], s_out, i_syn[l], params)
+            sent = None
+            if l < L - 1:
+                s, sent = transport.send(l, t, u[l], params)
+                if record_trace:
+                    trace.sent[l + 1][t] = sent
+            elif spiking:
+                s = transport.fire(u[l], params)
             else:
-                u[l] = membrane_update(
-                    u[l], np.zeros_like(u[l]), i_syn[l], params
-                )
+                s = np.zeros_like(u[l])
+            if record_trace and spiking:
+                trace.spikes[l][t] = s
+            u[l] = membrane_update(u[l], s, i_syn[l], params)
+            i_syn[l] = transport.current(net.weights[l], payload)
+            payload = sent
 
-            if mode == SPARSE:
-                new_current = sparse_forward_current(net.weights[l], s_prev, threads)
-            else:
-                new_current = dense_forward_current(net.weights[l], s_prev, dtype=dtype)
-            i_syn[l] = new_current
-
-            if spiking:
-                s_prev = out_batch if (
-                    mode == SPARSE and _transmits_sparse(l, L, spike_count_readout)
-                ) else s_out
             if l == L - 1:
-                if spike_count_readout:
-                    scores += s_out
-                else:
-                    scores += u[l]
+                scores += s if spike_count_readout else u[l]
 
     return trace, scores
 
@@ -221,139 +297,70 @@ def _is_spiking(l: int, num_layers: int, spike_count_readout: bool) -> bool:
     return l < num_layers - 1 or spike_count_readout
 
 
-def _transmits_sparse(l: int, num_layers: int, spike_count_readout: bool) -> bool:
-    """Output-layer spikes are only counted locally, never transmitted, so
-    they stay dense even in sparse mode."""
-    return l < num_layers - 1
-
-
 def backward_pass(
     net: Network,
     trace: ForwardTrace,
     dl_dscores: np.ndarray,
     reset_grad: bool = True,
-    threads: int = 1,
 ) -> list:
-    """Reverse-time sweep over a recorded trace; returns one GradientSet
-    per weight layer.
+    """Reverse-time sweep over a recorded trace; returns dL/dw of every
+    weight layer, in the transport's dtype.
 
     `reset_grad` routes gradients through the (1 - S) reset factor using
-    the surrogate derivative; in relaxed mode the reset path is part of the
-    true derivative and is always taken.
+    the spike slope; the relaxed transport always takes the reset path.
     """
     spec = net.spec
-    mode = trace.mode
-    dtype = np.float64 if mode == RELAXED else np.float32
-    dl_dscores = np.asarray(dl_dscores, dtype=dtype)
+    transport = trace.transport
+    dt = transport.dtype
+    reset_grad = reset_grad or transport.always_reset_grad
+    dl_dscores = np.asarray(dl_dscores, dtype=dt)
     batch = dl_dscores.shape[0]
     T = trace.num_timesteps
     L = spec.num_weight_layers
     spike_count_readout = spec.output_mode == SPIKE_COUNT
-    if mode == RELAXED:
-        reset_grad = True
 
     w64 = [w.w.astype(np.float64) for w in net.weights]
     dw_acc = [np.zeros_like(w64[l]) for l in range(L)]
-    du = [np.zeros((batch, spec.layer_sizes[l + 1]), dtype=dtype) for l in range(L)]
+    du = [np.zeros((batch, spec.layer_sizes[l + 1]), dtype=dt) for l in range(L)]
     di = [np.zeros_like(du[l]) for l in range(L)]
-    last_dspike = [None] * L
 
     for t in range(T - 1, -1, -1):
-        ds_store = [None] * L
+        # dL/dS[t] of each hidden layer: the input gradient of the layer
+        # above, which the descending sweep computes first.
+        ds_in = [None] * L
         for l in range(L - 1, -1, -1):
             params = net.params[l]
-            dt = dtype
             alpha = dt(params.alpha)
             gain = dt((1.0 - params.alpha) / params.capacitance)
             u_t = trace.u[l][t]
-            spiking = _is_spiking(l, L, spike_count_readout)
-            sparse_out = (
-                mode == SPARSE and spiking and _transmits_sparse(l, L, spike_count_readout)
-            )
 
             if l == L - 1 and not spike_count_readout:
                 du[l] = du[l] + dl_dscores
 
             di_t = gain * du[l]
 
-            if spiking:
-                if sparse_out:
-                    out_batch = trace.spikes[l][t]
-                    s_t = decode_to_dense(out_batch, u_t.shape[1])
+            if _is_spiking(l, L, spike_count_readout):
+                if l < L - 1:
+                    ds = ds_in[l]
+                    h = transport.sent_slope(u_t, params, trace.sent[l + 1][t])
                 else:
-                    s_t = trace.spikes[l][t]
-                du_t = alpha * (dt(1) - s_t) * du[l]
-
-                if sparse_out:
-                    trans = ds_store[l]
-                    for row in range(batch):
-                        ng = int(out_batch.num_grads[row])
-                        if ng == 0:
-                            continue
-                        ids = out_batch.ids[row, :ng]
-                        ds_row = (
-                            trans[row, :ng]
-                            if trans is not None
-                            else np.zeros(ng, dtype=dtype)
-                        )
-                        if reset_grad:
-                            ds_row = ds_row + (-alpha) * u_t[row, ids] * du[l][row, ids]
-                        du_t[row, ids] += out_batch.grad_values[row, :ng] * ds_row
-                    last_dspike[l] = trans
-                else:
-                    ds_total = (
-                        ds_store[l]
-                        if ds_store[l] is not None
-                        else np.zeros_like(u_t)
-                    )
-                    if l == L - 1 and spike_count_readout:
-                        ds_total = ds_total + dl_dscores
-                    if reset_grad:
-                        ds_total = ds_total + (-alpha) * u_t * du[l]
-                    if mode == RELAXED:
-                        h = relaxed_spike_grad(u_t - params.threshold, params.beta)
-                    else:
-                        h = surrogate(u_t - params.threshold, params.beta)
-                    du_t = du_t + h * ds_total
-                    last_dspike[l] = ds_total
+                    ds = np.zeros_like(u_t) + dl_dscores
+                    h = transport.slope(u_t, params)
+                if reset_grad:
+                    ds = ds + (-alpha) * u_t * du[l]
+                du_t = alpha * (dt(1) - trace.spikes[l][t]) * du[l] + h * ds
             else:
                 du_t = alpha * du[l]
 
-            if mode == SPARSE:
-                s_in = trace.input_sparse[t] if l == 0 else trace.spikes[l - 1][t]
-                sparse_weight_grad(di[l], s_in, dw_acc[l])
-                if l > 0:
-                    ds_store[l - 1] = sparse_input_grad(
-                        di[l], net.weights[l], s_in, w64=w64[l]
-                    )
-            else:
-                s_in = (
-                    trace.inputs[:, t, :].astype(dtype)
-                    if l == 0
-                    else trace.spikes[l - 1][t]
-                )
-                dense_weight_grad(di[l], s_in, dw_acc[l])
-                if l > 0:
-                    ds_store[l - 1] = dense_input_grad(
-                        di[l], net.weights[l], w64=w64[l], dtype=dtype
-                    )
+            sent = trace.sent[l][t]
+            transport.weight_grad(di[l], sent, dw_acc[l])
+            if l > 0:
+                ds_in[l - 1] = transport.input_grad(di[l], net.weights[l], w64[l], sent)
 
             du[l] = du_t
             di[l] = di_t
 
-    grads = []
-    for l in range(L):
-        dspike = last_dspike[l]
-        if dspike is None:
-            dspike = np.zeros((batch, 0), dtype=dtype)
-        grads.append(
-            GradientSet(
-                dl_dw=dw_acc[l].astype(dtype),
-                dl_du=du[l],
-                dl_dspike=dspike,
-            )
-        )
-    return grads
+    return [acc.astype(dt) for acc in dw_acc]
 
 
 def softmax_cross_entropy(scores: np.ndarray, labels: np.ndarray):
@@ -375,12 +382,6 @@ def softmax_cross_entropy(scores: np.ndarray, labels: np.ndarray):
     return float(nll.mean()), grad.astype(scores.dtype)
 
 
-def relaxed_scores(net: Network, inputs: np.ndarray) -> np.ndarray:
-    """Scores of the smooth (relaxed-spike) model, float64."""
-    _, scores = forward_pass(net, inputs, mode=RELAXED, record_trace=False)
-    return scores
-
-
 def train_step(
     net: Network,
     frames: np.ndarray,
@@ -389,7 +390,6 @@ def train_step(
     mode: str,
     rng: DropRng | None,
     reset_grad: bool = True,
-    threads: int = 1,
     force_spikes: bool = False,
 ):
     """forward + loss + backward + optimizer update on one batch.
@@ -399,11 +399,11 @@ def train_step(
     from .optim import optimizer_step
 
     trace, scores = forward_pass(
-        net, frames, mode=mode, rng=rng, threads=threads, force_spikes=force_spikes
+        net, frames, mode=mode, rng=rng, force_spikes=force_spikes
     )
     loss, dl_dscores = softmax_cross_entropy(scores, labels)
-    grads = backward_pass(net, trace, dl_dscores, reset_grad=reset_grad, threads=threads)
-    optimizer_step(net.weight_arrays(), [g.dl_dw for g in grads], opt_state)
+    grads = backward_pass(net, trace, dl_dscores, reset_grad=reset_grad)
+    optimizer_step(net.weight_arrays(), grads, opt_state)
     return loss, scores
 
 
@@ -416,7 +416,6 @@ def train_epoch(
     epoch_index: int = 0,
     shuffle: bool = True,
     reset_grad: bool = True,
-    threads: int = 1,
     force_spikes: bool = False,
 ) -> EpochMetrics:
     """One pass over `dataset` (a SpikeDataset or anything with the same
@@ -444,7 +443,6 @@ def train_epoch(
             mode,
             rng,
             reset_grad=reset_grad,
-            threads=threads,
             force_spikes=force_spikes,
         )
         losses.append(loss)
@@ -462,7 +460,6 @@ def evaluate(
     dataset,
     mode: str = DENSE,
     drop_seed: int = 0,
-    threads: int = 1,
 ) -> float:
     """Classification accuracy of the current weights on `dataset`."""
     spec = net.spec
@@ -472,9 +469,7 @@ def evaluate(
     for bi, (frames, labels) in enumerate(dataset.minibatches(spec.batch_size, None)):
         base = (1 << 40) + bi * stride
         rng = DropRng(drop_seed, base) if mode == SPARSE else None
-        _, scores = forward_pass(
-            net, frames, mode=mode, rng=rng, threads=threads, record_trace=False
-        )
+        _, scores = forward_pass(net, frames, mode=mode, rng=rng, record_trace=False)
         correct += int((scores.argmax(axis=1) == labels).sum())
         seen += len(labels)
     if seen == 0:

@@ -5,44 +5,15 @@ the weight columns named by spike ids and sums them in ascending-id order.
 Both accumulate in float64 and round to float32 at the operation boundary,
 which keeps the two routes bit-comparable: the float64 results of the same
 mathematical sum agree far below float32 resolution.
-
-`counters.weight_reads` tracks the number of weight elements touched by
-the sparse forward kernel (num_spikes * n_post per row), so tests can
-assert that work is proportional to activity.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractViolation, CorruptionError
 from .lif import LayerWeights
 from .sparse import SparseSpikeBatch
-
-
-class _Counters:
-    def __init__(self):
-        self.weight_reads = 0
-
-    def reset(self):
-        self.weight_reads = 0
-
-
-counters = _Counters()
-
-
-@dataclass
-class GradientSet:
-    """Per-layer gradients: dl_dw matches the weight matrix, dl_du the
-    membrane batch, dl_dspike the retained entries of the layer's spike
-    batch (sparse mode) or the dense spike matrix (dense mode)."""
-
-    dl_dw: np.ndarray
-    dl_du: np.ndarray
-    dl_dspike: np.ndarray
 
 
 def _check_ids(ids: np.ndarray, fan_in: int, row: int) -> None:
@@ -67,44 +38,21 @@ def dense_forward_current(
     return out.astype(dtype)
 
 
-def sparse_forward_current(
-    w: LayerWeights, s_in: SparseSpikeBatch, threads: int = 1
-) -> np.ndarray:
+def sparse_forward_current(w: LayerWeights, s_in: SparseSpikeBatch) -> np.ndarray:
     """Read-and-sum of the weight columns named by each row's firing ids.
 
     Gradient-only entries contribute nothing. Summation order is fixed
-    (ascending id), so results do not depend on scheduling.
+    (ascending id).
     """
-    n = w.n_post
-    out = np.zeros((s_in.batch_size, n), dtype=np.float32)
-
-    def run(rows):
-        for row in rows:
-            ns = int(s_in.num_spikes[row])
-            if ns == 0:
-                continue
-            ids = s_in.ids[row, :ns]
-            _check_ids(ids, w.fan_in, row)
-            out[row] = np.sum(w.w[:, ids], axis=1, dtype=np.float64).astype(np.float32)
-            counters.weight_reads += ns * n
-
-    _over_rows(run, s_in.batch_size, threads)
+    out = np.zeros((s_in.batch_size, w.n_post), dtype=np.float32)
+    for row in range(s_in.batch_size):
+        ns = int(s_in.num_spikes[row])
+        if ns == 0:
+            continue
+        ids = s_in.ids[row, :ns]
+        _check_ids(ids, w.fan_in, row)
+        out[row] = np.sum(w.w[:, ids], axis=1, dtype=np.float64).astype(np.float32)
     return out
-
-
-def _over_rows(run, batch_size: int, threads: int) -> None:
-    """Run `run(rows)` over disjoint row blocks, optionally on a pool.
-
-    Each row writes only its own output slice, so the result is identical
-    for any thread count.
-    """
-    rows = range(batch_size)
-    if threads <= 1 or batch_size < 2:
-        run(rows)
-        return
-    blocks = np.array_split(np.arange(batch_size), min(threads, batch_size))
-    with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-        list(pool.map(run, blocks))
 
 
 def sparse_weight_grad(

@@ -15,7 +15,7 @@ results are rounded back to float32 at the boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -160,29 +160,6 @@ class NetworkSpec:
         return self.layer_sizes[-1]
 
 
-@dataclass
-class DenseLayerState:
-    """Membrane potentials and stored input currents, batch x layer."""
-
-    u: np.ndarray
-    i_syn: np.ndarray
-
-    def __post_init__(self):
-        self.u = np.asarray(self.u, dtype=np.float32)
-        self.i_syn = np.asarray(self.i_syn, dtype=np.float32)
-        if self.u.shape != self.i_syn.shape:
-            raise ContractViolation(
-                f"u shape {self.u.shape} != i_syn shape {self.i_syn.shape}"
-            )
-
-    @classmethod
-    def zeros(cls, batch_size: int, size: int) -> "DenseLayerState":
-        return cls(
-            u=np.zeros((batch_size, size), dtype=np.float32),
-            i_syn=np.zeros((batch_size, size), dtype=np.float32),
-        )
-
-
 def threshold_spikes_dense(u: np.ndarray, threshold: np.ndarray) -> np.ndarray:
     """Heaviside spikes: 1 where u >= threshold (ties fire), else 0."""
     u = np.asarray(u)
@@ -192,25 +169,6 @@ def threshold_spikes_dense(u: np.ndarray, threshold: np.ndarray) -> np.ndarray:
             f"membrane width {u.shape[-1]} != threshold width {threshold.shape[-1]}"
         )
     return (u >= threshold).astype(np.float32)
-
-
-def lif_step_dense(
-    state: DenseLayerState, params: LifParams, new_current: np.ndarray
-) -> tuple:
-    """One dense LIF timestep.
-
-    Emits spikes from the incoming membrane, advances the membrane with the
-    stored current (spiking rows reset: the decay term is zeroed), and
-    stows `new_current` for the next step. Returns (next_state, spikes).
-    """
-    new_current = np.asarray(new_current, dtype=np.float32)
-    if new_current.shape != state.u.shape:
-        raise ContractViolation(
-            f"current shape {new_current.shape} != state shape {state.u.shape}"
-        )
-    spikes = threshold_spikes_dense(state.u, params.threshold)
-    u_next = membrane_update(state.u, spikes, state.i_syn, params)
-    return DenseLayerState(u=u_next, i_syn=new_current), spikes
 
 
 def membrane_update(

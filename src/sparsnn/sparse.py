@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation, CorruptionError
+from .errors import ConfigError, CorruptionError
 from .lif import LifParams, surrogate
 from .rng import DropRng
 
@@ -149,115 +149,19 @@ def encode_binary(
 
 def decode_to_dense(s: SparseSpikeBatch, n: int) -> np.ndarray:
     """Dense binary (B, n) matrix with ones at the firing ids only."""
+    return scatter_to_dense(s, np.broadcast_to(np.float32(1.0), s.ids.shape), s.num_spikes, n)
+
+
+def scatter_to_dense(
+    s: SparseSpikeBatch, values: np.ndarray, counts: np.ndarray, n: int
+) -> np.ndarray:
+    """Dense (B, n) float32 matrix holding values[b, k] at column ids[b, k]
+    for every k < counts[b], and zero elsewhere."""
+    kept = np.arange(s.n_max) < counts[:, None]
+    rows, ids = np.nonzero(kept)[0], s.ids[kept]
+    bad = (ids < 0) | (ids >= n)
+    if bad.any():
+        raise CorruptionError(f"row {rows[bad][0]}: spike id out of range [0, {n})")
     out = np.zeros((s.batch_size, n), dtype=np.float32)
-    for row in range(s.batch_size):
-        ids = s.ids[row, : s.num_spikes[row]]
-        if ids.size:
-            if ids.min() < 0 or ids.max() >= n:
-                raise CorruptionError(f"row {row}: spike id out of range [0, {n})")
-            out[row, ids] = 1.0
-    return out
-
-
-def _merge_pair(
-    a: SparseSpikeBatch, b: SparseSpikeBatch, n_max: int, rng: DropRng, salt: int
-) -> SparseSpikeBatch:
-    with_grads = a.grad_values is not None
-    out = SparseSpikeBatch.empty(a.batch_size, n_max, with_grads)
-    for row in range(a.batch_size):
-        nsa, nga = int(a.num_spikes[row]), int(a.num_grads[row])
-        nsb, ngb = int(b.num_spikes[row]), int(b.num_grads[row])
-        spike_ids = np.concatenate([a.ids[row, :nsa], b.ids[row, :nsb]])
-        grad_ids = np.concatenate([a.ids[row, nsa:nga], b.ids[row, nsb:ngb]])
-        if np.intersect1d(spike_ids, grad_ids).size or (
-            len(np.unique(spike_ids)) != len(spike_ids)
-            or len(np.unique(grad_ids)) != len(grad_ids)
-        ):
-            raise ContractViolation(f"row {row}: merged parts share neuron ids")
-        values = {}
-        if with_grads:
-            for part, ng in ((a, nga), (b, ngb)):
-                for k in range(ng):
-                    values[int(part.ids[row, k])] = part.grad_values[row, k]
-        spike_ids = np.sort(spike_ids)
-        grad_ids = np.sort(grad_ids)
-        if len(spike_ids) > n_max:
-            spike_ids = rng.subset(row, spike_ids, n_max, salt=2 * salt + _SALT_SPIKES)
-        ns = len(spike_ids)
-        room = n_max - ns
-        if len(grad_ids) > room:
-            grad_ids = rng.subset(row, grad_ids, room, salt=2 * salt + _SALT_GRADS)
-        ng = ns + len(grad_ids)
-        out.ids[row, :ns] = spike_ids
-        out.ids[row, ns:ng] = grad_ids
-        out.num_spikes[row] = ns
-        out.num_grads[row] = ng
-        if with_grads and ng:
-            out.grad_values[row, :ng] = [values[int(i)] for i in out.ids[row, :ng]]
-    return out
-
-
-def merge_segments(
-    parts: list, n_max: int, rng: DropRng
-) -> SparseSpikeBatch:
-    """Combine per-tile partial batches covering disjoint neuron-id ranges.
-
-    The reduction is a balanced pairwise tree over the list order (adjacent
-    pairs per level), so the result is a pure function of the inputs no
-    matter how the physical merge work is scheduled. Capacity overflow
-    applies the same uniform drop policy as encoding, keyed by the merge
-    node index.
-    """
-    _check_capacity(n_max)
-    if not parts:
-        raise ContractViolation("merge_segments needs at least one part")
-    batch = parts[0].batch_size
-    with_grads = parts[0].grad_values is not None
-    for p in parts:
-        if p.batch_size != batch or (p.grad_values is not None) != with_grads:
-            raise ContractViolation("parts disagree on batch size or grad presence")
-
-    level = list(parts)
-    node = 1
-    while len(level) > 1:
-        merged = []
-        for k in range(0, len(level) - 1, 2):
-            merged.append(_merge_pair(level[k], level[k + 1], n_max, rng, salt=node))
-            node += 1
-        if len(level) % 2:
-            merged.append(_clamp(level[-1], n_max, rng, salt=node))
-            node += 1
-        level = merged
-    return _clamp(level[0], n_max, rng, salt=0)
-
-
-def _clamp(
-    part: SparseSpikeBatch, n_max: int, rng: DropRng, salt: int
-) -> SparseSpikeBatch:
-    """Re-box a batch at capacity `n_max`, dropping overflow uniformly."""
-    if part.n_max == n_max and np.all(part.num_grads <= n_max):
-        return part
-    with_grads = part.grad_values is not None
-    out = SparseSpikeBatch.empty(part.batch_size, n_max, with_grads)
-    for row in range(part.batch_size):
-        ns, ng = int(part.num_spikes[row]), int(part.num_grads[row])
-        spike_ids = part.ids[row, :ns]
-        grad_ids = part.ids[row, ns:ng]
-        values = {}
-        if with_grads:
-            for k in range(ng):
-                values[int(part.ids[row, k])] = part.grad_values[row, k]
-        if len(spike_ids) > n_max:
-            spike_ids = rng.subset(row, spike_ids, n_max, salt=2 * salt + _SALT_SPIKES)
-        kept_s = len(spike_ids)
-        room = n_max - kept_s
-        if len(grad_ids) > room:
-            grad_ids = rng.subset(row, grad_ids, room, salt=2 * salt + _SALT_GRADS)
-        kept_g = kept_s + len(grad_ids)
-        out.ids[row, :kept_s] = spike_ids
-        out.ids[row, kept_s:kept_g] = grad_ids
-        out.num_spikes[row] = kept_s
-        out.num_grads[row] = kept_g
-        if with_grads and kept_g:
-            out.grad_values[row, :kept_g] = [values[int(i)] for i in out.ids[row, :kept_g]]
+    out[rows, ids] = values[kept]
     return out

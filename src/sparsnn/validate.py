@@ -69,7 +69,7 @@ def check_gradients(
     per_layer = []
     for g_bp, g_fd in zip(bp, fd):
         scale = max(np.abs(g_fd).max(), 1e-8)
-        per_layer.append(float(np.abs(g_bp.dl_dw - g_fd).max() / scale))
+        per_layer.append(float(np.abs(g_bp - g_fd).max() / scale))
     return GradCheckResult(max_rel_err=max(per_layer), per_layer=per_layer)
 
 

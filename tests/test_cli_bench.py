@@ -1,0 +1,52 @@
+"""Smoke tests of the benchmark protocol and the command line."""
+
+import math
+
+import numpy as np
+import pytest
+
+from sparsnn import cli
+from sparsnn.bench import FIXED, NATURAL, BenchConfig, run_benchmark
+
+
+@pytest.mark.parametrize("mode", [FIXED, NATURAL])
+def test_run_benchmark_tiny(mode):
+    config = BenchConfig(mode=mode, preset="tiny", max_activity=0.25, repetitions=2)
+    result = run_benchmark(config)
+    for value in (result.wall_dense_mean, result.wall_sparse_mean, result.modeled_accel):
+        assert math.isfinite(value) and value > 0
+    # Forced spikes fill every hidden capacity, so the observed activity is
+    # exactly the configured one; free dynamics stay at or below it.
+    if mode == FIXED:
+        assert result.observed_activity == pytest.approx(config.max_activity)
+    else:
+        assert 0.0 <= result.observed_activity <= config.max_activity
+    assert result.sparse_ledger.total_time_cycles > 0
+
+
+def test_gen_data_then_sparse_train(tmp_path):
+    data = tmp_path / "data"
+    assert cli.main([
+        "gen-data", "--out-dir", str(data), "--classes", "2", "--input-size", "16",
+        "--samples-per-class", "4", "--timesteps", "10", "--template-density", "0.2",
+    ]) == 0
+    assert (data / "manifest.csv").is_file()
+
+    run = tmp_path / "run"
+    assert cli.main([
+        "train", "--data", str(data), "--layers", "16,8,2", "--mode", "sparse",
+        "--max-activity", "0.5", "--batch-size", "4", "--timesteps", "10",
+        "--epochs", "2", "--out-dir", str(run),
+    ]) == 0
+    for name in ("config.txt", "metrics.csv", "checkpoint.bin"):
+        assert (run / name).is_file()
+    rows = (run / "metrics.csv").read_text().splitlines()
+    assert rows[0] == "epoch,loss,accuracy" and len(rows) == 3
+    assert all(np.isfinite(float(r.split(",")[1])) for r in rows[1:])
+
+
+def test_threads_option_is_gone(tmp_path):
+    assert cli.main(["gen-data", "--threads", "2", "--out-dir", str(tmp_path)]) == 2
+    config = tmp_path / "run.cfg"
+    config.write_text("threads=1\n")
+    assert cli.main(["gen-data", "--config", str(config), "--out-dir", str(tmp_path)]) == 2

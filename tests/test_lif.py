@@ -1,18 +1,18 @@
 import numpy as np
 import pytest
 
+from sparsnn.engine import forward_pass
 from sparsnn.errors import ConfigError, ContractViolation
 from sparsnn.lif import (
-    DenseLayerState,
     LifParams,
     NetworkSpec,
-    lif_step_dense,
     membrane_update,
     relaxed_spike,
     relaxed_spike_grad,
     surrogate,
     threshold_spikes_dense,
 )
+from sparsnn.model import init_network
 
 
 def params1(alpha=0.8, capacitance=1.0, threshold=1.0, grad_threshold=0.5, n=1):
@@ -22,50 +22,59 @@ def params1(alpha=0.8, capacitance=1.0, threshold=1.0, grad_threshold=0.5, n=1):
     )
 
 
+def lif_step(u, i_syn, params):
+    """One LIF step as the engine runs it: spikes from the incoming membrane,
+    then the membrane update with the stored current. Returns (u', spikes)."""
+    u = np.asarray(u, dtype=np.float32)
+    spikes = threshold_spikes_dense(u, params.threshold)
+    return membrane_update(u, spikes, np.asarray(i_syn, dtype=np.float32), params), spikes
+
+
 class TestLifStep:
     def test_subthreshold_decay_and_integration(self):
         # alpha=0.8, C=1, theta=1: u=0.5, I=1.0 -> no spike, u'=0.6
-        state = DenseLayerState(np.array([[0.5]]), np.array([[1.0]]))
-        nxt, spikes = lif_step_dense(state, params1(), np.zeros((1, 1)))
+        u, spikes = lif_step([[0.5]], [[1.0]], params1())
         assert spikes[0, 0] == 0.0
-        assert nxt.u[0, 0] == pytest.approx(0.8 * 0.5 + 0.2 * 1.0)
+        assert u[0, 0] == pytest.approx(0.8 * 0.5 + 0.2 * 1.0)
 
     def test_reset_kills_decay_term(self):
-        state = DenseLayerState(np.array([[1.2]]), np.array([[0.0]]))
-        nxt, spikes = lif_step_dense(state, params1(), np.zeros((1, 1)))
+        u, spikes = lif_step([[1.2]], [[0.0]], params1())
         assert spikes[0, 0] == 1.0
-        assert nxt.u[0, 0] == 0.0
+        assert u[0, 0] == 0.0
 
     def test_zero_fixed_point(self):
-        state = DenseLayerState.zeros(2, 3)
-        nxt, spikes = lif_step_dense(state, params1(n=3), np.zeros((2, 3)))
+        u, spikes = lif_step(np.zeros((2, 3)), np.zeros((2, 3)), params1(n=3))
         assert not spikes.any()
-        assert not nxt.u.any()
+        assert not u.any()
 
     def test_new_current_stored_with_one_step_delay(self):
-        state = DenseLayerState.zeros(1, 1)
-        cur = np.array([[2.5]], dtype=np.float32)
-        nxt, _ = lif_step_dense(state, params1(), cur)
-        # stored, but not yet integrated
-        assert nxt.i_syn[0, 0] == 2.5
-        assert nxt.u[0, 0] == 0.0
+        # One input spike at t=0 through weight 2.5: the engine stores its
+        # current at t=1 and integrates it into the membrane only at t=2.
+        spec = NetworkSpec((2, 2), (2,), batch_size=1, num_timesteps=3)
+        net = init_network(spec, seed=0, alpha=0.8, threshold=1.0, grad_threshold=0.5)
+        net.weights[0].w[:] = [[2.5, 0.0], [0.0, 0.0]]
+        inputs = np.zeros((1, 3, 2), dtype=np.float32)
+        inputs[0, 0, 0] = 1.0
+        trace, _ = forward_pass(net, inputs)
+        assert trace.i_syn[0][:, 0, 0].tolist() == [0.0, 2.5, 0.0]
+        assert trace.u[0][:2, 0, 0].tolist() == [0.0, 0.0]
+        assert trace.u[0][2, 0, 0] == pytest.approx(0.2 * 2.5)
 
     def test_shape_mismatch_rejected(self):
-        state = DenseLayerState.zeros(1, 2)
         with pytest.raises(ContractViolation):
-            lif_step_dense(state, params1(n=2), np.zeros((1, 3)))
+            lif_step(np.zeros((1, 3)), np.zeros((1, 3)), params1(n=2))
 
     def test_geometric_convergence_to_i_over_c(self):
         # Spikes suppressed: u approaches I/C geometrically at rate alpha.
         p = LifParams.uniform(1, alpha=0.7, capacitance=2.0,
                               threshold=1e9, grad_threshold=1e9)
         target = 3.0 / 2.0
-        state = DenseLayerState(np.array([[5.0]]), np.array([[3.0]]))
+        u = np.array([[5.0]])
         u0_err = abs(5.0 - target)
         for t in range(1, 30):
-            state, spikes = lif_step_dense(state, p, np.full((1, 1), 3.0))
+            u, spikes = lif_step(u, [[3.0]], p)
             assert not spikes.any()
-            assert abs(state.u[0, 0] - target) <= 0.7**t * u0_err + 1e-6
+            assert abs(u[0, 0] - target) <= 0.7**t * u0_err + 1e-6
 
 
 class TestThreshold:

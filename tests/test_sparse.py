@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from sparsnn.errors import ConfigError, ContractViolation, CorruptionError
+from sparsnn.errors import ConfigError, CorruptionError
 from sparsnn.lif import LifParams, surrogate, threshold_spikes_dense
 from sparsnn.rng import DropRng
 from sparsnn.sparse import (
@@ -11,7 +11,6 @@ from sparsnn.sparse import (
     decode_to_dense,
     encode_binary,
     encode_sparse,
-    merge_segments,
 )
 
 
@@ -140,74 +139,6 @@ class TestEncodeBinary:
         frame = np.ones((1, 10), dtype=np.float32)
         enc = encode_binary(frame, 4, DropRng(7))
         assert enc.num_spikes[0] == 4
-
-
-class TestMerge:
-    def _part(self, ids_spike, ids_grad, n_max, batch=1, with_values=True):
-        out = SparseSpikeBatch.empty(batch, n_max, with_grads=with_values)
-        ns, ng = len(ids_spike), len(ids_spike) + len(ids_grad)
-        out.ids[0, :ns] = ids_spike
-        out.ids[0, ns:ng] = ids_grad
-        out.num_spikes[0] = ns
-        out.num_grads[0] = ng
-        if with_values:
-            out.grad_values[0, :ng] = np.arange(1, ng + 1, dtype=np.float32)
-        return out
-
-    def test_disjoint_union_under_capacity(self):
-        a = self._part([1], [], 4)
-        b = self._part([5], [], 4)
-        merged = merge_segments([a, b], 4, DropRng(0))
-        assert merged.ids[0, :2].tolist() == [1, 5]
-        assert merged.num_spikes[0] == 2
-
-    def test_all_empty_parts(self):
-        parts = [SparseSpikeBatch.empty(2, 4) for _ in range(3)]
-        merged = merge_segments(parts, 4, DropRng(0))
-        assert not merged.num_grads.any()
-
-    def test_overflow_drops_to_capacity(self):
-        parts = [
-            self._part([0, 1], [], 4),
-            self._part([5], [], 4),
-            self._part([8, 9], [], 4),
-            self._part([12], [], 4),
-        ]
-        merged = merge_segments(parts, 4, DropRng(21))
-        assert merged.num_spikes[0] == 4
-        assert set(merged.ids[0, :4].tolist()) <= {0, 1, 5, 8, 9, 12}
-        merged.validate()
-
-    def test_grad_values_follow_ids(self):
-        a = self._part([2], [3], 4)
-        b = self._part([7], [6], 4)
-        merged = merge_segments([a, b], 4, DropRng(0))
-        assert merged.ids[0, :4].tolist() == [2, 7, 3, 6]
-        # values 1,2 per part mapped onto their original ids
-        assert merged.grad_values[0, :4].tolist() == [1.0, 1.0, 2.0, 2.0]
-
-    def test_overlapping_ranges_rejected(self):
-        a = self._part([1], [], 4)
-        b = self._part([1], [], 4)
-        with pytest.raises(ContractViolation):
-            merge_segments([a, b], 4, DropRng(0))
-
-    def test_merge_deterministic_and_tree_fixed(self):
-        parts = [self._part([k * 3, k * 3 + 1], [], 8) for k in range(5)]
-        m1 = merge_segments(parts, 8, DropRng(5, 1))
-        m2 = merge_segments(
-            [self._part([k * 3, k * 3 + 1], [], 8) for k in range(5)],
-            8,
-            DropRng(5, 1),
-        )
-        assert np.array_equal(m1.ids, m2.ids)
-
-    def test_merge_segments_spike_precedence(self):
-        a = self._part([0, 1, 2], [3], 6)
-        b = self._part([10, 11, 12], [13], 6)
-        merged = merge_segments([a, b], 6, DropRng(1))
-        assert merged.num_spikes[0] == 6  # all six spikes kept
-        assert merged.num_grads[0] == 6  # gradient-only entries squeezed out
 
 
 class TestDropStatistics:
