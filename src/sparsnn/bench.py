@@ -103,6 +103,12 @@ class BenchConfig:
 
 @dataclass
 class BenchResult:
+    """One configuration's timings and model.
+
+    hidden_spikes: mean spikes per batch row and timestep of each hidden
+        layer, in the probe forward pass that feeds the ledger.
+    """
+
     config: BenchConfig
     wall_dense_mean: float
     wall_dense_std: float
@@ -113,8 +119,15 @@ class BenchResult:
     frames_per_sec: float
     sequences_per_sec: float
     observed_activity: float
+    hidden_spikes: tuple
     dense_ledger: object
     sparse_ledger: object
+
+    @property
+    def valid(self) -> bool:
+        """False when a hidden layer stayed silent: the run then prices a
+        network that moves no spikes, not the configured activity."""
+        return all(s > 0 for s in self.hidden_spikes)
 
 
 def network_spec_for(config: BenchConfig) -> NetworkSpec:
@@ -236,6 +249,7 @@ def run_benchmark(config: BenchConfig) -> BenchResult:
         frames_per_sec=config.batch_size * config.num_timesteps / sparse_mean,
         sequences_per_sec=config.batch_size / sparse_mean,
         observed_activity=observed,
+        hidden_spikes=tuple(act[:, 1 : spec.num_weight_layers].mean(axis=0).tolist()),
         dense_ledger=dense_ledger,
         sparse_ledger=sparse_ledger,
     )
@@ -248,6 +262,7 @@ SPARSITY_COLUMNS = (
     "measured_accel",
     "modeled_accel",
     "frames_per_sec",
+    "valid",
 )
 # wall-clock derived columns, excluded from determinism comparisons
 VOLATILE_COLUMNS = ("measured_accel", "frames_per_sec")
@@ -255,7 +270,8 @@ VOLATILE_COLUMNS = ("measured_accel", "frames_per_sec")
 
 def sparsity_sweep(config: BenchConfig, activity_grid) -> list:
     """One row per (mode, max_activity); communication sparsity is
-    1 - max_activity by definition."""
+    1 - max_activity by definition. A row whose hidden layers include a
+    silent one has `valid` False and measures no sparse speedup."""
     rows = []
     for mode in (FIXED, NATURAL):
         for a in activity_grid:
@@ -270,6 +286,7 @@ def sparsity_sweep(config: BenchConfig, activity_grid) -> list:
                     "measured_accel": result.measured_accel,
                     "modeled_accel": result.modeled_accel,
                     "frames_per_sec": result.frames_per_sec,
+                    "valid": result.valid,
                 }
             )
     return rows

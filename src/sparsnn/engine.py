@@ -21,6 +21,20 @@ program swept in reverse time, runs one recurrence for all of them:
 with h the spike slope and dS the gradient from the layer above plus, with
 `reset_grad`, the reset term -alpha * u[t] * du[t+1]. Weight gradients
 accumulate over all timesteps in float64 and are rounded once at the end.
+The sweep only records each weight layer's (dL/dI, payload) pairs; after
+it, each layer's gradient is accumulated in one pass over them, in sweep
+order (descending t), so every element receives the same adds in the
+same order as an interleaved sweep would give it, while only one float64
+accumulator is alive and touched at a time.
+
+A transport holds one float64 copy of every weight matrix, in the layout
+its kernels read: W for dense and relaxed, the C-contiguous transpose Wᵀ
+for sparse. `forward_pass` builds it, `backward_pass` reuses it in the
+sweep and drops it before accumulating the weight gradients, so a
+training step casts each matrix once. The
+sparse transport's weight-gradient accumulators are column-major
+(order="F"), so the gradient of one firing id is one contiguous row of an
+accumulator's transpose.
 
 Transports call kernels, encoders and LIF helpers through this module's
 names at call time, so wrappers installed on `sparsnn.engine` (profilers,
@@ -42,6 +56,7 @@ from .kernels import (
     sparse_forward_current,
     sparse_input_grad,
     sparse_weight_grad,
+    transposed64,
 )
 from .lif import (
     SPIKE_COUNT,
@@ -65,10 +80,28 @@ MAX_BATCHES_PER_EPOCH = 1 << 20
 
 
 class DenseTransport:
-    """Binary spike matrices between layers, float32 state."""
+    """Binary spike matrices between layers, float32 state.
+
+    `w64[l]` is `cast(w)` of weight layer l, held from `load` to `release`;
+    `acc_order` is the memory layout of the weight-gradient accumulators.
+    """
 
     dtype = np.float32
     always_reset_grad = False
+    acc_order = "C"
+    w64 = None
+
+    @staticmethod
+    def cast(w):
+        return w.w.astype(np.float64)
+
+    def load(self, weights):
+        """Cast every weight layer, unless the copies are already held."""
+        if self.w64 is None:
+            self.w64 = [self.cast(w) for w in weights]
+
+    def release(self):
+        self.w64 = None
 
     def fire(self, u, params):
         """Spikes of a layer that sends nothing (the spiking readout)."""
@@ -91,8 +124,8 @@ class DenseTransport:
         spike matrices are `spikes`: a dense payload is the matrix."""
         return spikes
 
-    def current(self, w, payload):
-        return dense_forward_current(w, payload, dtype=self.dtype)
+    def current(self, l, w, payload):
+        return dense_forward_current(w, payload, dtype=self.dtype, w64=self.w64[l])
 
     def sent_slope(self, u, params, payload):
         return self.slope(u, params)
@@ -100,9 +133,9 @@ class DenseTransport:
     def weight_grad(self, dl_di, payload, dl_dw_acc):
         dense_weight_grad(dl_di, payload, dl_dw_acc)
 
-    def input_grad(self, dl_di, w, w64, payload):
+    def input_grad(self, l, dl_di, w, payload):
         """dL/dS of the sending layer, dense (B, n_pre)."""
-        return dense_input_grad(dl_di, w, w64=w64, dtype=self.dtype)
+        return dense_input_grad(dl_di, w, w64=self.w64[l], dtype=self.dtype)
 
 
 class RelaxedTransport(DenseTransport):
@@ -127,6 +160,9 @@ class SparseTransport(DenseTransport):
     local, so it keeps the dense `fire` and `slope`.
     """
 
+    acc_order = "F"
+    cast = staticmethod(transposed64)
+
     def __init__(self, spec, rng: DropRng):
         self.capacity = spec.sparse_sizes
         self.rng = rng
@@ -147,8 +183,8 @@ class SparseTransport(DenseTransport):
     def payloads(self, spikes):
         return [None] * len(spikes)
 
-    def current(self, w, payload):
-        return sparse_forward_current(w, payload)
+    def current(self, l, w, payload):
+        return sparse_forward_current(w, payload, wt64=self.w64[l])
 
     def sent_slope(self, u, params, payload):
         return scatter_to_dense(payload, payload.grad_values, payload.num_grads, u.shape[1])
@@ -156,8 +192,8 @@ class SparseTransport(DenseTransport):
     def weight_grad(self, dl_di, payload, dl_dw_acc):
         sparse_weight_grad(dl_di, payload, dl_dw_acc)
 
-    def input_grad(self, dl_di, w, w64, payload):
-        ds = sparse_input_grad(dl_di, w, payload, w64=w64)
+    def input_grad(self, l, dl_di, w, payload):
+        ds = sparse_input_grad(dl_di, w, payload, wt64=self.w64[l])
         return scatter_to_dense(payload, ds, payload.num_grads, w.fan_in)
 
 
@@ -228,6 +264,7 @@ def forward_pass(
             f"inputs shape {inputs.shape} != (B, {spec.num_timesteps}, {spec.input_size})"
         )
     transport = _transport(mode, spec, rng, force_spikes)
+    transport.load(net.weights)
     dtype = transport.dtype
 
     batch = inputs.shape[0]
@@ -284,7 +321,7 @@ def forward_pass(
             if record_trace and spiking:
                 trace.spikes[l][t] = s
             u[l] = membrane_update(u[l], s, i_syn[l], params)
-            i_syn[l] = transport.current(net.weights[l], payload)
+            i_syn[l] = transport.current(l, net.weights[l], payload)
             payload = sent
 
             if l == L - 1:
@@ -319,8 +356,9 @@ def backward_pass(
     L = spec.num_weight_layers
     spike_count_readout = spec.output_mode == SPIKE_COUNT
 
-    w64 = [w.w.astype(np.float64) for w in net.weights]
-    dw_acc = [np.zeros_like(w64[l]) for l in range(L)]
+    transport.load(net.weights)
+    # (dL/dI, payload) of every weight layer, in sweep order.
+    terms = [[] for _ in range(L)]
     du = [np.zeros((batch, spec.layer_sizes[l + 1]), dtype=dt) for l in range(L)]
     di = [np.zeros_like(du[l]) for l in range(L)]
 
@@ -353,14 +391,21 @@ def backward_pass(
                 du_t = alpha * du[l]
 
             sent = trace.sent[l][t]
-            transport.weight_grad(di[l], sent, dw_acc[l])
+            terms[l].append((di[l], sent))
             if l > 0:
-                ds_in[l - 1] = transport.input_grad(di[l], net.weights[l], w64[l], sent)
+                ds_in[l - 1] = transport.input_grad(l, di[l], net.weights[l], sent)
 
             du[l] = du_t
             di[l] = di_t
 
-    return [acc.astype(dt) for acc in dw_acc]
+    transport.release()
+    grads = []
+    for w, layer_terms in zip(net.weights, terms):
+        acc = np.zeros(w.w.shape, order=transport.acc_order)
+        for dl_di, sent in layer_terms:
+            transport.weight_grad(dl_di, sent, acc)
+        grads.append(acc.astype(dt, order="C"))
+    return grads
 
 
 def softmax_cross_entropy(scores: np.ndarray, labels: np.ndarray):

@@ -1,57 +1,75 @@
 """Forward-current and gradient kernels, dense and sparse.
 
-The dense route is a plain matrix product; the sparse route gathers only
-the weight columns named by spike ids and sums them in ascending-id order.
-Both accumulate in float64 and round to float32 at the operation boundary,
-which keeps the two routes bit-comparable: the float64 results of the same
-mathematical sum agree far below float32 resolution.
+The dense route is a plain matrix product on W. The sparse route works on
+the float64 transpose Wᵀ, a C-contiguous (n_pre, n_post) array, so each id
+a row names selects one contiguous row of Wᵀ (one weight column of W):
+
+forward current  out[b] = sum of Wᵀ[ids] over the row's firing ids, added
+                 in ascending-id order;
+weight grad      dL/dWᵀ[ids] += dL/dI[b] for every firing id, rows in
+                 ascending order; the accumulator is (n_post, n_pre) and
+                 best allocated order="F", so that its transpose has
+                 contiguous rows;
+input grad       dL/dS[b, k] = Wᵀ[ids[b, k]] . dL/dI[b] for every
+                 retained id.
+
+Each row is one contiguous numpy operation; the loop over batch rows stays
+in Python. Both routes accumulate in float64 and round to float32 at the
+operation boundary, which keeps them bit-comparable: the float64 results
+of the same mathematical sum agree far below float32 resolution.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractViolation, CorruptionError
+from .errors import ContractViolation
 from .lif import LayerWeights
-from .sparse import SparseSpikeBatch
+from .sparse import SparseSpikeBatch, check_ids
 
 
-def _check_ids(ids: np.ndarray, fan_in: int, row: int) -> None:
-    if ids.size and (ids.min() < 0 or ids.max() >= fan_in):
-        raise CorruptionError(f"row {row}: spike id out of range [0, {fan_in})")
+def transposed64(w: LayerWeights) -> np.ndarray:
+    """Wᵀ as the C-contiguous float64 (n_pre, n_post) array the sparse
+    kernels read."""
+    return np.ascontiguousarray(w.w.T, dtype=np.float64)
 
 
 def dense_forward_current(
-    w: LayerWeights, s_in: np.ndarray, dtype=np.float32
+    w: LayerWeights, s_in: np.ndarray, dtype=np.float32, w64: np.ndarray | None = None
 ) -> np.ndarray:
     """I = S @ W^T for a batch of dense spike rows.
 
     `dtype` is the boundary precision; the float64 gradient-check pipeline
-    passes float64 to avoid rounding between timesteps.
+    passes float64 to avoid rounding between timesteps. `w64` is a cached
+    float64 copy of `w.w`.
     """
     s_in = np.asarray(s_in)
     if s_in.ndim != 2 or s_in.shape[1] != w.fan_in:
         raise ContractViolation(
             f"spike shape {s_in.shape} incompatible with fan-in {w.fan_in}"
         )
-    out = s_in.astype(np.float64) @ w.w.T.astype(np.float64)
+    if w64 is None:
+        w64 = w.w.astype(np.float64)
+    out = s_in.astype(np.float64) @ w64.T
     return out.astype(dtype)
 
 
-def sparse_forward_current(w: LayerWeights, s_in: SparseSpikeBatch) -> np.ndarray:
-    """Read-and-sum of the weight columns named by each row's firing ids.
+def sparse_forward_current(
+    w: LayerWeights, s_in: SparseSpikeBatch, wt64: np.ndarray | None = None
+) -> np.ndarray:
+    """Sum of the rows of Wᵀ named by each row's firing ids.
 
     Gradient-only entries contribute nothing. Summation order is fixed
-    (ascending id).
+    (ascending id). `wt64` is a cached `transposed64(w)`.
     """
+    check_ids(s_in, s_in.num_spikes, w.fan_in)
+    if wt64 is None:
+        wt64 = transposed64(w)
     out = np.zeros((s_in.batch_size, w.n_post), dtype=np.float32)
     for row in range(s_in.batch_size):
         ns = int(s_in.num_spikes[row])
-        if ns == 0:
-            continue
-        ids = s_in.ids[row, :ns]
-        _check_ids(ids, w.fan_in, row)
-        out[row] = np.sum(w.w[:, ids], axis=1, dtype=np.float64).astype(np.float32)
+        if ns:
+            out[row] = wt64[s_in.ids[row, :ns]].sum(axis=0)
     return out
 
 
@@ -59,20 +77,25 @@ def sparse_weight_grad(
     dl_di: np.ndarray, s_in: SparseSpikeBatch, dl_dw_acc: np.ndarray
 ) -> None:
     """Accumulate dL/dw += sum_b outer(dL/dI[b], spikes[b]) into a float64
-    buffer, touching only the columns named by firing ids."""
+    (n_post, n_pre) buffer, touching only the columns named by firing ids.
+
+    Each element receives one add per row that names its column, rows in
+    ascending order, in any memory layout; order="F" makes the columns
+    contiguous.
+    """
     if dl_dw_acc.dtype != np.float64:
         raise ContractViolation("weight-gradient accumulator must be float64")
     if dl_di.shape != (s_in.batch_size, dl_dw_acc.shape[0]):
         raise ContractViolation(
             f"dl_di shape {dl_di.shape} incompatible with accumulator"
         )
+    check_ids(s_in, s_in.num_spikes, dl_dw_acc.shape[1])
+    dl_di64 = dl_di.astype(np.float64)
+    acc_t = dl_dw_acc.T
     for row in range(s_in.batch_size):
         ns = int(s_in.num_spikes[row])
-        if ns == 0:
-            continue
-        ids = s_in.ids[row, :ns]
-        _check_ids(ids, dl_dw_acc.shape[1], row)
-        dl_dw_acc[:, ids] += dl_di[row].astype(np.float64)[:, None]
+        if ns:
+            acc_t[s_in.ids[row, :ns]] += dl_di64[row]
 
 
 def dense_weight_grad(
@@ -88,31 +111,29 @@ def sparse_input_grad(
     dl_di: np.ndarray,
     w: LayerWeights,
     s_in: SparseSpikeBatch,
-    w64: np.ndarray | None = None,
+    wt64: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gradient w.r.t. every retained entry of `s_in` (both segments):
 
         dl_dspike[b, k] = sum_i dl_di[b, i] * w[i, ids[b, k]]
 
     i.e. the transpose product restricted to retained columns. Returns a
-    (B, n_max) float32 array aligned with `s_in.ids`. Pass a cached float64
-    copy of the weights as `w64` to skip the per-call upcast.
+    (B, n_max) float32 array aligned with `s_in.ids`. `wt64` is a cached
+    `transposed64(w)`.
     """
     if dl_di.shape != (s_in.batch_size, w.n_post):
         raise ContractViolation(
             f"dl_di shape {dl_di.shape} incompatible with weights {w.w.shape}"
         )
-    if w64 is None:
-        w64 = w.w.astype(np.float64)
+    check_ids(s_in, s_in.num_grads, w.fan_in)
+    if wt64 is None:
+        wt64 = transposed64(w)
+    dl_di64 = dl_di.astype(np.float64)
     out = np.zeros((s_in.batch_size, s_in.n_max), dtype=np.float32)
     for row in range(s_in.batch_size):
         ng = int(s_in.num_grads[row])
-        if ng == 0:
-            continue
-        ids = s_in.ids[row, :ng]
-        _check_ids(ids, w.fan_in, row)
-        vals = dl_di[row].astype(np.float64) @ w64[:, ids]
-        out[row, :ng] = vals.astype(np.float32)
+        if ng:
+            out[row, :ng] = wt64[s_in.ids[row, :ng]] @ dl_di64[row]
     return out
 
 

@@ -40,6 +40,12 @@ def _combine(h: int, word: int) -> int:
     return mix64(h + _GOLDEN + (word & _MASK64))
 
 
+def _combine_array(h: np.ndarray, words) -> np.ndarray:
+    """`_combine` on uint64 arrays (which wrap silently, where numpy
+    scalars warn); `words` must be non-negative."""
+    return _mix64_array(h + np.uint64(_GOLDEN) + words)
+
+
 @dataclass(frozen=True)
 class DropRng:
     """Keyed source of drop decisions.
@@ -59,32 +65,50 @@ class DropRng:
         """Return the same keyed stream repositioned at `position`."""
         return DropRng(self.seed, position)
 
-    def _base(self, row: int, salt: int) -> int:
-        h = self.seed & _MASK64
-        h = _combine(h, self.position)
-        h = _combine(h, row)
-        h = _combine(h, salt)
-        return h
-
     def keys(self, row: int, count: int, salt: int = 0) -> np.ndarray:
         """`count` independent 64-bit keys for (seed, position, row, salt)."""
-        base = self._base(row, salt)
-        idx = np.arange(1, count + 1, dtype=np.uint64)
-        return _mix64_array(np.uint64(base) + idx * np.uint64(_GOLDEN))
+        return self.rank_keys(np.array([row]), np.arange(1, count + 1)[None], salt)[0]
 
-    def subset(
-        self, row: int, candidates: np.ndarray, keep: int, salt: int = 0
-    ) -> np.ndarray:
-        """Uniformly keep `keep` of `candidates`, returned sorted ascending.
+    def rank_keys(self, rows: np.ndarray, ranks: np.ndarray, salt: int = 0) -> np.ndarray:
+        """Key number ranks[i, j] (counting from 1) of row rows[i], for every
+        (i, j), as one array expression: keys(rows[i], count, salt)[r - 1]
+        for any count >= r."""
+        start = np.array([_combine(self.seed & _MASK64, self.position)], dtype=np.uint64)
+        base = _combine_array(start, np.asarray(rows, dtype=np.uint64))
+        base = _combine_array(base, np.uint64(salt & _MASK64))
+        ranks = np.asarray(ranks, dtype=np.uint64)
+        return _mix64_array(base[:, None] + ranks * np.uint64(_GOLDEN))
 
-        Each candidate gets an i.i.d. 64-bit key; the `keep` smallest keys
-        win, which makes every subset equally likely.
+    def subset(self, mask: np.ndarray, keep, salt: int = 0) -> np.ndarray:
+        """Thin each row b of the boolean (B, n) `mask` to keep[b] of its set
+        entries, chosen uniformly at random; `keep` is an int or a (B,)
+        array. Returns a new mask.
+
+        Row b's candidates are its set columns in ascending order, and
+        candidate j gets key j of keys(b, count, salt). The keep[b] smallest
+        keys win, ties going to the earlier candidate, which makes every
+        subset equally likely. Rows within their keep, and rows that keep
+        nothing, draw no keys.
         """
-        n = len(candidates)
-        if keep >= n:
-            return np.sort(candidates)
-        if keep <= 0:
-            return candidates[:0]
-        keys = self.keys(row, n, salt)
-        order = np.argsort(keys, kind="stable")
-        return np.sort(candidates[order[:keep]])
+        out = np.array(mask, dtype=bool)
+        counts = out.sum(axis=1)
+        keep = np.broadcast_to(keep, counts.shape)
+        over = counts > keep
+        if not over.any():
+            return out
+        rows = np.flatnonzero(over & (keep > 0))
+        cands = out[rows]
+        out[over] = False
+        if rows.size == 0:
+            return out
+        k = keep[rows][:, None]
+        # Non-candidates get the largest key, so the k-th smallest key of a
+        # row is that of its candidates: a row has more than k of them.
+        table = self.rank_keys(rows, np.cumsum(cands, axis=1, dtype=np.int32), salt)
+        table[~cands] = _MASK64
+        kth = np.partition(table, np.unique(k) - 1, axis=1)
+        kth = np.take_along_axis(kth, k - 1, axis=1)
+        below, tied = table < kth, cands & (table == kth)
+        need = k - below.sum(axis=1, keepdims=True)
+        out[rows] = below | (tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= need))
+        return out

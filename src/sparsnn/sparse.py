@@ -96,36 +96,23 @@ def encode_sparse(
 
     Firing set: u >= threshold. Gradient-only set: grad_threshold <= u <
     threshold (only when `with_grads`). Over-capacity sets are thinned to a
-    uniform random subset, firing entries taking precedence.
+    uniform random subset, firing entries taking precedence: the
+    gradient-only segment gets the room the kept spikes leave.
     """
     _check_capacity(n_max)
     u = np.asarray(u)
     thr = params.threshold
-    out = SparseSpikeBatch.empty(u.shape[0], n_max, with_grads)
-    spike_mask = u >= thr
-    grad_mask = (u >= params.grad_threshold) & ~spike_mask if with_grads else None
-
-    for row in range(u.shape[0]):
-        spike_ids = np.flatnonzero(spike_mask[row]).astype(np.int32)
-        if len(spike_ids) > n_max:
-            spike_ids = rng.subset(row, spike_ids, n_max, salt=_SALT_SPIKES)
-        ns = len(spike_ids)
-        out.ids[row, :ns] = spike_ids
-        ng = ns
-        if with_grads:
-            grad_ids = np.flatnonzero(grad_mask[row]).astype(np.int32)
-            room = n_max - ns
-            if len(grad_ids) > room:
-                grad_ids = rng.subset(row, grad_ids, room, salt=_SALT_GRADS)
-            ng = ns + len(grad_ids)
-            out.ids[row, ns:ng] = grad_ids
-        out.num_spikes[row] = ns
-        out.num_grads[row] = ng
-        if with_grads and ng:
-            kept = out.ids[row, :ng]
-            out.grad_values[row, :ng] = surrogate(
-                u[row, kept].astype(np.float32) - thr[kept], params.beta
-            )
+    fires = u >= thr
+    spikes = rng.subset(fires, n_max, salt=_SALT_SPIKES)
+    if not with_grads:
+        return _place(spikes, None, n_max)[0]
+    band = (u >= params.grad_threshold) & ~fires
+    grads = rng.subset(band, n_max - spikes.sum(axis=1), salt=_SALT_GRADS)
+    out, rows, slots = _place(spikes, grads, n_max)
+    ids = out.ids[rows, slots]
+    out.grad_values[rows, slots] = surrogate(
+        u[rows, ids].astype(np.float32) - thr[ids], params.beta
+    )
     return out
 
 
@@ -135,16 +122,22 @@ def encode_binary(
     """Sparse-encode a binary spike frame (B, n); no gradient segment."""
     _check_capacity(n_max)
     frame = np.asarray(frame)
-    out = SparseSpikeBatch.empty(frame.shape[0], n_max, with_grads=False)
-    for row in range(frame.shape[0]):
-        ids = np.flatnonzero(frame[row]).astype(np.int32)
-        if len(ids) > n_max:
-            ids = rng.subset(row, ids, n_max, salt=_SALT_SPIKES)
-        ns = len(ids)
-        out.ids[row, :ns] = ids
-        out.num_spikes[row] = ns
-        out.num_grads[row] = ns
-    return out
+    return _place(rng.subset(frame != 0, n_max, salt=_SALT_SPIKES), None, n_max)[0]
+
+
+def _place(spikes: np.ndarray, grads: np.ndarray | None, n_max: int) -> tuple:
+    """(batch, rows, slots): the batch whose rows hold the set columns of
+    `spikes`, then those of `grads` (None: no gradient segment), each
+    ascending, and the row and slot of every entry it holds."""
+    batch, n = spikes.shape
+    both = spikes if grads is None else np.concatenate([spikes, grads], axis=1)
+    rows, cols = np.divmod(np.flatnonzero(both), both.shape[1])
+    out = SparseSpikeBatch.empty(batch, n_max, with_grads=grads is not None)
+    out.num_spikes[:] = np.bincount(rows[cols < n], minlength=batch)
+    out.num_grads[:] = np.bincount(rows, minlength=batch)
+    slots = np.arange(rows.size) - (np.cumsum(out.num_grads) - out.num_grads)[rows]
+    out.ids[rows, slots] = cols % n
+    return out, rows, slots
 
 
 def decode_to_dense(s: SparseSpikeBatch, n: int) -> np.ndarray:
@@ -157,11 +150,18 @@ def scatter_to_dense(
 ) -> np.ndarray:
     """Dense (B, n) float32 matrix holding values[b, k] at column ids[b, k]
     for every k < counts[b], and zero elsewhere."""
-    kept = np.arange(s.n_max) < counts[:, None]
-    rows, ids = np.nonzero(kept)[0], s.ids[kept]
-    bad = (ids < 0) | (ids >= n)
-    if bad.any():
-        raise CorruptionError(f"row {rows[bad][0]}: spike id out of range [0, {n})")
+    kept = check_ids(s, counts, n)
     out = np.zeros((s.batch_size, n), dtype=np.float32)
-    out[rows, ids] = values[kept]
+    out[np.nonzero(kept)[0], s.ids[kept]] = values[kept]
     return out
+
+
+def check_ids(s: SparseSpikeBatch, counts: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the first counts[b] slots of every row b of `s`. Raises
+    CorruptionError naming the first row that keeps an id outside [0, n)."""
+    kept = np.arange(s.n_max) < counts[:, None]
+    bad = kept & ((s.ids < 0) | (s.ids >= n))
+    if bad.any():
+        row = np.flatnonzero(bad.any(axis=1))[0]
+        raise CorruptionError(f"row {row}: spike id out of range [0, {n})")
+    return kept

@@ -1,12 +1,13 @@
 """Smoke tests of the benchmark protocol and the command line."""
 
+import csv
 import math
 
 import numpy as np
 import pytest
 
 from sparsnn import cli
-from sparsnn.bench import FIXED, NATURAL, BenchConfig, run_benchmark
+from sparsnn.bench import FIXED, NATURAL, BenchConfig, network_spec_for, run_benchmark
 
 
 @pytest.mark.parametrize("mode", [FIXED, NATURAL])
@@ -16,12 +17,27 @@ def test_run_benchmark_tiny(mode):
     for value in (result.wall_dense_mean, result.wall_sparse_mean, result.modeled_accel):
         assert math.isfinite(value) and value > 0
     # Forced spikes fill every hidden capacity, so the observed activity is
-    # exactly the configured one; free dynamics stay at or below it.
+    # exactly the configured one; free dynamics stay at or below it, and on
+    # this preset leave every hidden layer silent.
     if mode == FIXED:
         assert result.observed_activity == pytest.approx(config.max_activity)
+        assert result.hidden_spikes == tuple(network_spec_for(config).sparse_sizes[1:])
+        assert result.valid
     else:
         assert 0.0 <= result.observed_activity <= config.max_activity
+        assert result.hidden_spikes == (0.0, 0.0)
+        assert not result.valid
     assert result.sparse_ledger.total_time_cycles > 0
+
+
+def test_sparsity_sweep_marks_silent_rows_invalid(tmp_path):
+    assert cli.main([
+        "bench", "--preset", "tiny", "--sweep", "sparsity", "--activity-grid", "0.25,0.5",
+        "--batch-size", "8", "--out-dir", str(tmp_path),
+    ]) == 0
+    with open(tmp_path / "sparsity.csv", newline="") as f:
+        rows = [(row["mode"], row["valid"]) for row in csv.DictReader(f)]
+    assert rows == [(FIXED, "True")] * 2 + [(NATURAL, "False")] * 2
 
 
 def test_gen_data_then_sparse_train(tmp_path):

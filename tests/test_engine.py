@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sparsnn import engine
 from sparsnn.engine import (
     DENSE,
     RELAXED,
@@ -184,6 +185,42 @@ class TestBackward:
         g_b = backward_pass(net, trace, gb)
         for s, a, b in zip(g_sum, g_a, g_b):
             np.testing.assert_allclose(s, a + b, rtol=1e-5, atol=1e-7)
+
+    @pytest.mark.parametrize("mode", [DENSE, SPARSE, RELAXED])
+    def test_gradients_row_major_and_cache_released(self, mode):
+        net = exactness_net(4, [6, 8, 3], T=5, batch=2)
+        inputs = random_inputs(np.random.default_rng(4), 2, 5, 6)
+        trace, scores = forward_pass(net, inputs, mode=mode, rng=DropRng(4))
+        assert len(trace.transport.w64) == 2
+        grads = backward_pass(net, trace, np.ones_like(scores))
+        assert trace.transport.w64 is None
+        for g, w in zip(grads, net.weights):
+            assert g.shape == w.w.shape and g.flags.c_contiguous
+            assert g.dtype == trace.transport.dtype
+
+    @pytest.mark.parametrize("mode", [DENSE, SPARSE])
+    def test_weight_grads_accumulate_per_layer_in_sweep_order(self, mode, monkeypatch):
+        net = exactness_net(5, [6, 8, 10, 3], T=4, batch=2)
+        inputs = random_inputs(np.random.default_rng(5), 2, 4, 6)
+        trace, scores = forward_pass(net, inputs, mode=mode, rng=DropRng(5))
+        name = "sparse_weight_grad" if mode == SPARSE else "dense_weight_grad"
+        original = getattr(engine, name)
+        calls = []
+
+        def record(dl_di, s_in, dl_dw_acc):
+            calls.append((s_in, dl_dw_acc, trace.transport.w64))
+            original(dl_di, s_in, dl_dw_acc)
+
+        monkeypatch.setattr(engine, name, record)
+        backward_pass(net, trace, np.ones_like(scores))
+        T = trace.num_timesteps
+        assert len(calls) == 3 * T
+        for l in range(3):
+            layer = calls[l * T:(l + 1) * T]
+            for (s_in, acc, w64), t in zip(layer, range(T - 1, -1, -1)):
+                sent = trace.sent[l][t]
+                assert s_in is sent or np.shares_memory(s_in, sent)
+                assert acc is layer[0][1] and w64 is None
 
     def test_input_weight_grad_additive_over_time(self):
         # Freeze the trace and split the input spikes by timestep: the

@@ -9,6 +9,7 @@ from sparsnn.kernels import (
     sparse_forward_current,
     sparse_input_grad,
     sparse_weight_grad,
+    transposed64,
 )
 from sparsnn.lif import LayerWeights, LifParams
 from sparsnn.rng import DropRng
@@ -97,6 +98,19 @@ class TestForwardCurrent:
             poisoned.w[:, unread] = np.nan
             assert np.array_equal(sparse_forward_current(poisoned, s)[row], clean[row])
 
+    def test_cached_weights_equal_uncached(self):
+        rng = np.random.default_rng(6)
+        w = LayerWeights(rng.normal(size=(9, 14)).astype(np.float32))
+        u, p, s = include_everything_batch(rng, 5, 14)
+        assert np.array_equal(
+            sparse_forward_current(w, s, wt64=transposed64(w)), sparse_forward_current(w, s)
+        )
+        dense = decode_to_dense(s, 14)
+        assert np.array_equal(
+            dense_forward_current(w, dense, w64=w.w.astype(np.float64)),
+            dense_forward_current(w, dense),
+        )
+
     def test_linearity_in_spikes(self):
         rng = np.random.default_rng(3)
         w = LayerWeights(rng.normal(size=(5, 12)).astype(np.float32))
@@ -128,6 +142,25 @@ class TestWeightGrad:
         acc = np.zeros((1, 4), dtype=np.float64)
         sparse_weight_grad(np.array([[1.0], [2.0]], dtype=np.float32), s, acc)
         assert acc[0, 2] == 3.0
+
+    def test_id_out_of_range(self):
+        s = batch_from([[0], [1, 3]], 4)
+        acc = np.zeros((2, 2), dtype=np.float64)
+        with pytest.raises(CorruptionError, match="row 1"):
+            sparse_weight_grad(np.ones((2, 2), dtype=np.float32), s, acc)
+
+    def test_column_and_row_major_accumulators_agree(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            n_pre, n_post, b = 2 * int(rng.integers(1, 9)), int(rng.integers(2, 16)), 4
+            u, p, s = include_everything_batch(rng, b, n_pre)
+            start = rng.normal(size=(n_post, n_pre))
+            acc_c, acc_f = start.copy(order="C"), start.copy(order="F")
+            for _ in range(3):
+                dl_di = rng.normal(size=(b, n_post)).astype(np.float32)
+                sparse_weight_grad(dl_di, s, acc_c)
+                sparse_weight_grad(dl_di, s, acc_f)
+            assert np.array_equal(acc_c, acc_f)
 
     def test_matches_dense_outer_product(self):
         rng = np.random.default_rng(4)
@@ -178,6 +211,24 @@ class TestInputGrad:
                 np.testing.assert_allclose(
                     got[row, :ng], want[row, ids], rtol=1e-6, atol=1e-7
                 )
+
+    def test_id_out_of_range(self):
+        # Id 5 is gradient-only: the forward kernel never reads it, the
+        # input gradient does.
+        w = LayerWeights(np.ones((3, 4)))
+        s = batch_from([[1], [0, 2], [1, 5]], 4, num_spikes=[1, 2, 1])
+        sparse_forward_current(w, s)
+        with pytest.raises(CorruptionError, match="row 2"):
+            sparse_input_grad(np.ones((3, 3), dtype=np.float32), w, s)
+
+    def test_cached_weights_equal_uncached(self):
+        rng = np.random.default_rng(8)
+        w = LayerWeights(rng.normal(size=(9, 14)).astype(np.float32))
+        u, p, s = include_everything_batch(rng, 5, 14)
+        dl_di = rng.normal(size=(5, 9)).astype(np.float32)
+        assert np.array_equal(
+            sparse_input_grad(dl_di, w, s, wt64=transposed64(w)), sparse_input_grad(dl_di, w, s)
+        )
 
     def test_shape_mismatch(self):
         w = LayerWeights(np.ones((3, 4)))

@@ -22,20 +22,30 @@ def test_keys_deterministic_and_distinct():
     assert not np.array_equal(a, rng.keys(row=2, count=16, salt=1))
 
 
+def candidate_mask(rows, n, cands):
+    mask = np.zeros((rows, n), dtype=bool)
+    mask[:, cands] = True
+    return mask
+
+
 def test_subset_is_sorted_subset():
     rng = DropRng(seed=1, position=0)
     cands = np.array([3, 5, 9, 11, 20], dtype=np.int32)
-    kept = rng.subset(0, cands, 3)
-    assert len(kept) == 3
-    assert np.all(np.diff(kept) > 0)
-    assert set(kept).issubset(set(cands.tolist()))
+    out = rng.subset(candidate_mask(4, 24, cands), 3)
+    for row in range(4):
+        kept = np.flatnonzero(out[row])
+        assert len(kept) == 3
+        assert np.all(np.diff(kept) > 0)
+        assert set(kept).issubset(set(cands.tolist()))
 
 
 def test_subset_keep_all_or_none():
     rng = DropRng(seed=1)
-    cands = np.array([4, 2, 7], dtype=np.int32)
-    assert np.array_equal(rng.subset(0, cands, 5), np.array([2, 4, 7]))
-    assert rng.subset(0, cands, 0).size == 0
+    mask = candidate_mask(2, 8, [4, 2, 7])
+    assert np.array_equal(np.flatnonzero(rng.subset(mask, 5)[0]), [2, 4, 7])
+    assert not rng.subset(mask, 0).any()
+    per_row = rng.subset(mask, np.array([3, 0]))
+    assert np.array_equal(per_row[0], mask[0]) and not per_row[1].any()
 
 
 def test_subset_uniform_frequencies():
@@ -44,8 +54,7 @@ def test_subset_uniform_frequencies():
     counts = np.zeros(3)
     trials = 4000
     for seed in range(trials):
-        kept = DropRng(seed).subset(0, np.arange(3, dtype=np.int32), 2)
-        counts[kept] += 1
+        counts += DropRng(seed).subset(np.ones((1, 3), dtype=bool), 2)[0]
     freq = counts / trials
     assert np.all(np.abs(freq - 2 / 3) < 0.03)
 
