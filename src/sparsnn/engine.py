@@ -19,27 +19,43 @@ program swept in reverse time, runs one recurrence for all of them:
     du[t] = alpha * (1 - S[t]) * du[t+1] + h[t] * dS[t]
 
 with h the spike slope and dS the gradient from the layer above plus, with
-`reset_grad`, the reset term -alpha * u[t] * du[t+1]. Weight gradients
-accumulate over all timesteps in float64 and are rounded once at the end.
-The sweep only records each weight layer's (dL/dI, payload) pairs; after
-it, each layer's gradient is accumulated in one pass over them, in sweep
-order (descending t), so every element receives the same adds in the
-same order as an interleaved sweep would give it, while only one float64
-accumulator is alive and touched at a time.
+`reset_grad`, the reset term -alpha * u[t] * du[t+1].
+
+Both passes run one layer at a time ("multi-step" propagation). This is
+exact because the network is feedforward across layers, and drop
+decisions are a pure function of (seed, position, row, salt), so they do
+not depend on the order of the calls. The forward pass encodes all T input
+payloads, then for each layer makes one current call on the stacked
+payloads of steps 0..T-2 (the current of step t + 1 is driven by the
+payload of step t), then runs the layer's LIF loop over t. The backward
+pass sweeps the top layer first, each layer in reverse time, and then
+makes one input-gradient call for the layer below. The last step's
+payload drives nothing, so no kernel reads it and its dL/dI, which is
+zero, is never formed. Stacked rows are t-major; in the backward pass they
+are in sweep order (t = T-2..0, then b ascending).
+
+Weight gradients accumulate over all timesteps in float64 and are rounded
+once at the end: one call per layer, on the stacked (dL/dI, payload)
+rows in sweep order. Every sparse element receives the same adds in the
+same order as a per-step sweep would give it; the dense gradient is one
+product over all (T-1)*B rows. They are accumulated after the sweep, when
+the weight copies are gone, one float64 accumulator at a time.
 
 A transport holds one float64 copy of every weight matrix, in the layout
 its kernels read: W for dense and relaxed, the C-contiguous transpose Wᵀ
-for sparse. `forward_pass` builds it, `backward_pass` reuses it in the
-sweep and drops it before accumulating the weight gradients, so a
-training step casts each matrix once. The
-sparse transport's weight-gradient accumulators are column-major
-(order="F"), so the gradient of one firing id is one contiguous row of an
-accumulator's transpose.
+for sparse. `forward_pass` builds it, and `backward_pass` reuses it in
+the sweep, dropping each layer's copy after that layer's input-gradient
+call, so a training step casts each matrix once. The sparse transport's
+weight-gradient accumulators are column-major (order="F"), so the
+gradient of one firing id is one contiguous row of an accumulator's
+transpose.
 
 Transports call kernels, encoders and LIF helpers through this module's
 names at call time, so wrappers installed on `sparsnn.engine` (profilers,
-activity counters) see each call; the forward pass makes them once per
-(timestep, layer) in time order, with the layer's own weights and params.
+activity counters) see each call. Kernels are called once per (layer,
+pass) with the layer's own weights; encoders and thresholds once per
+(timestep, layer), with the layer's own params, each layer's calls in
+time order.
 """
 
 from __future__ import annotations
@@ -68,7 +84,13 @@ from .lif import (
 )
 from .model import Network
 from .rng import DropRng
-from .sparse import decode_to_dense, encode_binary, encode_sparse, scatter_to_dense
+from .sparse import (
+    SparseSpikeBatch,
+    decode_to_dense,
+    encode_binary,
+    encode_sparse,
+    scatter_to_dense,
+)
 
 DENSE = "dense"
 SPARSE = "sparse"
@@ -82,7 +104,8 @@ MAX_BATCHES_PER_EPOCH = 1 << 20
 class DenseTransport:
     """Binary spike matrices between layers, float32 state.
 
-    `w64[l]` is `cast(w)` of weight layer l, held from `load` to `release`;
+    `w64[l]` is `cast(w)` of weight layer l, held from `load` until the
+    backward pass has made layer l's input-gradient call, or `release`;
     `acc_order` is the memory layout of the weight-gradient accumulators.
     """
 
@@ -124,17 +147,29 @@ class DenseTransport:
         spike matrices are `spikes`: a dense payload is the matrix."""
         return spikes
 
-    def current(self, l, w, payload):
-        return dense_forward_current(w, payload, dtype=self.dtype, w64=self.w64[l])
+    @staticmethod
+    def stack(payloads):
+        """The rows of a sequence of payloads, in order, as one float64
+        matrix: the one cast the dense kernels need."""
+        s = np.asarray(payloads, dtype=np.float64)
+        return s.reshape(-1, s.shape[-1])
+
+    def current(self, l, w, payloads):
+        """Current of every row of `payloads` (a sequence of per-step
+        payloads), one kernel call; rows follow the payloads."""
+        return dense_forward_current(
+            w, self.stack(payloads), dtype=self.dtype, w64=self.w64[l]
+        )
 
     def sent_slope(self, u, params, payload):
         return self.slope(u, params)
 
-    def weight_grad(self, dl_di, payload, dl_dw_acc):
-        dense_weight_grad(dl_di, payload, dl_dw_acc)
+    def weight_grad(self, dl_di, payloads, dl_dw_acc):
+        dense_weight_grad(dl_di, self.stack(payloads), dl_dw_acc)
 
-    def input_grad(self, l, dl_di, w, payload):
-        """dL/dS of the sending layer, dense (B, n_pre)."""
+    def input_grad(self, l, dl_di, w, payloads):
+        """dL/dS of the sending layer for every row of `payloads`, dense
+        (rows, n_pre); a dense product needs only dL/dI."""
         return dense_input_grad(dl_di, w, w64=self.w64[l], dtype=self.dtype)
 
 
@@ -183,18 +218,29 @@ class SparseTransport(DenseTransport):
     def payloads(self, spikes):
         return [None] * len(spikes)
 
-    def current(self, l, w, payload):
-        return sparse_forward_current(w, payload, wt64=self.w64[l])
+    @staticmethod
+    def stack(payloads):
+        """One batch holding the rows of a sequence of batches, in order;
+        the kernels read no gradient values."""
+        return SparseSpikeBatch(
+            ids=np.concatenate([p.ids for p in payloads]),
+            num_spikes=np.concatenate([p.num_spikes for p in payloads]),
+            num_grads=np.concatenate([p.num_grads for p in payloads]),
+        )
+
+    def current(self, l, w, payloads):
+        return sparse_forward_current(w, self.stack(payloads), wt64=self.w64[l])
 
     def sent_slope(self, u, params, payload):
         return scatter_to_dense(payload, payload.grad_values, payload.num_grads, u.shape[1])
 
-    def weight_grad(self, dl_di, payload, dl_dw_acc):
-        sparse_weight_grad(dl_di, payload, dl_dw_acc)
+    def weight_grad(self, dl_di, payloads, dl_dw_acc):
+        sparse_weight_grad(dl_di, self.stack(payloads), dl_dw_acc)
 
-    def input_grad(self, l, dl_di, w, payload):
-        ds = sparse_input_grad(dl_di, w, payload, wt64=self.w64[l])
-        return scatter_to_dense(payload, ds, payload.num_grads, w.fan_in)
+    def input_grad(self, l, dl_di, w, payloads):
+        s = self.stack(payloads)
+        ds = sparse_input_grad(dl_di, w, s, wt64=self.w64[l])
+        return scatter_to_dense(s, ds, s.num_grads, w.fan_in)
 
 
 def _transport(mode: str, spec, rng: DropRng | None, force_spikes: bool):
@@ -271,61 +317,52 @@ def forward_pass(
     T = spec.num_timesteps
     L = spec.num_weight_layers
     spike_count_readout = spec.output_mode == SPIKE_COUNT
-
-    u = [np.zeros((batch, spec.layer_sizes[l + 1]), dtype=dtype) for l in range(L)]
-    i_syn = [np.zeros_like(u[l]) for l in range(L)]
     scores = np.zeros((batch, spec.output_size), dtype=dtype)
+    trace = ForwardTrace(transport, [], [], [], [], T) if record_trace else None
 
-    trace = None
-    if record_trace:
-        spikes = [
-            np.empty((T,) + u[l].shape, dtype=dtype)
-            if _is_spiking(l, L, spike_count_readout)
-            else None
-            for l in range(L)
-        ]
-        trace = ForwardTrace(
-            transport=transport,
-            u=[np.empty((T,) + u[l].shape, dtype=dtype) for l in range(L)],
-            i_syn=[np.empty((T,) + u[l].shape, dtype=dtype) for l in range(L)],
-            spikes=spikes,
-            sent=[[None] * T] + [transport.payloads(spikes[l]) for l in range(L - 1)],
-            num_timesteps=T,
-        )
+    # What weight layer l reads at each step: the input frames for l = 0.
+    payloads = [transport.send_input(t, inputs[:, t, :]) for t in range(T)]
+    for l in range(L):
+        params = net.params[l]
+        spiking = _is_spiking(l, L, spike_count_readout)
+        shape = (T, batch, spec.layer_sizes[l + 1])
+        # The current of step t + 1 is driven by the payload of step t;
+        # the last step's payload drives nothing.
+        i_syn = np.zeros(shape, dtype=dtype)
+        if T > 1:
+            i_syn[1:] = transport.current(l, net.weights[l], payloads[:-1]).reshape(
+                (T - 1,) + shape[1:]
+            )
+        u_seen = np.empty(shape, dtype=dtype) if record_trace else None
+        spikes = np.empty(shape, dtype=dtype) if spiking else None
+        sent = transport.payloads(spikes) if l < L - 1 else None
 
-    for t in range(T):
-        payload = transport.send_input(t, inputs[:, t, :])
-        if record_trace:
-            trace.sent[0][t] = payload
-
-        for l in range(L):
-            params = net.params[l]
-            spiking = _is_spiking(l, L, spike_count_readout)
+        u = np.zeros(shape[1:], dtype=dtype)
+        for t in range(T):
             if spiking and force_spikes:
-                u[l] = np.broadcast_to(
-                    params.threshold + np.float32(1.0), u[l].shape
+                u = np.broadcast_to(
+                    params.threshold + np.float32(1.0), u.shape
                 ).astype(dtype)
             if record_trace:
-                trace.u[l][t] = u[l]
-                trace.i_syn[l][t] = i_syn[l]
-
-            sent = None
+                u_seen[t] = u
             if l < L - 1:
-                s, sent = transport.send(l, t, u[l], params)
-                if record_trace:
-                    trace.sent[l + 1][t] = sent
+                s, sent[t] = transport.send(l, t, u, params)
             elif spiking:
-                s = transport.fire(u[l], params)
+                s = transport.fire(u, params)
             else:
-                s = np.zeros_like(u[l])
-            if record_trace and spiking:
-                trace.spikes[l][t] = s
-            u[l] = membrane_update(u[l], s, i_syn[l], params)
-            i_syn[l] = transport.current(l, net.weights[l], payload)
-            payload = sent
-
+                s = np.zeros_like(u)
+            if spiking:
+                spikes[t] = s
+            u = membrane_update(u, s, i_syn[t], params)
             if l == L - 1:
-                scores += s if spike_count_readout else u[l]
+                scores += s if spike_count_readout else u
+
+        if record_trace:
+            trace.u.append(u_seen)
+            trace.i_syn.append(i_syn)
+            trace.spikes.append(spikes)
+            trace.sent.append(payloads)
+        payloads = sent
 
     return trace, scores
 
@@ -354,58 +391,72 @@ def backward_pass(
     batch = dl_dscores.shape[0]
     T = trace.num_timesteps
     L = spec.num_weight_layers
-    spike_count_readout = spec.output_mode == SPIKE_COUNT
 
     transport.load(net.weights)
-    # (dL/dI, payload) of every weight layer, in sweep order.
-    terms = [[] for _ in range(L)]
-    du = [np.zeros((batch, spec.layer_sizes[l + 1]), dtype=dt) for l in range(L)]
-    di = [np.zeros_like(du[l]) for l in range(L)]
-
-    for t in range(T - 1, -1, -1):
-        # dL/dS[t] of each hidden layer: the input gradient of the layer
-        # above, which the descending sweep computes first.
-        ds_in = [None] * L
-        for l in range(L - 1, -1, -1):
-            params = net.params[l]
-            alpha = dt(params.alpha)
-            gain = dt((1.0 - params.alpha) / params.capacitance)
-            u_t = trace.u[l][t]
-
-            if l == L - 1 and not spike_count_readout:
-                du[l] = du[l] + dl_dscores
-
-            di_t = gain * du[l]
-
-            if _is_spiking(l, L, spike_count_readout):
-                if l < L - 1:
-                    ds = ds_in[l]
-                    h = transport.sent_slope(u_t, params, trace.sent[l + 1][t])
-                else:
-                    ds = np.zeros_like(u_t) + dl_dscores
-                    h = transport.slope(u_t, params)
-                if reset_grad:
-                    ds = ds + (-alpha) * u_t * du[l]
-                du_t = alpha * (dt(1) - trace.spikes[l][t]) * du[l] + h * ds
-            else:
-                du_t = alpha * du[l]
-
-            sent = trace.sent[l][t]
-            terms[l].append((di[l], sent))
-            if l > 0:
-                ds_in[l - 1] = transport.input_grad(l, di[l], net.weights[l], sent)
-
-            du[l] = du_t
-            di[l] = di_t
+    dl_di = [None] * L
+    ds = None  # dL/dS of the layer being swept, from the layer above
+    for l in range(L - 1, -1, -1):
+        dl_di[l] = _sweep_layer(net, trace, l, ds, dl_dscores, reset_grad)
+        ds = None  # freed before the next input-grad call allocates
+        if l > 0 and T > 1:
+            ds = transport.input_grad(
+                l, dl_di[l], net.weights[l], trace.sent[l][: T - 1][::-1]
+            ).reshape(T - 1, batch, -1)[::-1]
+        transport.w64[l] = None  # read by no later call
 
     transport.release()
     grads = []
-    for w, layer_terms in zip(net.weights, terms):
+    for l, w in enumerate(net.weights):
         acc = np.zeros(w.w.shape, order=transport.acc_order)
-        for dl_di, sent in layer_terms:
-            transport.weight_grad(dl_di, sent, acc)
+        if T > 1:
+            transport.weight_grad(dl_di[l], trace.sent[l][: T - 1][::-1], acc)
+        dl_di[l] = None
         grads.append(acc.astype(dt, order="C"))
     return grads
+
+
+def _sweep_layer(net, trace, l, ds_in, dl_dscores, reset_grad) -> np.ndarray:
+    """Reverse-time sweep of weight layer l's neurons.
+
+    `ds_in[t]` is dL/dS[t] from the layer above for t < T-1 (None for the
+    readout layer). Returns dL/dI of steps T-1..1 in sweep order, as one
+    float64 ((T-1)*B, n) matrix: row block k pairs with the payload of
+    step T-2-k, which drove the current of step T-1-k. It is cast once
+    here because both of the layer's gradient kernels read it in float64.
+    """
+    transport = trace.transport
+    dt = transport.dtype
+    T = trace.num_timesteps
+    L = net.spec.num_weight_layers
+    spike_count_readout = net.spec.output_mode == SPIKE_COUNT
+    params = net.params[l]
+    alpha = dt(params.alpha)
+    gain = dt((1.0 - params.alpha) / params.capacitance)
+    batch, n = dl_dscores.shape[0], net.spec.layer_sizes[l + 1]
+    di = np.empty((T - 1, batch, n))
+    du = np.zeros((batch, n), dtype=dt)
+
+    for t in range(T - 1, -1, -1):
+        u_t = trace.u[l][t]
+        if l == L - 1 and not spike_count_readout:
+            du = du + dl_dscores
+        if t:
+            di[T - 1 - t] = gain * du
+
+        if _is_spiking(l, L, spike_count_readout):
+            if l < L - 1:
+                # The last step's spikes reach no current.
+                ds = ds_in[t] if t < T - 1 else np.zeros_like(u_t)
+                h = transport.sent_slope(u_t, params, trace.sent[l + 1][t])
+            else:
+                ds = np.zeros_like(u_t) + dl_dscores
+                h = transport.slope(u_t, params)
+            if reset_grad:
+                ds = ds + (-alpha) * u_t * du
+            du = alpha * (dt(1) - trace.spikes[l][t]) * du + h * ds
+        else:
+            du = alpha * du
+    return di.reshape(-1, n)
 
 
 def softmax_cross_entropy(scores: np.ndarray, labels: np.ndarray):

@@ -202,7 +202,9 @@ def write_dataset(streams: list, out_dir) -> Path:
 
 
 def load_dataset(manifest_path) -> list:
-    """Read every ESF file named by a manifest CSV."""
+    """Read every ESF file named by a manifest CSV. A row that names no
+    readable file, or whose label is not an integer or not the file's,
+    raises DataFormatError naming the manifest and the row's line."""
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise DataFormatError(f"manifest not found: {manifest_path}")
@@ -212,11 +214,21 @@ def load_dataset(manifest_path) -> list:
         if reader.fieldnames != ["path", "label"]:
             raise DataFormatError(f"{manifest_path}: expected columns path,label")
         for rec in reader:
-            stream = load_events(manifest_path.parent / rec["path"])
-            if stream.label != int(rec["label"]):
+            where = f"{manifest_path} line {reader.line_num}"
+            try:
+                label = int(rec["label"])
+            except (TypeError, ValueError):
                 raise DataFormatError(
-                    f"{rec['path']}: label mismatch vs manifest"
-                )
+                    f"{where}: label {rec['label']!r} is not an integer"
+                ) from None
+            try:
+                stream = load_events(manifest_path.parent / (rec["path"] or ""))
+            except OSError as exc:
+                raise DataFormatError(
+                    f"{where}: cannot read ESF file {rec['path']!r}: {exc.strerror}"
+                ) from None
+            if stream.label != label:
+                raise DataFormatError(f"{where}: {rec['path']}: label mismatch vs manifest")
             streams.append(stream)
     return streams
 

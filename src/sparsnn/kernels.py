@@ -50,7 +50,7 @@ def dense_forward_current(
         )
     if w64 is None:
         w64 = w.w.astype(np.float64)
-    out = s_in.astype(np.float64) @ w64.T
+    out = np.asarray(s_in, dtype=np.float64) @ w64.T
     return out.astype(dtype)
 
 
@@ -90,7 +90,7 @@ def sparse_weight_grad(
             f"dl_di shape {dl_di.shape} incompatible with accumulator"
         )
     check_ids(s_in, s_in.num_spikes, dl_dw_acc.shape[1])
-    dl_di64 = dl_di.astype(np.float64)
+    dl_di64 = np.asarray(dl_di, dtype=np.float64)
     acc_t = dl_dw_acc.T
     for row in range(s_in.batch_size):
         ns = int(s_in.num_spikes[row])
@@ -104,7 +104,7 @@ def dense_weight_grad(
     """Dense counterpart: dL/dw += dL/dI^T @ S."""
     if dl_dw_acc.dtype != np.float64:
         raise ContractViolation("weight-gradient accumulator must be float64")
-    dl_dw_acc += dl_di.astype(np.float64).T @ s_in.astype(np.float64)
+    dl_dw_acc += np.asarray(dl_di, dtype=np.float64).T @ np.asarray(s_in, dtype=np.float64)
 
 
 def sparse_input_grad(
@@ -128,7 +128,7 @@ def sparse_input_grad(
     check_ids(s_in, s_in.num_grads, w.fan_in)
     if wt64 is None:
         wt64 = transposed64(w)
-    dl_di64 = dl_di.astype(np.float64)
+    dl_di64 = np.asarray(dl_di, dtype=np.float64)
     out = np.zeros((s_in.batch_size, s_in.n_max), dtype=np.float32)
     for row in range(s_in.batch_size):
         ng = int(s_in.num_grads[row])
@@ -144,4 +144,4 @@ def dense_input_grad(
     """Dense counterpart: dL/dS = dL/dI @ W, float64 inside."""
     if w64 is None:
         w64 = w.w.astype(np.float64)
-    return (dl_di.astype(np.float64) @ w64).astype(dtype)
+    return (np.asarray(dl_di, dtype=np.float64) @ w64).astype(dtype)

@@ -139,25 +139,53 @@ def save_checkpoint(
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (Network, optimizer_state, seed, extra)."""
-    from .optim import optimizer_state_from_dict
+    """Read a checkpoint; returns (Network, optimizer_state, seed, extra).
 
+    Any malformed file (truncated anywhere, a header that is not UTF-8
+    JSON or lacks a key, bytes after the last array) raises
+    DataFormatError.
+    """
     with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != _CKPT_MAGIC:
-            raise DataFormatError(f"bad checkpoint magic {magic!r}")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        meta = json.loads(f.read(hlen).decode("utf-8"))
+        raw = f.read()
+    magic = raw[:8]
+    if magic != _CKPT_MAGIC:
+        raise DataFormatError(f"bad checkpoint magic {magic!r}")
+    if len(raw) < 12:
+        raise DataFormatError(f"{path}: truncated checkpoint header length")
+    (hlen,) = struct.unpack_from("<I", raw, 8)
+    offset = 12 + hlen
+    if len(raw) < offset:
+        raise DataFormatError(f"{path}: truncated checkpoint header")
+    try:
+        meta = json.loads(raw[12:offset].decode("utf-8"))
         data = {}
         for entry in meta["arrays"]:
             dt = np.dtype(entry["dtype"]).newbyteorder("<")
-            count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-            raw = f.read(count * dt.itemsize)
-            if len(raw) != count * dt.itemsize:
-                raise DataFormatError("truncated checkpoint payload")
+            shape = entry["shape"]
+            if not all(isinstance(d, int) and d >= 0 for d in shape):
+                raise DataFormatError(f"{path}: bad array shape {shape!r}")
+            count = int(np.prod(shape)) if shape else 1
+            if len(raw) < offset + count * dt.itemsize:
+                raise DataFormatError(f"{path}: truncated checkpoint payload")
             data[entry["name"]] = (
-                np.frombuffer(raw, dtype=dt).reshape(entry["shape"]).astype(dt.newbyteorder("="))
+                np.frombuffer(raw, dtype=dt, count=count, offset=offset)
+                .reshape(shape)
+                .astype(dt.newbyteorder("="))
             )
+            offset += count * dt.itemsize
+        if offset != len(raw):
+            raise DataFormatError(f"{path}: {len(raw) - offset} bytes after the last array")
+        return _restore(meta, data)
+    except DataFormatError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: malformed checkpoint header: {exc!r}") from None
+
+
+def _restore(meta: dict, data: dict):
+    """(Network, optimizer_state, seed, extra) from a parsed checkpoint."""
+    from .optim import optimizer_state_from_dict
+
     spec = NetworkSpec(
         layer_sizes=meta["spec"]["layer_sizes"],
         sparse_sizes=meta["spec"]["sparse_sizes"],

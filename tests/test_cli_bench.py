@@ -2,12 +2,15 @@
 
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
 
 from sparsnn import cli
 from sparsnn.bench import FIXED, NATURAL, BenchConfig, network_spec_for, run_benchmark
+from sparsnn.errors import DataFormatError
+from sparsnn.events import load_dataset
 
 
 @pytest.mark.parametrize("mode", [FIXED, NATURAL])
@@ -59,6 +62,33 @@ def test_gen_data_then_sparse_train(tmp_path):
     rows = (run / "metrics.csv").read_text().splitlines()
     assert rows[0] == "epoch,loss,accuracy" and len(rows) == 3
     assert all(np.isfinite(float(r.split(",")[1])) for r in rows[1:])
+
+
+@pytest.mark.parametrize("column, value, message", [
+    pytest.param("path", "missing.esf", "cannot read ESF file 'missing.esf'", id="missing_file"),
+    pytest.param("label", "one", "label 'one' is not an integer", id="label_not_int"),
+])
+def test_bad_manifest_row_exits_3(tmp_path, column, value, message):
+    data = tmp_path / "data"
+    assert cli.main([
+        "gen-data", "--out-dir", str(data), "--classes", "2", "--input-size", "16",
+        "--samples-per-class", "2", "--timesteps", "10",
+    ]) == 0
+    manifest = data / "manifest.csv"
+    with open(manifest, newline="") as f:
+        rows = list(csv.DictReader(f))
+    rows[2][column] = value
+    with open(manifest, "w", newline="") as f:
+        writer = csv.DictWriter(f, fieldnames=["path", "label"])
+        writer.writeheader()
+        writer.writerows(rows)
+
+    with pytest.raises(DataFormatError, match=re.escape(f"{manifest} line 4: {message}")):
+        load_dataset(manifest)
+    assert cli.main([
+        "train", "--data", str(data), "--layers", "16,8,2", "--batch-size", "2",
+        "--timesteps", "10", "--epochs", "1", "--out-dir", str(tmp_path / "run"),
+    ]) == 3
 
 
 def test_threads_option_is_gone(tmp_path):

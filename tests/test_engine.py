@@ -198,6 +198,21 @@ class TestBackward:
             assert g.shape == w.w.shape and g.flags.c_contiguous
             assert g.dtype == trace.transport.dtype
 
+    @pytest.mark.parametrize("mode", [DENSE, SPARSE, RELAXED])
+    def test_backward_twice_bit_identical(self, mode):
+        # The first call releases the float64 weight copies; the second
+        # rebuilds them.
+        spec = NetworkSpec((6, 8, 10, 3), (6, 8, 10), batch_size=3, num_timesteps=8)
+        net = init_network(spec, seed=0, alpha=0.85, grad_threshold=-1e6, weight_gain=8.0)
+        inputs = random_inputs(np.random.default_rng(0), 3, 8, 6, density=0.6)
+        trace, scores = forward_pass(net, inputs, mode=mode, rng=DropRng(6))
+        upstream = np.asarray(np.random.default_rng(7).normal(size=scores.shape), scores.dtype)
+        first = backward_pass(net, trace, upstream)
+        second = backward_pass(net, trace, upstream)
+        assert all(g.any() for g in first)
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
+
     @pytest.mark.parametrize("mode", [DENSE, SPARSE])
     def test_weight_grads_accumulate_per_layer_in_sweep_order(self, mode, monkeypatch):
         net = exactness_net(5, [6, 8, 10, 3], T=4, batch=2)
@@ -208,19 +223,74 @@ class TestBackward:
         calls = []
 
         def record(dl_di, s_in, dl_dw_acc):
-            calls.append((s_in, dl_dw_acc, trace.transport.w64))
+            calls.append((dl_di, s_in, trace.transport.w64))
             original(dl_di, s_in, dl_dw_acc)
 
         monkeypatch.setattr(engine, name, record)
         backward_pass(net, trace, np.ones_like(scores))
-        T = trace.num_timesteps
-        assert len(calls) == 3 * T
-        for l in range(3):
-            layer = calls[l * T:(l + 1) * T]
-            for (s_in, acc, w64), t in zip(layer, range(T - 1, -1, -1)):
-                sent = trace.sent[l][t]
-                assert s_in is sent or np.shares_memory(s_in, sent)
-                assert acc is layer[0][1] and w64 is None
+        T, B = trace.num_timesteps, 2
+        # One call per layer, after the weight copies are dropped; its rows
+        # are the payloads of steps T-2..0, the last step's never.
+        assert len(calls) == 3
+        for l, (dl_di, s_in, w64) in enumerate(calls):
+            assert w64 is None
+            assert dl_di.shape == ((T - 1) * B, net.spec.layer_sizes[l + 1])
+            swept = [trace.sent[l][t] for t in range(T - 2, -1, -1)]
+            if mode == SPARSE:
+                for key in ("ids", "num_spikes", "num_grads"):
+                    assert np.array_equal(
+                        getattr(s_in, key), np.concatenate([getattr(p, key) for p in swept])
+                    )
+            else:
+                assert np.array_equal(s_in, np.concatenate(swept))
+
+    @pytest.mark.parametrize("mode", [DENSE, SPARSE])
+    def test_one_kernel_call_per_layer_and_pass(self, mode, monkeypatch):
+        net = exactness_net(5, [6, 8, 10, 3], T=4, batch=2)
+        inputs = random_inputs(np.random.default_rng(5), 2, 4, 6)
+        T, B = 4, 2
+        prefix = "sparse_" if mode == SPARSE else "dense_"
+        calls = {"forward_current": [], "input_grad": []}
+        for kind, seen in calls.items():
+            original = getattr(engine, prefix + kind)
+
+            def record(*args, _fn=original, _seen=seen, **kwargs):
+                out = _fn(*args, **kwargs)
+                _seen.append((args, out))
+                return out
+
+            monkeypatch.setattr(engine, prefix + kind, record)
+        trace, scores = forward_pass(net, inputs, mode=mode, rng=DropRng(5))
+        forward = calls["forward_current"]
+        assert len(forward) == 3
+        assert all(args[0] is w for (args, _), w in zip(forward, net.weights))
+        for l, ((_, s_in, *_), out) in enumerate(forward):
+            # The stacked payloads of steps 0..T-2 drive the currents of
+            # steps 1..T-1.
+            sent = trace.sent[l][: T - 1]
+            if mode == SPARSE:
+                assert np.array_equal(s_in.ids, np.concatenate([p.ids for p in sent]))
+            else:
+                assert np.array_equal(s_in, np.concatenate(sent))
+            assert out.shape == ((T - 1) * B, net.spec.layer_sizes[l + 1])
+            assert np.array_equal(out.reshape(T - 1, B, -1), trace.i_syn[l][1:])
+        backward_pass(net, trace, np.ones_like(scores))
+        # One input-grad call per layer above the first, top layer first.
+        grads = calls["input_grad"]
+        assert len(grads) == 2
+        for (args, _), l in zip(grads, (2, 1)):
+            assert args[1] is net.weights[l]
+            assert args[0].shape == ((T - 1) * B, net.spec.layer_sizes[l + 1])
+
+    @pytest.mark.parametrize("mode", [DENSE, SPARSE, RELAXED])
+    def test_single_timestep_gives_zero_scores_and_gradients(self, mode):
+        # With T = 1 no payload drives a current.
+        net = exactness_net(7, [6, 8, 3], T=1, batch=2)
+        trace, scores = forward_pass(net, np.ones((2, 1, 6), np.float32), mode=mode,
+                                     rng=DropRng(7))
+        assert not scores.any()
+        for g in backward_pass(net, trace, np.ones_like(scores)):
+            assert not g.any()
 
     def test_input_weight_grad_additive_over_time(self):
         # Freeze the trace and split the input spikes by timestep: the

@@ -3,8 +3,12 @@
 `perfbench/` measures layer activity by replacing `encode_sparse`,
 `encode_binary` and `threshold_spikes_dense` in the engine module's
 namespace and reading their arguments by name. It needs each called once
-per (timestep, layer) in time order, with the layer's own `LifParams` and
-threshold objects, so that it can tell layers apart by identity.
+per (timestep, layer), with the layer's own `LifParams` and threshold
+objects, so that it can tell layers apart by identity. The forward pass
+runs one layer at a time, so the calls come layer by layer (the input
+first), and each layer's calls come in time order:
+`perfbench/counts.py::step_activity` gives the k-th call of a layer to
+timestep k.
 """
 
 import inspect
@@ -38,15 +42,21 @@ def calls(monkeypatch):
     return seen
 
 
-def tiny_step(mode):
+def tiny_step(mode, calls):
+    """One training step; returns the network, the frames and the forward
+    trace of its starting weights (whose hooked calls are cleared)."""
     spec = NetworkSpec((8, 10, 12, 3), (8, 10, 12), batch_size=2, num_timesteps=T)
-    net = init_network(spec, seed=1, weight_gain=4.0)
     rng = np.random.default_rng(0)
     frames = (rng.random((2, T, 8)) < 0.5).astype(np.float32)
+    ref, _ = engine.forward_pass(
+        init_network(spec, seed=1, weight_gain=4.0), frames, mode, DropRng(3)
+    )
+    calls.clear()
+    net = init_network(spec, seed=1, weight_gain=4.0)
     engine.train_step(
         net, frames, np.array([0, 2]), SgdState(lr=1e-2), mode, DropRng(3)
     )
-    return net
+    return net, frames, ref
 
 
 def layer_of(net, obj):
@@ -56,26 +66,28 @@ def layer_of(net, obj):
 
 
 def test_sparse_step_encodes_once_per_step_and_layer(calls):
-    net = tiny_step(engine.SPARSE)
+    net, frames, ref = tiny_step(engine.SPARSE, calls)
     order = []
     for name, args in calls:
         if name == "encode_binary":
-            assert args["frame"].shape == (2, 8)
+            t = order.count("input")
+            assert np.array_equal(args["frame"], frames[:, t])
             order.append("input")
         else:
             assert name == "encode_sparse"
             layer = layer_of(net, args["params"])
+            t = order.count(layer)
             assert args["n_max"] == net.spec.sparse_sizes[layer + 1]
             assert args["with_grads"] is True
-            assert args["u"].shape == (2, net.spec.layer_sizes[layer + 1])
+            assert np.array_equal(args["u"], ref.u[layer][t])
             order.append(layer)
-    assert order == ["input", 0, 1] * T
+    assert order == ["input"] * T + [0] * T + [1] * T
 
 
 def test_dense_step_thresholds_once_per_step_and_layer(calls):
-    net = tiny_step(engine.DENSE)
+    net, _, ref = tiny_step(engine.DENSE, calls)
     assert {name for name, _ in calls} == {"threshold_spikes_dense"}
     order = [layer_of(net, args["threshold"]) for _, args in calls]
-    assert order == [0, 1] * T
-    assert all(args["u"].shape == (2, net.spec.layer_sizes[1 + layer])
-               for layer, (_, args) in zip(order, calls))
+    assert order == [0] * T + [1] * T
+    for k, (layer, (_, args)) in enumerate(zip(order, calls)):
+        assert np.array_equal(args["u"], ref.u[layer][k % T])

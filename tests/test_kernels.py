@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sparsnn.engine import SparseTransport
 from sparsnn.errors import ContractViolation, CorruptionError
 from sparsnn.kernels import (
     dense_forward_current,
@@ -236,3 +237,64 @@ class TestInputGrad:
             sparse_input_grad(
                 np.zeros((1, 2), dtype=np.float32), w, SparseSpikeBatch.empty(1, 4)
             )
+
+
+class TestStackedBatches:
+    """One call on the stacked batches of several timesteps, as the engine
+    makes it, against one call per timestep."""
+
+    def _steps(self, seed, steps=4, b=3, n_pre=12, n_post=7, n_max=6):
+        rng = np.random.default_rng(seed)
+        w = LayerWeights(rng.normal(size=(n_post, n_pre)).astype(np.float32))
+        p = LifParams.uniform(n_pre, threshold=1.0, grad_threshold=0.0)
+        # Capacity below the layer size: rows overflow and drop, and the
+        # counts of both segments vary from row to row and step to step.
+        batches = [
+            encode_sparse(
+                rng.normal(0.6, 1.0, size=(b, n_pre)).astype(np.float32), p, n_max,
+                DropRng(seed, t),
+            )
+            for t in range(steps)
+        ]
+        # Magnitudes spread over 24 decades, so that float64 sums of these
+        # float32 values round, and a change in add order shows.
+        dl_di = [
+            (rng.normal(size=(b, n_post)) * 10.0 ** rng.uniform(-12, 12, (b, n_post)))
+            .astype(np.float32)
+            for _ in range(steps)
+        ]
+        return w, batches, dl_di
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_forward_current_and_input_grad_equal_per_step_calls(self, seed):
+        w, batches, dl_di = self._steps(seed)
+        stacked = SparseTransport.stack(batches)
+        assert stacked.batch_size == sum(s.batch_size for s in batches)
+        assert np.array_equal(
+            sparse_forward_current(w, stacked),
+            np.concatenate([sparse_forward_current(w, s) for s in batches]),
+        )
+        assert np.array_equal(
+            sparse_input_grad(np.concatenate(dl_di), w, stacked),
+            np.concatenate([sparse_input_grad(g, w, s) for g, s in zip(dl_di, batches)]),
+        )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_weight_grad_equals_per_step_sequence(self, seed):
+        w, batches, dl_di = self._steps(seed)
+        # Sweep order: the last timestep first.
+        sweep = list(zip(dl_di, batches))[::-1]
+        per_step = np.zeros(w.w.shape, order="F")
+        for g, s in sweep:
+            sparse_weight_grad(g, s, per_step)
+        stacked = np.zeros(w.w.shape, order="F")
+        sparse_weight_grad(
+            np.concatenate([g for g, _ in sweep]),
+            SparseTransport.stack([s for _, s in sweep]),
+            stacked,
+        )
+        assert np.array_equal(stacked, per_step)
+        # The test can tell add orders apart: the forward order differs.
+        forward = np.zeros(w.w.shape, order="F")
+        sparse_weight_grad(np.concatenate(dl_di), SparseTransport.stack(batches), forward)
+        assert not np.array_equal(forward, per_step)

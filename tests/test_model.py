@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -55,3 +57,69 @@ class TestCheckpoint:
         path.write_bytes(b"NOTACKPT" + b"\x00" * 32)
         with pytest.raises(DataFormatError):
             load_checkpoint(path)
+
+
+def _checkpoint_bytes(tmp_path):
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, small_net(), AdamState(lr=1e-3), seed=5)
+    return path.read_bytes()
+
+
+def _hlen(raw):
+    return int.from_bytes(raw[8:12], "little")
+
+
+def _with_header(raw, header: bytes):
+    """`raw` with its header replaced and the length field set to match."""
+    return raw[:8] + len(header).to_bytes(4, "little") + header + raw[12 + _hlen(raw):]
+
+
+def _drop_meta_key(raw, key):
+    meta = json.loads(raw[12:12 + _hlen(raw)])
+    del meta[key]
+    return _with_header(raw, json.dumps(meta, sort_keys=True).encode())
+
+
+def _first_array_bytes(raw):
+    meta = json.loads(raw[12:12 + _hlen(raw)])
+    first = meta["arrays"][0]
+    return int(np.prod(first["shape"])) * np.dtype(first["dtype"]).itemsize
+
+
+# Each case turns a valid checkpoint's bytes into corrupt ones: cut at each
+# region boundary (magic, length field, header, first array, last array),
+# one byte added, the header length off by one either way or far too
+# large, and headers that are not UTF-8, not JSON or lack a key.
+CORRUPTIONS = {
+    "empty": lambda raw: b"",
+    "half_magic": lambda raw: raw[:4],
+    "magic_only": lambda raw: raw[:8],
+    "half_length": lambda raw: raw[:10],
+    "length_only": lambda raw: raw[:12],
+    "half_header": lambda raw: raw[:12 + _hlen(raw) // 2],
+    "header_only": lambda raw: raw[:12 + _hlen(raw)],
+    "half_first_array": lambda raw: raw[:12 + _hlen(raw) + _first_array_bytes(raw) // 2],
+    "one_byte_short": lambda raw: raw[:-1],
+    "one_byte_extra": lambda raw: raw + b"\x00",
+    "length_plus_one": lambda raw: raw[:8] + (_hlen(raw) + 1).to_bytes(4, "little") + raw[12:],
+    "length_minus_one": lambda raw: raw[:8] + (_hlen(raw) - 1).to_bytes(4, "little") + raw[12:],
+    "length_flipped": lambda raw: raw[:8] + bytes(b ^ 0xFF for b in raw[8:12]) + raw[12:],
+    "header_not_utf8": lambda raw: _with_header(raw, b"\xff\xfe" + raw[14:12 + _hlen(raw)]),
+    "header_not_json": lambda raw: _with_header(raw, b"{not json"),
+    "header_not_object": lambda raw: _with_header(raw, b"[]"),
+    "no_spec": lambda raw: _drop_meta_key(raw, "spec"),
+    "no_layers": lambda raw: _drop_meta_key(raw, "layers"),
+    "no_arrays": lambda raw: _drop_meta_key(raw, "arrays"),
+    "no_optimizer": lambda raw: _drop_meta_key(raw, "optimizer"),
+    "no_seed": lambda raw: _drop_meta_key(raw, "seed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_corrupt_checkpoint_raises_data_format_error(tmp_path, case):
+    raw = _checkpoint_bytes(tmp_path)
+    load_checkpoint(tmp_path / "ck.bin")  # the uncorrupted file loads
+    path = tmp_path / "bad.bin"
+    path.write_bytes(CORRUPTIONS[case](raw))
+    with pytest.raises(DataFormatError):
+        load_checkpoint(path)
