@@ -18,6 +18,7 @@ ledger. The two are reported side by side and never mixed.
 
 from __future__ import annotations
 
+import csv
 import time
 from dataclasses import dataclass, field, replace
 
@@ -37,10 +38,11 @@ from .machine import (
     MachineSpec,
     acceleration_model,
     map_neurons,
+    saturated_activity,
     simulate_batch,
     weak_scale_run,
 )
-from .model import Network, init_network
+from .model import init_network
 from .optim import make_optimizer
 from .rng import DropRng
 
@@ -130,10 +132,13 @@ class BenchResult:
         return all(s > 0 for s in self.hidden_spikes)
 
 
-def network_spec_for(config: BenchConfig) -> NetworkSpec:
-    preset = ARCH_PRESETS[config.preset]
-    layers = preset.layer_sizes
-    sparse = [preset.dataset.sparse_input_size] + [
+def network_spec_for(config: BenchConfig, arch: ArchPreset | None = None) -> NetworkSpec:
+    """The network of `arch` (default: the configured preset) with its
+    dataset's input capacity and every hidden capacity at
+    `config.max_activity`."""
+    arch = arch or ARCH_PRESETS[config.preset]
+    layers = arch.layer_sizes
+    sparse = [arch.dataset.sparse_input_size] + [
         sparse_hidden_size(config.max_activity, n) for n in layers[1:-1]
     ]
     return NetworkSpec(
@@ -164,15 +169,11 @@ def bench_dataset(config: BenchConfig) -> SpikeDataset:
 def collect_activity(spec: NetworkSpec, trace) -> tuple:
     """(spike counts, retained-entry counts) per (t, layer) averaged over
     the batch, from a sparse-mode trace. Column 0 is the input layer."""
-    T = spec.num_timesteps
-    num_layers = len(spec.layer_sizes)
-    act = np.zeros((T, num_layers))
-    grad = np.zeros((T, num_layers))
-    for t in range(T):
-        for k in range(spec.num_weight_layers):
-            b = trace.sent[k][t]
-            act[t, k] = b.num_spikes.mean()
-            grad[t, k] = b.num_grads.mean()
+    shape = (spec.num_timesteps, len(spec.layer_sizes))
+    act, grad = np.zeros(shape), np.zeros(shape)
+    for k, payloads in enumerate(trace.sent):
+        act[:, k] = [b.num_spikes.mean() for b in payloads]
+        grad[:, k] = [b.num_grads.mean() for b in payloads]
     return act, grad
 
 
@@ -264,8 +265,6 @@ SPARSITY_COLUMNS = (
     "frames_per_sec",
     "valid",
 )
-# wall-clock derived columns, excluded from determinism comparisons
-VOLATILE_COLUMNS = ("measured_accel", "frames_per_sec")
 
 
 def sparsity_sweep(config: BenchConfig, activity_grid) -> list:
@@ -300,15 +299,7 @@ def scaleup_sweep(config: BenchConfig, per_tile_grid) -> list:
         if npt not in SCALEUP_SHD:
             raise ConfigError(f"no scale-up architecture for {npt} neurons/tile")
         layers = SCALEUP_SHD[npt]
-        sparse = [DATASET_PRESETS["shd"].sparse_input_size] + [
-            sparse_hidden_size(config.max_activity, n) for n in layers[1:-1]
-        ]
-        spec = NetworkSpec(
-            layer_sizes=layers,
-            sparse_sizes=sparse,
-            batch_size=config.batch_size,
-            num_timesteps=config.num_timesteps,
-        )
+        spec = network_spec_for(config, ArchPreset(DATASET_PRESETS["shd"], layers))
         row = {
             "neurons_per_tile": npt,
             "status": "ok",
@@ -321,8 +312,6 @@ def scaleup_sweep(config: BenchConfig, per_tile_grid) -> list:
             row["status"] = f"out-of-tile-memory:{err.needed}"
             rows.append(row)
             continue
-        from .machine import saturated_activity
-
         act = saturated_activity(spec)
         sparse_ledger = simulate_batch(spec, mapping, config.machine, act)
         dense_ledger = simulate_batch(spec, mapping, config.machine, None, mode="dense")
@@ -336,27 +325,12 @@ def weak_scaling_sweep(
 ) -> list:
     """Modeled slowdown for every (chips, batch, neurons/tile) point; the
     per-chip network is the configured preset."""
-    preset = ARCH_PRESETS[config.preset]
     rows = []
     for k in chip_grid:
+        machine = replace(config.machine, num_chips=int(k))
         for batch in batch_grid:
+            spec = network_spec_for(replace(config, batch_size=batch))
             for npt in per_tile_grid:
-                spec = NetworkSpec(
-                    layer_sizes=preset.layer_sizes,
-                    sparse_sizes=[preset.dataset.sparse_input_size]
-                    + [
-                        sparse_hidden_size(config.max_activity, n)
-                        for n in preset.layer_sizes[1:-1]
-                    ],
-                    batch_size=batch,
-                    num_timesteps=config.num_timesteps,
-                )
-                machine = MachineSpec(
-                    tiles_per_chip=config.machine.tiles_per_chip,
-                    sram_per_tile=config.machine.sram_per_tile,
-                    num_chips=int(k),
-                    cost=config.machine.cost,
-                )
                 slowdown = weak_scale_run(spec, machine, neurons_per_tile=npt)
                 rows.append(
                     {
@@ -370,11 +344,13 @@ def weak_scaling_sweep(
 
 
 def write_rows_csv(rows: list, path, columns=None) -> None:
-    import csv
-
-    if not rows:
-        raise ConfigError("no rows to write")
-    columns = list(columns or rows[0].keys())
+    """One CSV line per row dict, floats as repr. With explicit `columns`
+    an empty `rows` writes the header alone."""
+    if columns is None:
+        if not rows:
+            raise ConfigError("no rows to write")
+        columns = rows[0].keys()
+    columns = list(columns)
     with open(path, "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=columns)
         writer.writeheader()

@@ -26,6 +26,7 @@ for _var in (
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,14 +35,14 @@ from .bench import (
     ARCH_PRESETS,
     BenchConfig,
     SPARSITY_COLUMNS,
-    run_benchmark,
+    network_spec_for,
     scaleup_sweep,
     sparsity_sweep,
     weak_scaling_sweep,
     write_rows_csv,
 )
 from .config import coerce, load_flat_config
-from .engine import DENSE, SPARSE, train_epoch
+from .engine import train_epoch
 from .errors import ConfigError, DataFormatError, OutOfTileMemory
 from .events import (
     SpikeDataset,
@@ -52,7 +53,6 @@ from .events import (
 )
 from .lif import NetworkSpec
 from .machine import (
-    CostParams,
     MachineSpec,
     load_machine_config,
     map_neurons,
@@ -177,6 +177,9 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
             resolved[name] = coerce(cli_value, kind)
         elif name in from_file:
             resolved[name] = coerce(from_file[name], kind)
+            # argparse checks the choices of flags only
+            if len(spec) > 3 and resolved[name] not in spec[3]:
+                raise ConfigError(f"{name}={resolved[name]!r} not one of {spec[3]}")
         else:
             resolved[name] = default
     return resolved
@@ -197,18 +200,16 @@ def _echo_config(opts: dict, out: Path) -> None:
 
 
 def _machine_from(opts: dict) -> MachineSpec:
-    if opts.get("machine_config"):
-        machine = load_machine_config(opts["machine_config"])
-        chips = opts.get("chips")
-        if chips is not None and chips != 1:
-            machine = MachineSpec(
-                tiles_per_chip=machine.tiles_per_chip,
-                sram_per_tile=machine.sram_per_tile,
-                num_chips=chips,
-                cost=machine.cost,
-            )
-        return machine
-    return MachineSpec(num_chips=opts.get("chips", 1))
+    """The --machine-config machine (default: MachineSpec()); a --chips
+    other than its default 1 overrides the chip count."""
+    machine = (
+        load_machine_config(opts["machine_config"])
+        if opts["machine_config"]
+        else MachineSpec()
+    )
+    if opts["chips"] != 1:
+        machine = replace(machine, num_chips=opts["chips"])
+    return machine
 
 
 def _layer_sizes(opts: dict) -> tuple:
@@ -266,14 +267,13 @@ def cmd_train(opts: dict) -> int:
     out = _out_dir(opts)
     _echo_config(opts, out)
     opt_state = make_optimizer(opts["optimizer"], opts["lr"])
-    mode = SPARSE if opts["mode"] == "sparse" else DENSE
     rows = []
     for epoch in range(opts["epochs"]):
         metrics = train_epoch(
             net,
             dataset,
             opt_state,
-            mode=mode,
+            mode=opts["mode"],
             drop_seed=opts["seed"],
             epoch_index=epoch,
             reset_grad=opts["reset_grad"],
@@ -285,19 +285,7 @@ def cmd_train(opts: dict) -> int:
             f"epoch {epoch}: loss={metrics.mean_loss:.6f} "
             f"accuracy={metrics.accuracy:.4f}"
         )
-    with open(out / "metrics.csv", "w", newline="") as f:
-        import csv
-
-        writer = csv.DictWriter(f, fieldnames=["epoch", "loss", "accuracy"])
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(
-                {
-                    "epoch": row["epoch"],
-                    "loss": repr(row["loss"]),
-                    "accuracy": repr(row["accuracy"]),
-                }
-            )
+    write_rows_csv(rows, out / "metrics.csv", ("epoch", "loss", "accuracy"))
     save_checkpoint(out / "checkpoint.bin", net, opt_state, seed=opts["seed"])
     print(f"wrote {out / 'metrics.csv'} and {out / 'checkpoint.bin'}")
     return 0
@@ -349,20 +337,17 @@ def cmd_simulate(opts: dict) -> int:
     out = _out_dir(opts)
     _echo_config(opts, out)
     machine = _machine_from(opts)
-    preset = ARCH_PRESETS.get(opts["preset"])
-    if preset is None:
-        raise ConfigError(f"unknown preset {opts['preset']!r}")
-    layers = preset.layer_sizes
-    spec = NetworkSpec(
-        layer_sizes=layers,
-        sparse_sizes=[preset.dataset.sparse_input_size]
-        + [sparse_hidden_size(opts["max_activity"], n) for n in layers[1:-1]],
-        batch_size=opts["batch_size"],
-        num_timesteps=opts["timesteps"],
+    spec = network_spec_for(
+        BenchConfig(
+            preset=opts["preset"],
+            max_activity=opts["max_activity"],
+            batch_size=opts["batch_size"],
+            num_timesteps=opts["timesteps"],
+        )
     )
     mapping = map_neurons(spec, machine, opts["neurons_per_tile"])
     activity = (
-        np.zeros((spec.num_timesteps, len(layers)))
+        np.zeros((spec.num_timesteps, len(spec.layer_sizes)))
         if opts["activity"] == "zero"
         else saturated_activity(spec)
     )

@@ -263,7 +263,8 @@ class ForwardTrace:
     """Everything the backward sweep needs, recorded per weight layer.
 
     transport: the transport the forward pass ran.
-    u[l][t], i_syn[l][t]: membrane/current at the start of step t.
+    u[l][t]: membrane at the start of step t. The synaptic currents are
+        not kept: the backward sweep never reads them.
     spikes[l]: (T, B, n) spike matrices of a spiking layer, None for the
         non-spiking readout layer.
     sent[l][t]: the payload weight layer l read at step t; sent[0] holds
@@ -273,7 +274,6 @@ class ForwardTrace:
 
     transport: DenseTransport
     u: list
-    i_syn: list
     spikes: list
     sent: list
     num_timesteps: int
@@ -318,7 +318,7 @@ def forward_pass(
     L = spec.num_weight_layers
     spike_count_readout = spec.output_mode == SPIKE_COUNT
     scores = np.zeros((batch, spec.output_size), dtype=dtype)
-    trace = ForwardTrace(transport, [], [], [], [], T) if record_trace else None
+    trace = ForwardTrace(transport, [], [], [], T) if record_trace else None
 
     # What weight layer l reads at each step: the input frames for l = 0.
     payloads = [transport.send_input(t, inputs[:, t, :]) for t in range(T)]
@@ -359,7 +359,6 @@ def forward_pass(
 
         if record_trace:
             trace.u.append(u_seen)
-            trace.i_syn.append(i_syn)
             trace.spikes.append(spikes)
             trace.sent.append(payloads)
         payloads = sent

@@ -16,6 +16,7 @@ columns (path, label).
 from __future__ import annotations
 
 import csv
+import io
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -128,6 +129,8 @@ def bin_events(
     event fell in [t*width, (t+1)*width). Events at or past T*width drop."""
     if bin_width_us <= 0:
         raise ConfigError("bin width must be positive")
+    if num_timesteps < 1:
+        raise ConfigError(f"need at least one timestep, got {num_timesteps}")
     frames = np.zeros((num_timesteps, stream.num_channels), dtype=np.float32)
     if stream.num_events:
         idx = stream.times_us // np.uint32(bin_width_us)
@@ -202,34 +205,46 @@ def write_dataset(streams: list, out_dir) -> Path:
 
 
 def load_dataset(manifest_path) -> list:
-    """Read every ESF file named by a manifest CSV. A row that names no
-    readable file, or whose label is not an integer or not the file's,
-    raises DataFormatError naming the manifest and the row's line."""
+    """Read every ESF file named by a manifest CSV. A manifest that is not
+    UTF-8 or lists no sample, and a row that names no readable file, whose
+    label is not an integer or not the file's, or whose file's channel
+    count differs from the first file's, raise DataFormatError naming the
+    manifest (and the row's line)."""
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise DataFormatError(f"manifest not found: {manifest_path}")
+    try:
+        text = manifest_path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{manifest_path}: not UTF-8 text: {exc.reason}") from None
     streams = []
-    with open(manifest_path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames != ["path", "label"]:
-            raise DataFormatError(f"{manifest_path}: expected columns path,label")
-        for rec in reader:
-            where = f"{manifest_path} line {reader.line_num}"
-            try:
-                label = int(rec["label"])
-            except (TypeError, ValueError):
-                raise DataFormatError(
-                    f"{where}: label {rec['label']!r} is not an integer"
-                ) from None
-            try:
-                stream = load_events(manifest_path.parent / (rec["path"] or ""))
-            except OSError as exc:
-                raise DataFormatError(
-                    f"{where}: cannot read ESF file {rec['path']!r}: {exc.strerror}"
-                ) from None
-            if stream.label != label:
-                raise DataFormatError(f"{where}: {rec['path']}: label mismatch vs manifest")
-            streams.append(stream)
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if reader.fieldnames != ["path", "label"]:
+        raise DataFormatError(f"{manifest_path}: expected columns path,label")
+    for rec in reader:
+        where = f"{manifest_path} line {reader.line_num}"
+        try:
+            label = int(rec["label"])
+        except (TypeError, ValueError):
+            raise DataFormatError(
+                f"{where}: label {rec['label']!r} is not an integer"
+            ) from None
+        try:
+            stream = load_events(manifest_path.parent / (rec["path"] or ""))
+        except OSError as exc:
+            raise DataFormatError(
+                f"{where}: cannot read ESF file {rec['path']!r}: {exc.strerror}"
+            ) from None
+        if stream.label != label:
+            raise DataFormatError(f"{where}: {rec['path']}: label mismatch vs manifest")
+        if streams and stream.num_channels != streams[0].num_channels:
+            raise DataFormatError(
+                f"{where}: {rec['path']} has {stream.num_channels} channels, "
+                f"the first file {streams[0].num_channels}"
+            )
+        streams.append(stream)
+    if not streams:
+        raise DataFormatError(f"{manifest_path}: lists no samples")
     return streams
 
 

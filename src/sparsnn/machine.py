@@ -10,10 +10,11 @@ Cost accounting per algorithmic timestep and direction:
 
   compute(tile)   = sum over its neurons of B*(incoming_count*cycles_per_mac
                     + cycles_per_state_update)
-  exchange bytes  = 4 bytes per spike id (plus an 8-byte per-row count
-                    header) in sparse mode; 4 bytes per neuron per row in
-                    dense mode. Backward moves gradient values instead of
-                    ids, same sizes.
+  exchange bytes  = 4 bytes per spike id plus an 8-byte per-row count
+                    header. Backward moves gradient values instead of ids,
+                    same sizes. Dense mode is the same model with every
+                    count at its layer size and no header: a dense tensor
+                    is 4 bytes per neuron per row.
   superstep time  = max over tiles of (compute + local exchange share)
                     + sync_cycles_per_superstep        (BSP: max, not sum)
 
@@ -29,7 +30,7 @@ Per-tile memory estimate for a neuron with fan-in F, batch B, T timesteps:
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -233,10 +234,6 @@ class CostLedger:
         return float(sum(s.inter_bytes for s in self.supersteps))
 
     @property
-    def total_compute_cycles(self) -> float:
-        return float(sum(s.compute_cycles for s in self.supersteps))
-
-    @property
     def sync_count(self) -> int:
         return len(self.supersteps)
 
@@ -260,20 +257,14 @@ class CostLedger:
                     )
 
 
-def _spike_bytes(count: float, batch: int, dense_size: int, dense: bool) -> float:
-    if dense:
-        return 4.0 * dense_size * batch
-    return 4.0 * count * batch + 8.0 * batch
-
-
 class _Simulator:
-    def __init__(self, net, mapping, machine, mode):
+    def __init__(self, net, mapping, machine, header_bytes):
         if mapping.net is not net and mapping.net.layer_sizes != net.layer_sizes:
             raise ContractViolation("mapping was built for a different network")
         self.net = net
         self.mapping = mapping
         self.machine = machine
-        self.dense = mode == "dense"
+        self.header_bytes = header_bytes
         self.cost = machine.cost
         self.num_tiles = machine.num_tiles
         self.num_chips = machine.num_chips
@@ -355,8 +346,7 @@ class _Simulator:
         intra_chip = np.zeros(self.num_chips)
         inter_chip = np.zeros(self.num_chips)
         for producer, consumer, count in edges:
-            dense_size = net.layer_sizes[producer + 1] if producer >= 0 else net.layer_sizes[0]
-            bytes_total = _spike_bytes(count, batch, dense_size, self.dense)
+            bytes_total = 4.0 * count * batch + self.header_bytes * batch
             self._edge_exchange(
                 producer, consumer, bytes_total,
                 intra_tile, inter_tile, intra_chip, inter_chip,
@@ -384,58 +374,41 @@ def simulate_batch(
 
     `activity[t, k]` is the per-sample spike count of layer k (column 0 is
     the input layer) at step t; `grad_activity` the retained-entry count
-    (defaults to `activity`). Dense mode ignores the counts and charges
-    full tensors. The ledger is a pure function of the arguments.
+    (defaults to `activity`). Dense mode ignores both: every count is the
+    layer size and rows carry no count header. The ledger is a pure
+    function of the arguments.
     """
     if mode not in ("sparse", "dense"):
         raise ConfigError(f"unknown simulate mode {mode!r}")
     L = net.num_weight_layers
     T = net.num_timesteps
-    num_layers = len(net.layer_sizes)
+    sizes = np.asarray(net.layer_sizes, dtype=float)
     if mode == "dense":
-        activity = np.zeros((T, num_layers)) if activity is None else np.asarray(activity, dtype=float)
+        activity = grad = np.broadcast_to(sizes, (T, sizes.size))
+        header_bytes = 0.0
     else:
         activity = np.asarray(activity, dtype=float)
-    if activity.shape != (T, num_layers):
-        raise ContractViolation(
-            f"activity shape {activity.shape} != ({T}, {num_layers})"
-        )
-    if np.any(activity < 0) or np.any(activity > np.asarray(net.layer_sizes)[None, :]):
-        raise ContractViolation("activity counts must lie in [0, layer size]")
-    grad = activity if grad_activity is None else np.asarray(grad_activity, dtype=float)
-    if grad.shape != activity.shape:
-        raise ContractViolation("grad_activity shape mismatch")
+        if activity.shape != (T, sizes.size):
+            raise ContractViolation(
+                f"activity shape {activity.shape} != ({T}, {sizes.size})"
+            )
+        if np.any(activity < 0) or np.any(activity > sizes[None, :]):
+            raise ContractViolation("activity counts must lie in [0, layer size]")
+        grad = activity if grad_activity is None else np.asarray(grad_activity, dtype=float)
+        if grad.shape != activity.shape:
+            raise ContractViolation("grad_activity shape mismatch")
+        header_bytes = 8.0
 
-    sim = _Simulator(net, mapping, machine, mode)
-    sizes = np.asarray(net.layer_sizes, dtype=float)
-
+    sim = _Simulator(net, mapping, machine, header_bytes)
     for t in range(T):
         # Forward: layer l consumes layer l-1's spikes of this step.
-        in_counts = np.array(
-            [sizes[l] if mode == "dense" else activity[t, l] for l in range(L)]
-        )
-        edges = []
-        for l in range(L):
-            count = activity[t, l]
-            edges.append((l - 1, l, count))
-        sim.step(t, "forward", in_counts, edges)
-
+        edges = [(l - 1, l, activity[t, l]) for l in range(L)]
+        sim.step(t, "forward", activity[t, :L], edges)
     for t in range(T - 1, -1, -1):
         # Backward: weight grads read input spikes, input grads write
         # gradient entries back to the producing layer's tiles.
-        in_counts = np.array(
-            [
-                2.0 * sizes[l]
-                if mode == "dense"
-                else activity[t, l] + grad[t, l]
-                for l in range(L)
-            ]
-        )
-        edges = []
-        for l in range(1, L):
-            count = grad[t, l]
-            edges.append((l, l - 1, count))
-        sim.step(t, "backward", in_counts, edges)
+        edges = [(l, l - 1, grad[t, l]) for l in range(1, L)]
+        sim.step(t, "backward", activity[t, :L] + grad[t, :L], edges)
 
     return CostLedger(supersteps=sim.records, num_chips=machine.num_chips)
 
@@ -457,13 +430,7 @@ def chained_spec(net_per_chip: NetworkSpec, k: int) -> tuple:
     hidden_sparse = list(net_per_chip.sparse_sizes[1:])
     layers = [net_per_chip.layer_sizes[0]] + hidden * k + [net_per_chip.layer_sizes[-1]]
     sparse = [net_per_chip.sparse_sizes[0]] + hidden_sparse * k
-    spec = NetworkSpec(
-        layer_sizes=layers,
-        sparse_sizes=sparse,
-        batch_size=net_per_chip.batch_size,
-        num_timesteps=net_per_chip.num_timesteps,
-        output_mode=net_per_chip.output_mode,
-    )
+    spec = replace(net_per_chip, layer_sizes=layers, sparse_sizes=sparse)
     chips = []
     for stack in range(k):
         chips.extend([stack] * len(hidden))
@@ -474,11 +441,8 @@ def chained_spec(net_per_chip: NetworkSpec, k: int) -> tuple:
 def saturated_activity(spec: NetworkSpec) -> np.ndarray:
     """Activity matrix with every spike tensor at capacity: the input and
     each hidden layer at its sparse size, the readout silent."""
-    T = spec.num_timesteps
-    num_layers = len(spec.layer_sizes)
-    act = np.zeros((T, num_layers))
-    for k, n_max in enumerate(spec.sparse_sizes):
-        act[:, k] = n_max
+    act = np.zeros((spec.num_timesteps, len(spec.layer_sizes)))
+    act[:, : len(spec.sparse_sizes)] = spec.sparse_sizes
     return act
 
 
@@ -486,7 +450,6 @@ def weak_scale_run(
     net_per_chip: NetworkSpec,
     machine: MachineSpec,
     neurons_per_tile: int = 2,
-    mode: str = "sparse",
 ) -> float:
     """Modeled slowdown of running k chained replicas on k chips versus
     one replica on one chip; 1.0 for k = 1 by construction."""
@@ -496,15 +459,8 @@ def weak_scale_run(
 
     def total(num_chips: int) -> float:
         spec, chips = chained_spec(net_per_chip, num_chips)
-        mach = MachineSpec(
-            tiles_per_chip=machine.tiles_per_chip,
-            sram_per_tile=machine.sram_per_tile,
-            num_chips=num_chips,
-            cost=machine.cost,
-        )
+        mach = replace(machine, num_chips=num_chips)
         mapping = map_neurons(spec, mach, neurons_per_tile, layer_chips=chips)
-        return simulate_batch(
-            spec, mapping, mach, saturated_activity(spec), mode=mode
-        ).total_time_cycles
+        return simulate_batch(spec, mapping, mach, saturated_activity(spec)).total_time_cycles
 
     return total(k) / total(1)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,10 +39,6 @@ class Network:
                 )
             if p.size != n_post:
                 raise ConfigError(f"layer {k}: params sized {p.size} != {n_post}")
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.weights)
 
     def weight_arrays(self) -> list:
         return [lw.w for lw in self.weights]
@@ -104,13 +100,7 @@ def save_checkpoint(
     payloads: list = []
     arrays = []
     meta = {
-        "spec": {
-            "layer_sizes": list(net.spec.layer_sizes),
-            "sparse_sizes": list(net.spec.sparse_sizes),
-            "batch_size": net.spec.batch_size,
-            "num_timesteps": net.spec.num_timesteps,
-            "output_mode": net.spec.output_mode,
-        },
+        "spec": asdict(net.spec),
         "seed": int(seed),
         "layers": [],
         "optimizer": None,
@@ -186,13 +176,7 @@ def _restore(meta: dict, data: dict):
     """(Network, optimizer_state, seed, extra) from a parsed checkpoint."""
     from .optim import optimizer_state_from_dict
 
-    spec = NetworkSpec(
-        layer_sizes=meta["spec"]["layer_sizes"],
-        sparse_sizes=meta["spec"]["sparse_sizes"],
-        batch_size=meta["spec"]["batch_size"],
-        num_timesteps=meta["spec"]["num_timesteps"],
-        output_mode=meta["spec"]["output_mode"],
-    )
+    spec = NetworkSpec(**meta["spec"])
     weights, params = [], []
     for k, layer in enumerate(meta["layers"]):
         weights.append(LayerWeights(data[f"w{k}"]))

@@ -9,13 +9,17 @@ import numpy as np
 from .errors import ConfigError
 
 
+def _check_lr(lr: float) -> None:
+    if not lr > 0:
+        raise ConfigError(f"learning rate must be > 0, got {lr}")
+
+
 @dataclass
 class SgdState:
     lr: float = 1e-3
 
     def __post_init__(self):
-        if not self.lr > 0:
-            raise ConfigError(f"learning rate must be > 0, got {self.lr}")
+        _check_lr(self.lr)
 
 
 @dataclass
@@ -28,6 +32,9 @@ class AdamState:
     m: list = field(default_factory=list)  # first moments, shaped like params
     v: list = field(default_factory=list)  # second moments
 
+    def __post_init__(self):
+        _check_lr(self.lr)
+
     def ensure_moments(self, params: list) -> None:
         if not self.m:
             self.m = [np.zeros_like(p) for p in params]
@@ -36,8 +43,7 @@ class AdamState:
 
 def sgd_step(params: list, grads: list, lr: float) -> None:
     """In-place w <- w - lr * g."""
-    if not lr > 0:
-        raise ConfigError(f"learning rate must be > 0, got {lr}")
+    _check_lr(lr)
     for p, g in zip(params, grads):
         p -= np.float32(lr) * g
 

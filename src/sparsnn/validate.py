@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import RELAXED, backward_pass, forward_pass, softmax_cross_entropy
+from .errors import ConfigError
 from .lif import NetworkSpec
 from .model import Network, init_network
 
@@ -21,9 +22,6 @@ from .model import Network, init_network
 class GradCheckResult:
     max_rel_err: float
     per_layer: list  # max scale-relative error per weight layer
-
-    def passed(self, tol: float = 1e-3) -> bool:
-        return self.max_rel_err < tol
 
 
 def _relaxed_loss(net: Network, inputs: np.ndarray, labels: np.ndarray) -> float:
@@ -116,6 +114,8 @@ def random_tiny_net(
 
 def run_gradcheck_suite(num_nets: int = 20, eps: float = 1e-3, seed: int = 42):
     """FD-check `num_nets` random tiny nets; returns (worst, results)."""
+    if num_nets < 1:
+        raise ConfigError(f"need at least one network to check, got {num_nets}")
     results = []
     for k in range(num_nets):
         net, inputs, labels = random_tiny_net(seed + k)

@@ -10,7 +10,7 @@ import pytest
 from sparsnn import cli
 from sparsnn.bench import FIXED, NATURAL, BenchConfig, network_spec_for, run_benchmark
 from sparsnn.errors import DataFormatError
-from sparsnn.events import load_dataset
+from sparsnn.events import EventStream, load_dataset, write_events
 
 
 @pytest.mark.parametrize("mode", [FIXED, NATURAL])
@@ -64,16 +64,20 @@ def test_gen_data_then_sparse_train(tmp_path):
     assert all(np.isfinite(float(r.split(",")[1])) for r in rows[1:])
 
 
+def _gen_data(path):
+    assert cli.main([
+        "gen-data", "--out-dir", str(path), "--classes", "2", "--input-size", "16",
+        "--samples-per-class", "2", "--timesteps", "10",
+    ]) == 0
+    return path
+
+
 @pytest.mark.parametrize("column, value, message", [
     pytest.param("path", "missing.esf", "cannot read ESF file 'missing.esf'", id="missing_file"),
     pytest.param("label", "one", "label 'one' is not an integer", id="label_not_int"),
 ])
 def test_bad_manifest_row_exits_3(tmp_path, column, value, message):
-    data = tmp_path / "data"
-    assert cli.main([
-        "gen-data", "--out-dir", str(data), "--classes", "2", "--input-size", "16",
-        "--samples-per-class", "2", "--timesteps", "10",
-    ]) == 0
+    data = _gen_data(tmp_path / "data")
     manifest = data / "manifest.csv"
     with open(manifest, newline="") as f:
         rows = list(csv.DictReader(f))
@@ -96,3 +100,56 @@ def test_threads_option_is_gone(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("threads=1\n")
     assert cli.main(["gen-data", "--config", str(config), "--out-dir", str(tmp_path)]) == 2
+
+
+def _header_only_manifest(data):
+    (data / "manifest.csv").write_text("path,label\n")
+
+
+def _second_file_wider(data):
+    write_events(EventStream([0], [16], num_channels=17, label=0), data / "sample_00001.esf")
+
+
+def _manifest_not_utf8(data):
+    (data / "manifest.csv").write_bytes(b"path,label\nsample_\xff.esf,0\n")
+
+
+def _config_choice(data):
+    (data / "run.cfg").write_text("sweep=everything\n")
+
+
+TRAIN = ["train", "--data", "{data}", "--layers", "16,8,2", "--batch-size", "2",
+         "--timesteps", "10"]
+
+
+@pytest.mark.parametrize("corrupt, argv, code, message", [
+    pytest.param(_header_only_manifest, TRAIN, 3, "lists no samples", id="header_only_manifest"),
+    pytest.param(_second_file_wider, TRAIN, 3, "has 17 channels, the first file 16",
+                 id="channel_count_differs"),
+    pytest.param(_manifest_not_utf8, TRAIN, 3, "not UTF-8", id="manifest_not_utf8"),
+    pytest.param(None, TRAIN + ["--timesteps", "-1"], 2, "at least one timestep",
+                 id="negative_timesteps"),
+    pytest.param(None, TRAIN + ["--optimizer", "adam", "--lr", "-1"], 2,
+                 "learning rate must be > 0", id="adam_negative_lr"),
+    pytest.param(None, ["gradcheck", "--nets", "0"], 2, "at least one network",
+                 id="gradcheck_no_nets"),
+    pytest.param(_config_choice, ["bench", "--config", "{data}/run.cfg"], 2,
+                 "sweep='everything' not one of", id="config_value_not_a_choice"),
+])
+def test_bad_input_exits_with_code(tmp_path, capsys, corrupt, argv, code, message):
+    data = _gen_data(tmp_path / "data")
+    if corrupt is not None:
+        corrupt(data)
+    argv = [arg.format(data=data) for arg in argv]
+    capsys.readouterr()
+    assert cli.main(argv + ["--out-dir", str(tmp_path / "run")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(("config error:", "data error:")) and message in err
+    assert "Traceback" not in err
+
+
+def test_zero_epochs_write_header_only_metrics(tmp_path):
+    data = _gen_data(tmp_path / "data")
+    argv = [arg.format(data=data) for arg in TRAIN]
+    assert cli.main(argv + ["--epochs", "0", "--out-dir", str(tmp_path / "run")]) == 0
+    assert (tmp_path / "run" / "metrics.csv").read_bytes() == b"epoch,loss,accuracy\r\n"

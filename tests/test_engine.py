@@ -14,7 +14,7 @@ from sparsnn.engine import (
 )
 from sparsnn.errors import ConfigError
 from sparsnn.events import SpikeDataset
-from sparsnn.lif import MEMBRANE_SUM, SPIKE_COUNT, NetworkSpec, surrogate
+from sparsnn.lif import MEMBRANE_SUM, SPIKE_COUNT, NetworkSpec, membrane_update, surrogate
 from sparsnn.model import Network, init_network
 from sparsnn.optim import AdamState, SgdState
 from sparsnn.rng import DropRng
@@ -266,14 +266,20 @@ class TestBackward:
         assert all(args[0] is w for (args, _), w in zip(forward, net.weights))
         for l, ((_, s_in, *_), out) in enumerate(forward):
             # The stacked payloads of steps 0..T-2 drive the currents of
-            # steps 1..T-1.
+            # steps 1..T-1: u[t+1] integrates the current out[t-1].
             sent = trace.sent[l][: T - 1]
             if mode == SPARSE:
                 assert np.array_equal(s_in.ids, np.concatenate([p.ids for p in sent]))
             else:
                 assert np.array_equal(s_in, np.concatenate(sent))
             assert out.shape == ((T - 1) * B, net.spec.layer_sizes[l + 1])
-            assert np.array_equal(out.reshape(T - 1, B, -1), trace.i_syn[l][1:])
+            u = trace.u[l]
+            s = trace.spikes[l] if trace.spikes[l] is not None else np.zeros_like(u)
+            out = out.reshape(T - 1, B, -1).astype(u.dtype)
+            for t in range(1, T - 1):
+                assert np.array_equal(
+                    membrane_update(u[t], s[t], out[t - 1], net.params[l]), u[t + 1]
+                )
         backward_pass(net, trace, np.ones_like(scores))
         # One input-grad call per layer above the first, top layer first.
         grads = calls["input_grad"]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sparsnn.bench import BenchConfig, network_spec_for
 from sparsnn.errors import ConfigError, ContractViolation, OutOfTileMemory
 from sparsnn.lif import NetworkSpec
 from sparsnn.machine import (
@@ -159,6 +160,31 @@ class TestSimulate:
         assert led.total_time_cycles == sum(s.time_cycles for s in led.supersteps)
         assert led.sync_count == len(led.supersteps) == 6  # fwd+bwd per step
 
+    def test_dense_backward_moves_full_gradient_tensors(self):
+        # Backward, weight layer l sends dL/dS of its input layer (size
+        # layer_sizes[l]) to layer l-1: 4 bytes per neuron per row, no
+        # count header, for every l >= 1.
+        net = spec([4, 8, 6, 2], [4, 8, 6], batch=3, T=2)
+        machine = small_machine(tiles=8)
+        mapping = map_neurons(net, machine, 4)
+        ledger = simulate_batch(net, mapping, machine, None, mode="dense")
+        backward = [s for s in ledger.supersteps if s.phase == "backward"]
+        assert len(backward) == 2
+        for s in backward:
+            assert s.intra_bytes == 4 * 3 * (8 + 6)
+
+    def test_dense_is_sparse_at_full_counts_without_headers(self):
+        net = spec([4, 8, 6, 2], [4, 8, 6], batch=3, T=2)
+        machine = small_machine(tiles=8)
+        mapping = map_neurons(net, machine, 4)
+        full = np.broadcast_to(np.asarray(net.layer_sizes, float), (2, 4))
+        dense = simulate_batch(net, mapping, machine, None, mode="dense")
+        sparse = simulate_batch(net, mapping, machine, full)
+        headers = [8 * 3 * (3 if s.phase == "forward" else 2) for s in sparse.supersteps]
+        assert [s.intra_bytes for s in dense.supersteps] == [
+            s.intra_bytes - h for s, h in zip(sparse.supersteps, headers)
+        ]
+
     def test_activity_bounds_checked(self):
         net = hand_net()
         mapping = map_neurons(net, hand_machine(), 8)
@@ -243,6 +269,30 @@ class TestWeakScaling:
         chained, chips = chained_spec(base, 3)
         assert chained.layer_sizes == (48, 32, 32, 32, 32, 32, 32, 4)
         assert chips == [0, 0, 1, 1, 2, 2, 2]
+
+
+class TestFrozenShd2944:
+    """Modeled figures of the shd-2944 benchmark network (B=48, T=10,
+    capacities at max_activity 0.05) on the default machine at 2 neurons
+    per tile, every tensor saturated. Any change to the sparse cost model
+    moves them."""
+
+    def test_sparse_ledger_totals(self):
+        net = network_spec_for(BenchConfig())
+        machine = MachineSpec()
+        mapping = map_neurons(net, machine, 2)
+        ledger = simulate_batch(net, mapping, machine, saturated_activity(net))
+        assert ledger.total_time_cycles == 145304.6406570842
+        assert ledger.total_intra_bytes == 672000.0
+        assert ledger.total_inter_bytes == 0.0
+
+    @pytest.mark.parametrize("chips, slowdown", [
+        (2, 1.016477453868782),
+        (4, 1.0191907224303651),
+    ])
+    def test_weak_scaling_slowdown(self, chips, slowdown):
+        net = network_spec_for(BenchConfig())
+        assert weak_scale_run(net, MachineSpec(num_chips=chips), 2) == slowdown
 
 
 class TestMachineConfig:

@@ -31,6 +31,14 @@ class TestSgd:
 
 
 class TestAdam:
+    @pytest.mark.parametrize("lr", [0.0, -1.0])
+    def test_bad_lr(self, lr):
+        # Checked at construction, as for SGD: a negative rate climbs the loss.
+        with pytest.raises(ConfigError):
+            AdamState(lr=lr)
+        with pytest.raises(ConfigError):
+            make_optimizer("adam", lr)
+
     def test_zero_grads_keep_params(self):
         p = [np.full((2,), 3.0, dtype=np.float32)]
         state = AdamState(lr=1e-2)
