@@ -29,9 +29,10 @@ payloads, then for each layer makes one current call on the stacked
 payloads of steps 0..T-2 (the current of step t + 1 is driven by the
 payload of step t), then runs the layer's LIF loop over t. The backward
 pass sweeps the top layer first, each layer in reverse time, and then
-makes one input-gradient call for the layer below. The last step's
-payload drives nothing, so no kernel reads it and its dL/dI, which is
-zero, is never formed. Stacked rows are t-major; in the backward pass they
+makes one input-gradient call for the layer below; before it sweeps a
+layer it forms the layer's spike slopes of all T steps in one call. The
+last step's payload drives nothing, so no kernel reads it and its dL/dI,
+which is zero, is never formed. Stacked rows are t-major; in the backward pass they
 are in sweep order (t = T-2..0, then b ascending).
 
 Weight gradients accumulate over all timesteps in float64 and are rounded
@@ -161,7 +162,10 @@ class DenseTransport:
             w, self.stack(payloads), dtype=self.dtype, w64=self.w64[l]
         )
 
-    def sent_slope(self, u, params, payload):
+    def sent_slopes(self, u, params, payloads):
+        """Spike slopes of a hidden layer at every step, (T, B, n), from its
+        (T, B, n) membranes and the payloads it sent; a dense payload sends
+        every slope."""
         return self.slope(u, params)
 
     def weight_grad(self, dl_di, payloads, dl_dw_acc):
@@ -231,8 +235,12 @@ class SparseTransport(DenseTransport):
     def current(self, l, w, payloads):
         return sparse_forward_current(w, self.stack(payloads), wt64=self.w64[l])
 
-    def sent_slope(self, u, params, payload):
-        return scatter_to_dense(payload, payload.grad_values, payload.num_grads, u.shape[1])
+    def sent_slopes(self, u, params, payloads):
+        """The slopes the payloads carry, scattered in one call; zero
+        outside the sent entries."""
+        s = self.stack(payloads)
+        values = np.concatenate([p.grad_values for p in payloads])
+        return scatter_to_dense(s, values, s.num_grads, u.shape[-1]).reshape(u.shape)
 
     def weight_grad(self, dl_di, payloads, dl_dw_acc):
         sparse_weight_grad(dl_di, self.stack(payloads), dl_dw_acc)
@@ -434,6 +442,11 @@ def _sweep_layer(net, trace, l, ds_in, dl_dscores, reset_grad) -> np.ndarray:
     batch, n = dl_dscores.shape[0], net.spec.layer_sizes[l + 1]
     di = np.empty((T - 1, batch, n))
     du = np.zeros((batch, n), dtype=dt)
+    spiking = _is_spiking(l, L, spike_count_readout)
+    if spiking and l < L - 1:
+        slopes = transport.sent_slopes(trace.u[l], params, trace.sent[l + 1])
+    elif spiking:
+        slopes = transport.slope(trace.u[l], params)
 
     for t in range(T - 1, -1, -1):
         u_t = trace.u[l][t]
@@ -442,17 +455,15 @@ def _sweep_layer(net, trace, l, ds_in, dl_dscores, reset_grad) -> np.ndarray:
         if t:
             di[T - 1 - t] = gain * du
 
-        if _is_spiking(l, L, spike_count_readout):
+        if spiking:
             if l < L - 1:
                 # The last step's spikes reach no current.
                 ds = ds_in[t] if t < T - 1 else np.zeros_like(u_t)
-                h = transport.sent_slope(u_t, params, trace.sent[l + 1][t])
             else:
                 ds = np.zeros_like(u_t) + dl_dscores
-                h = transport.slope(u_t, params)
             if reset_grad:
                 ds = ds + (-alpha) * u_t * du
-            du = alpha * (dt(1) - trace.spikes[l][t]) * du + h * ds
+            du = alpha * (dt(1) - trace.spikes[l][t]) * du + slopes[t] * ds
         else:
             du = alpha * du
     return di.reshape(-1, n)

@@ -6,17 +6,23 @@ a row names selects one contiguous row of Wᵀ (one weight column of W):
 
 forward current  out[b] = sum of Wᵀ[ids] over the row's firing ids, added
                  in ascending-id order;
-weight grad      dL/dWᵀ[ids] += dL/dI[b] for every firing id, rows in
-                 ascending order; the accumulator is (n_post, n_pre) and
-                 best allocated order="F", so that its transpose has
-                 contiguous rows;
+weight grad      dL/dWᵀ[i] += dL/dI[b] for every row b that fires id i,
+                 rows in ascending order; the accumulator is (n_post,
+                 n_pre) and best allocated order="F", so that its
+                 transpose has contiguous rows;
 input grad       dL/dS[b, k] = Wᵀ[ids[b, k]] . dL/dI[b] for every
                  retained id.
 
-Each row is one contiguous numpy operation; the loop over batch rows stays
-in Python. Both routes accumulate in float64 and round to float32 at the
-operation boundary, which keeps them bit-comparable: the float64 results
-of the same mathematical sum agree far below float32 resolution.
+The forward current and the input gradient make one contiguous numpy
+operation per batch row, in a Python loop over rows. The weight gradient
+loops over firing ids instead: a stable radix sort groups the kept
+(row, id) pairs by id, and each id's dL/dI rows are gathered once and
+summed onto its accumulator row by one reduce, which adds them in row
+order. This is the outer-product accumulation of Perez-Nieves & Goodman,
+"Sparse Spiking Gradient Descent" (NeurIPS 2021). Both routes accumulate
+in float64 and round to float32 at the operation boundary, which keeps
+them bit-comparable: the float64 results of the same mathematical sum
+agree far below float32 resolution.
 """
 
 from __future__ import annotations
@@ -81,7 +87,9 @@ def sparse_weight_grad(
 
     Each element receives one add per row that names its column, rows in
     ascending order, in any memory layout; order="F" makes the columns
-    contiguous.
+    contiguous. An id's accumulator row and its first dL/dI row are added
+    first (addition commutes), and the reduce starts from -0.0, the one
+    float that adds to any value, signed zeros included, without changing it.
     """
     if dl_dw_acc.dtype != np.float64:
         raise ContractViolation("weight-gradient accumulator must be float64")
@@ -89,13 +97,24 @@ def sparse_weight_grad(
         raise ContractViolation(
             f"dl_di shape {dl_di.shape} incompatible with accumulator"
         )
-    check_ids(s_in, s_in.num_spikes, dl_dw_acc.shape[1])
+    n_post, n_pre = dl_dw_acc.shape
+    kept = check_ids(s_in, s_in.num_spikes, n_pre)
+    rows, ids = np.nonzero(kept)[0], s_in.ids[kept]
+    # Row-major pairs, stably sorted by id: each id's rows stay ascending.
+    # A dtype of at most 16 bits makes the stable sort a radix sort.
+    order = np.argsort(ids.astype(np.min_scalar_type(n_pre)), kind="stable")
+    rows, ids = rows[order], ids[order]
+    starts = np.flatnonzero(np.diff(ids, prepend=-1))
+    bounds = zip(ids[starts].tolist(), starts.tolist(), [*starts[1:].tolist(), ids.size])
     dl_di64 = np.asarray(dl_di, dtype=np.float64)
     acc_t = dl_dw_acc.T
-    for row in range(s_in.batch_size):
-        ns = int(s_in.num_spikes[row])
-        if ns:
-            acc_t[s_in.ids[row, :ns]] += dl_di64[row]
+    for i, lo, hi in bounds:
+        g = dl_di64[rows[lo:hi]]
+        g[0] += acc_t[i]
+        if n_post > 1:
+            np.add.reduce(g, axis=0, out=acc_t[i], initial=-0.0)
+        else:  # numpy would sum one column pairwise, out of row order
+            acc_t[i] = np.add.accumulate(g, axis=0)[-1]
 
 
 def dense_weight_grad(

@@ -48,21 +48,42 @@ def sgd_step(params: list, grads: list, lr: float) -> None:
         p -= np.float32(lr) * g
 
 
+# Elements per Adam block: the block's temporaries stay in cache.
+ADAM_BLOCK = 1 << 15
+
+
+def _blocks(p, g, m, v):
+    """(p, g, m, v) slices of ADAM_BLOCK consecutive elements. Arrays that
+    are not all C-contiguous, whose flattening would copy, form one block."""
+    if not all(a.flags.c_contiguous for a in (p, m, v)):
+        yield p, g, m, v
+        return
+    flat = [a.reshape(-1) for a in (p, g, m, v)]
+    for lo in range(0, p.size, ADAM_BLOCK):
+        yield [a[lo : lo + ADAM_BLOCK] for a in flat]
+
+
 def adam_step(params: list, grads: list, state: AdamState) -> AdamState:
-    """In-place Adam update with bias correction; returns the state."""
+    """In-place Adam update with bias correction; returns the state.
+
+    Every expression is elementwise, so it runs block by block over each
+    flattened parameter (see `ADAM_BLOCK`): the same float32 operations on
+    every element as over the whole array, with cache-sized temporaries.
+    """
     state.ensure_moments(params)
     state.step += 1
     b1, b2 = np.float32(state.beta1), np.float32(state.beta2)
     c1 = 1.0 - state.beta1 ** state.step
     c2 = 1.0 - state.beta2 ** state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= b1
-        m += (np.float32(1) - b1) * g
-        v *= b2
-        v += (np.float32(1) - b2) * g * g
-        m_hat = m / np.float32(c1)
-        v_hat = v / np.float32(c2)
-        p -= np.float32(state.lr) * m_hat / (np.sqrt(v_hat) + np.float32(state.eps))
+    for arrays in zip(params, grads, state.m, state.v):
+        for p, g, m, v in _blocks(*arrays):
+            m *= b1
+            m += (np.float32(1) - b1) * g
+            v *= b2
+            v += (np.float32(1) - b2) * g * g
+            m_hat = m / np.float32(c1)
+            v_hat = v / np.float32(c2)
+            p -= np.float32(state.lr) * m_hat / (np.sqrt(v_hat) + np.float32(state.eps))
     return state
 
 

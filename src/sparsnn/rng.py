@@ -109,6 +109,13 @@ class DropRng:
         kth = np.partition(table, np.unique(k) - 1, axis=1)
         kth = np.take_along_axis(kth, k - 1, axis=1)
         below, tied = table < kth, cands & (table == kth)
-        need = k - below.sum(axis=1, keepdims=True)
-        out[rows] = below | (tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= need))
+        won = below | tied
+        # Only rows with more tied keys than room left need the ordered
+        # tie-break; real keys almost never tie.
+        need = k[:, 0] - below.sum(axis=1)
+        crowded = np.flatnonzero(tied.sum(axis=1) > need)
+        if crowded.size:
+            first = np.cumsum(tied[crowded], axis=1, dtype=np.int32) <= need[crowded, None]
+            won[crowded] = below[crowded] | (tied[crowded] & first)
+        out[rows] = won
         return out

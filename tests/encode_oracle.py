@@ -1,10 +1,13 @@
-"""Row-at-a-time reference for the sparse encoders and the drop keys.
+"""Row-at-a-time reference for the sparse encoders, the drop keys and the
+sparse weight gradient.
 
 These are the loop versions that the batch-vectorized `encode_sparse`,
 `encode_binary`, `DropRng.rank_keys` and `DropRng.subset` replaced. They
 draw keys from pure-Python integers and pick winners with a stable
 argsort, one row and one segment at a time; the vectorized code must give
-exactly the same ids, counts and gradient values.
+exactly the same ids, counts and gradient values. `sparse_weight_grad` is
+the row loop that the id-grouped kernel replaced; the kernel must give
+every accumulator element the same adds in the same order.
 """
 
 import numpy as np
@@ -78,3 +81,12 @@ def encode_binary(frame, n_max, rng):
         out.num_spikes[row] = ns
         out.num_grads[row] = ns
     return out
+
+
+def sparse_weight_grad(dl_di, s_in, dl_dw_acc):
+    dl_di64 = np.asarray(dl_di, dtype=np.float64)
+    acc_t = dl_dw_acc.T
+    for row in range(s_in.batch_size):
+        ns = int(s_in.num_spikes[row])
+        if ns:
+            acc_t[s_in.ids[row, :ns]] += dl_di64[row]

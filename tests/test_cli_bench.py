@@ -148,6 +148,18 @@ def test_bad_input_exits_with_code(tmp_path, capsys, corrupt, argv, code, messag
     assert "Traceback" not in err
 
 
+def test_simulate_out_of_tile_memory_exits_4(tmp_path, capsys):
+    # One neuron of the first hidden layer needs far more than 64 bytes.
+    config = tmp_path / "machine.cfg"
+    config.write_text("sram_per_tile = 64\n")
+    capsys.readouterr()
+    argv = ["simulate", "--machine-config", str(config), "--out-dir", str(tmp_path / "run")]
+    assert cli.main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("out of tile memory: tile 0 needs ") and "only 64 are available" in err
+    assert "Traceback" not in err
+
+
 def test_zero_epochs_write_header_only_metrics(tmp_path):
     data = _gen_data(tmp_path / "data")
     argv = [arg.format(data=data) for arg in TRAIN]

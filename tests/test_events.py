@@ -72,6 +72,64 @@ class TestEsfFormat:
             load_events(path)
 
 
+# Byte range of each part of a three-event ESF file, and what load_events
+# may make of a file with one bit of that part flipped.
+ESF_PARTS = {
+    "magic": (0, 8, {"error"}),
+    "num_channels": (8, 12, {"error", "clean"}),  # fewer channels than used
+    "num_events": (12, 16, {"error"}),
+    "label": (16, 20, {"clean"}),
+    "records": (20, 44, {"error", "clean"}),  # a channel out of range
+}
+
+
+def load_outcome(path):
+    """"error" for a DataFormatError, "clean" for a stream that keeps the
+    EventStream invariants; anything else propagates."""
+    try:
+        s = load_events(path)
+    except DataFormatError:
+        return "error"
+    assert s.times_us.size == s.channels.size == s.num_events
+    assert np.all(np.diff(s.times_us.astype(np.int64)) >= 0)
+    assert np.all(s.channels < s.num_channels)
+    return "clean"
+
+
+class TestEsfCorruption:
+    """Truncated, extended and bit-flipped files. Only load_events runs: a
+    flipped channel count can name 2**31 channels, which binning would
+    allocate for every timestep."""
+
+    @pytest.fixture
+    def esf(self, tmp_path):
+        path = tmp_path / "s.esf"
+        write_events(stream([5, 1, 1999], [3, 0, 7]), path)
+        return path, path.read_bytes()
+
+    def test_every_truncation_and_extension_is_a_format_error(self, esf):
+        path, raw = esf
+        assert len(raw) == 44
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            assert load_outcome(path) == "error", cut
+        for extra in (b"\0", b"\0" * 4, raw[20:28], raw[20:28] + b"\0"):
+            path.write_bytes(raw + extra)
+            assert load_outcome(path) == "error", extra
+
+    @pytest.mark.parametrize("part", list(ESF_PARTS))
+    def test_every_bit_flip_is_a_format_error_or_a_clean_load(self, esf, part):
+        path, raw = esf
+        lo, hi, allowed = ESF_PARTS[part]
+        outcomes = set()
+        for bit in range(8 * lo, 8 * hi):
+            flipped = bytearray(raw)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            path.write_bytes(bytes(flipped))
+            outcomes.add(load_outcome(path))
+        assert outcomes == allowed
+
+
 class TestBinning:
     def test_single_event(self):
         frames = bin_events(stream([0], [2]), 4, 1000)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import encode_oracle as oracle
 from sparsnn.engine import SparseTransport
 from sparsnn.errors import ContractViolation, CorruptionError
 from sparsnn.kernels import (
@@ -162,6 +163,53 @@ class TestWeightGrad:
                 sparse_weight_grad(dl_di, s, acc_c)
                 sparse_weight_grad(dl_di, s, acc_f)
             assert np.array_equal(acc_c, acc_f)
+
+    @staticmethod
+    def _edge_batches(rng, b=40, n_pre=30):
+        """Id 0 fires in every row of the first batch and in every spiking
+        row of the second; rows 0, 7, ... of the second fire nothing (some
+        keep gradient-only ids); ids 28 and 29 fire once each."""
+        batches = []
+        for silent in (False, True):
+            rows, spikes = [], []
+            for r in range(b):
+                ids = {0} | {int(i) for i in rng.choice(np.arange(1, 28), int(rng.integers(0, 9)))}
+                ids |= {28} if r == 3 else {29} if r == 11 else set()
+                ids = [] if silent and r % 7 == 0 else sorted(ids)
+                grad_only = [i for i in range(1, 28) if i not in ids][: int(rng.integers(0, 3))]
+                rows.append(ids + grad_only)
+                spikes.append(len(ids))
+            batches.append(batch_from(rows, n_pre, num_spikes=spikes))
+        return batches
+
+    @pytest.mark.parametrize("n_post", [1, 2, 7])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_equals_row_loop_byte_for_byte(self, n_post, order):
+        # Every accumulator element must get the row loop's adds in the
+        # row loop's order; tobytes() also tells -0.0 from 0.0.
+        rng = np.random.default_rng(9)
+        for silent, s in zip((False, True), self._edge_batches(rng)):
+            b, n_pre = s.ids.shape
+            fired = np.bincount(s.ids[np.arange(n_pre) < s.num_spikes[:, None]], minlength=n_pre)
+            assert fired[0] == np.count_nonzero(s.num_spikes) and fired[28] == fired[29] == 1
+            assert (s.num_spikes == 0).any() == silent
+            for start in ("zero", "random"):
+                acc = np.zeros((n_post, n_pre), order=order)
+                if start == "random":
+                    acc[:] = rng.normal(size=acc.shape) * 10.0 ** rng.uniform(-12, 12, acc.shape)
+                    acc[rng.random(acc.shape) < 0.2] = -0.0
+                    acc[:, 28] = -0.0
+                want = acc.copy(order="K")
+                for _ in range(3):
+                    dl_di = rng.normal(size=(b, n_post)) * 10.0 ** rng.uniform(-12, 12, (b, n_post))
+                    dl_di[rng.random(dl_di.shape) < 0.3] = -0.0
+                    dl_di[3] = -0.0  # the only row that fires id 28
+                    dl_di = dl_di.astype(np.float32)
+                    sparse_weight_grad(dl_di, s, acc)
+                    oracle.sparse_weight_grad(dl_di, s, want)
+                    assert acc.tobytes() == want.tobytes()
+                # -0.0 + -0.0 stays -0.0; a sum started from 0.0 would not.
+                assert np.signbit(acc[:, 28]).all() == (start == "random")
 
     def test_matches_dense_outer_product(self):
         rng = np.random.default_rng(4)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sparsnn.errors import ConfigError
-from sparsnn.optim import AdamState, SgdState, adam_step, make_optimizer, sgd_step
+from sparsnn.optim import ADAM_BLOCK, AdamState, SgdState, adam_step, make_optimizer, sgd_step
 
 
 class TestSgd:
@@ -71,6 +71,41 @@ class TestAdam:
         adam_step([np.array([0.0], dtype=np.float32)],
                   [np.array([0.0], dtype=np.float32)], fresh)
         assert fresh.m[0][0] == pytest.approx(0.9 * (1 - 0.9) * 2.0)
+
+    @pytest.mark.parametrize("shape", [(974, 700), (ADAM_BLOCK + 1,), (3,)])
+    def test_blocked_step_equals_whole_array_expressions(self, shape):
+        def reference(p, g, m, v, state):
+            # The unblocked update: every expression over the whole array.
+            b1, b2 = np.float32(state.beta1), np.float32(state.beta2)
+            c1 = 1.0 - state.beta1 ** state.step
+            c2 = 1.0 - state.beta2 ** state.step
+            m *= b1
+            m += (np.float32(1) - b1) * g
+            v *= b2
+            v += (np.float32(1) - b2) * g * g
+            m_hat = m / np.float32(c1)
+            v_hat = v / np.float32(c2)
+            p -= np.float32(state.lr) * m_hat / (np.sqrt(v_hat) + np.float32(state.eps))
+
+        gen = np.random.default_rng(11)
+        p = gen.normal(size=shape).astype(np.float32)
+        want_p, want_m, want_v = p.copy(), np.zeros_like(p), np.zeros_like(p)
+        state = AdamState(lr=1e-3)
+        for step in range(1, 4):
+            g = (gen.normal(size=shape) * 10.0 ** gen.uniform(-6, 2, shape)).astype(np.float32)
+            adam_step([p], [g], state)
+            assert state.step == step
+            reference(want_p, g, want_m, want_v, state)
+            assert p.tobytes() == want_p.tobytes()
+            assert state.m[0].tobytes() == want_m.tobytes()
+            assert state.v[0].tobytes() == want_v.tobytes()
+
+    def test_non_contiguous_params_are_updated_in_place(self):
+        # A view that no flat view can cover: flattening it would copy.
+        base = np.ones((4, 6), dtype=np.float32)
+        p = base[:, :3]
+        adam_step([p], [np.ones_like(p)], AdamState(lr=1e-3))
+        assert np.all(base[:, :3] < 1) and np.all(base[:, 3:] == 1)
 
     def test_defaults(self):
         state = make_optimizer("adam", 1e-3)
