@@ -3,7 +3,7 @@ single-chip scale-up and weak scaling, CSV emission.
 
 Two activity regimes bracket the throughput of the sparse path:
 
-  fixed_activity    every spiking neuron is forced above threshold, so
+  fixed_activity    every hidden neuron is forced above threshold, so
                     every spike tensor saturates at its capacity; the
                     throughput lower bound for a given max_activity.
   natural_activity  the dynamics run free on the dataset; realized
@@ -48,6 +48,10 @@ from .rng import DropRng
 
 FIXED = "fixed_activity"
 NATURAL = "natural_activity"
+WARMUP_DISCARD = 1
+OPTIMIZER, LR = "sgd", 1e-3
+# Poisson noise events per input channel and timestep of the bench data.
+NOISE_RATE = 0.01
 
 
 @dataclass(frozen=True)
@@ -80,12 +84,8 @@ class BenchConfig:
     batch_size: int = 48
     num_timesteps: int = 10
     repetitions: int = 2
-    warmup_discard: int = 1
     seed: int = 42
-    optimizer: str = "sgd"
-    lr: float = 1e-3
     neurons_per_tile: int = 2
-    noise_rate: float = 0.01
     machine: MachineSpec = field(default_factory=MachineSpec)
 
     def __post_init__(self):
@@ -93,9 +93,7 @@ class BenchConfig:
             raise ConfigError(f"unknown bench mode {self.mode!r}")
         if not 0.0 < self.max_activity <= 1.0:
             raise ConfigError("max_activity must be in (0, 1]")
-        if self.repetitions < 1 or self.warmup_discard < 0:
-            raise ConfigError("bad repetition counts")
-        if self.repetitions <= self.warmup_discard:
+        if self.repetitions <= WARMUP_DISCARD:
             raise ConfigError("need at least one repetition after warmup")
         if self.preset not in ARCH_PRESETS:
             raise ConfigError(
@@ -113,13 +111,10 @@ class BenchResult:
 
     config: BenchConfig
     wall_dense_mean: float
-    wall_dense_std: float
     wall_sparse_mean: float
-    wall_sparse_std: float
     measured_accel: float
     modeled_accel: float
     frames_per_sec: float
-    sequences_per_sec: float
     observed_activity: float
     hidden_spikes: tuple
     dense_ledger: object
@@ -157,7 +152,7 @@ def bench_dataset(config: BenchConfig) -> SpikeDataset:
         preset.dataset.input_size,
         per_class,
         config.num_timesteps,
-        noise_rate=config.noise_rate,
+        noise_rate=NOISE_RATE,
         seed=config.seed + 1,
     )
     ds = SpikeDataset.from_streams(streams, config.num_timesteps)
@@ -193,7 +188,7 @@ def _timed_steps(net, frames, labels, opt, mode, config, force) -> list:
             force_spikes=force,
         )
         times.append(time.perf_counter() - start)
-    return times[config.warmup_discard :]
+    return times[WARMUP_DISCARD:]
 
 
 def run_benchmark(config: BenchConfig) -> BenchResult:
@@ -205,8 +200,8 @@ def run_benchmark(config: BenchConfig) -> BenchResult:
 
     dense_net = init_network(spec, seed=config.seed)
     sparse_net = init_network(spec, seed=config.seed)
-    opt_d = make_optimizer(config.optimizer, config.lr)
-    opt_s = make_optimizer(config.optimizer, config.lr)
+    opt_d = make_optimizer(OPTIMIZER, LR)
+    opt_s = make_optimizer(OPTIMIZER, LR)
 
     dense_times = _timed_steps(dense_net, frames, labels, opt_d, DENSE, config, force)
     sparse_times = _timed_steps(
@@ -242,13 +237,10 @@ def run_benchmark(config: BenchConfig) -> BenchResult:
     return BenchResult(
         config=config,
         wall_dense_mean=dense_mean,
-        wall_dense_std=float(np.std(dense_times)),
         wall_sparse_mean=sparse_mean,
-        wall_sparse_std=float(np.std(sparse_times)),
         measured_accel=dense_mean / sparse_mean,
         modeled_accel=modeled,
         frames_per_sec=config.batch_size * config.num_timesteps / sparse_mean,
-        sequences_per_sec=config.batch_size / sparse_mean,
         observed_activity=observed,
         hidden_spikes=tuple(act[:, 1 : spec.num_weight_layers].mean(axis=0).tolist()),
         dense_ledger=dense_ledger,

@@ -30,7 +30,7 @@ payloads of steps 0..T-2 (the current of step t + 1 is driven by the
 payload of step t), then runs the layer's LIF loop over t. The backward
 pass sweeps the top layer first, each layer in reverse time, and then
 makes one input-gradient call for the layer below; before it sweeps a
-layer it forms the layer's spike slopes of all T steps in one call. The
+hidden layer it forms its spike slopes of all T steps in one call. The
 last step's payload drives nothing, so no kernel reads it and its dL/dI,
 which is zero, is never formed. Stacked rows are t-major; in the backward pass they
 are in sweep order (t = T-2..0, then b ascending).
@@ -76,7 +76,6 @@ from .kernels import (
     transposed64,
 )
 from .lif import (
-    SPIKE_COUNT,
     membrane_update,
     relaxed_spike,
     relaxed_spike_grad,
@@ -128,12 +127,8 @@ class DenseTransport:
         self.w64 = None
 
     def fire(self, u, params):
-        """Spikes of a layer that sends nothing (the spiking readout)."""
+        """Spikes of a layer's neurons at membrane `u`."""
         return threshold_spikes_dense(u, params.threshold)
-
-    def slope(self, u, params):
-        """Spike slope of every neuron of a layer that sends nothing."""
-        return surrogate(u - params.threshold, params.beta)
 
     def send_input(self, t, frame):
         return frame.astype(self.dtype)
@@ -166,7 +161,7 @@ class DenseTransport:
         """Spike slopes of a hidden layer at every step, (T, B, n), from its
         (T, B, n) membranes and the payloads it sent; a dense payload sends
         every slope."""
-        return self.slope(u, params)
+        return surrogate(u - params.threshold, params.beta)
 
     def weight_grad(self, dl_di, payloads, dl_dw_acc):
         dense_weight_grad(dl_di, self.stack(payloads), dl_dw_acc)
@@ -187,7 +182,7 @@ class RelaxedTransport(DenseTransport):
     def fire(self, u, params):
         return relaxed_spike(u - params.threshold, params.beta)
 
-    def slope(self, u, params):
+    def sent_slopes(self, u, params, payloads):
         return relaxed_spike_grad(u - params.threshold, params.beta)
 
 
@@ -195,8 +190,7 @@ class SparseTransport(DenseTransport):
     """Fixed-capacity spike batches between layers.
 
     Drop decisions for step t at boundary k (0 = input) use stream position
-    `rng.position + t * num_weight_layers + k`. The spiking readout is
-    local, so it keeps the dense `fire` and `slope`.
+    `rng.position + t * num_weight_layers + k`.
     """
 
     acc_order = "F"
@@ -273,8 +267,8 @@ class ForwardTrace:
     transport: the transport the forward pass ran.
     u[l][t]: membrane at the start of step t. The synaptic currents are
         not kept: the backward sweep never reads them.
-    spikes[l]: (T, B, n) spike matrices of a spiking layer, None for the
-        non-spiking readout layer.
+    spikes[l]: (T, B, n) spike matrices of a hidden layer, None for the
+        readout layer.
     sent[l][t]: the payload weight layer l read at step t; sent[0] holds
         the input frames. Dense payloads are spike matrices, so there
         sent[l] is spikes[l - 1] itself for l >= 1.
@@ -304,10 +298,14 @@ def forward_pass(
 ):
     """Run the network over all timesteps; returns (trace, scores).
 
+    Every weight layer below the top is hidden: its neurons spike and send.
+    The last weight layer is a non-spiking integrator, and the scores are
+    the sum over steps of its membrane after each update.
+
     `inputs` is a (B, T, input_size) binary array. In sparse mode `rng`
     supplies drop decisions; its position is advanced internally by one
     slot per (timestep, layer boundary). `force_spikes` drives every
-    spiking neuron above threshold each step, saturating spike batches at
+    hidden neuron above threshold each step, saturating spike batches at
     capacity (throughput lower-bound mode). With `record_trace=False` only
     the scores are computed (evaluation).
     """
@@ -324,7 +322,6 @@ def forward_pass(
     batch = inputs.shape[0]
     T = spec.num_timesteps
     L = spec.num_weight_layers
-    spike_count_readout = spec.output_mode == SPIKE_COUNT
     scores = np.zeros((batch, spec.output_size), dtype=dtype)
     trace = ForwardTrace(transport, [], [], [], T) if record_trace else None
 
@@ -332,7 +329,7 @@ def forward_pass(
     payloads = [transport.send_input(t, inputs[:, t, :]) for t in range(T)]
     for l in range(L):
         params = net.params[l]
-        spiking = _is_spiking(l, L, spike_count_readout)
+        hidden = l < L - 1
         shape = (T, batch, spec.layer_sizes[l + 1])
         # The current of step t + 1 is driven by the payload of step t;
         # the last step's payload drives nothing.
@@ -342,28 +339,24 @@ def forward_pass(
                 (T - 1,) + shape[1:]
             )
         u_seen = np.empty(shape, dtype=dtype) if record_trace else None
-        spikes = np.empty(shape, dtype=dtype) if spiking else None
-        sent = transport.payloads(spikes) if l < L - 1 else None
+        spikes = np.empty(shape, dtype=dtype) if hidden else None
+        sent = transport.payloads(spikes) if hidden else None
 
         u = np.zeros(shape[1:], dtype=dtype)
         for t in range(T):
-            if spiking and force_spikes:
+            if hidden and force_spikes:
                 u = np.broadcast_to(
                     params.threshold + np.float32(1.0), u.shape
                 ).astype(dtype)
             if record_trace:
                 u_seen[t] = u
-            if l < L - 1:
+            if hidden:
                 s, sent[t] = transport.send(l, t, u, params)
-            elif spiking:
-                s = transport.fire(u, params)
-            else:
-                s = np.zeros_like(u)
-            if spiking:
                 spikes[t] = s
-            u = membrane_update(u, s, i_syn[t], params)
-            if l == L - 1:
-                scores += s if spike_count_readout else u
+                u = membrane_update(u, s, i_syn[t], params)
+            else:
+                u = membrane_update(u, np.zeros_like(u), i_syn[t], params)
+                scores += u
 
         if record_trace:
             trace.u.append(u_seen)
@@ -372,10 +365,6 @@ def forward_pass(
         payloads = sent
 
     return trace, scores
-
-
-def _is_spiking(l: int, num_layers: int, spike_count_readout: bool) -> bool:
-    return l < num_layers - 1 or spike_count_readout
 
 
 def backward_pass(
@@ -434,33 +423,26 @@ def _sweep_layer(net, trace, l, ds_in, dl_dscores, reset_grad) -> np.ndarray:
     transport = trace.transport
     dt = transport.dtype
     T = trace.num_timesteps
-    L = net.spec.num_weight_layers
-    spike_count_readout = net.spec.output_mode == SPIKE_COUNT
+    hidden = l < net.spec.num_weight_layers - 1
     params = net.params[l]
     alpha = dt(params.alpha)
     gain = dt((1.0 - params.alpha) / params.capacitance)
     batch, n = dl_dscores.shape[0], net.spec.layer_sizes[l + 1]
     di = np.empty((T - 1, batch, n))
     du = np.zeros((batch, n), dtype=dt)
-    spiking = _is_spiking(l, L, spike_count_readout)
-    if spiking and l < L - 1:
+    if hidden:
         slopes = transport.sent_slopes(trace.u[l], params, trace.sent[l + 1])
-    elif spiking:
-        slopes = transport.slope(trace.u[l], params)
 
     for t in range(T - 1, -1, -1):
-        u_t = trace.u[l][t]
-        if l == L - 1 and not spike_count_readout:
+        if not hidden:
             du = du + dl_dscores
         if t:
             di[T - 1 - t] = gain * du
 
-        if spiking:
-            if l < L - 1:
-                # The last step's spikes reach no current.
-                ds = ds_in[t] if t < T - 1 else np.zeros_like(u_t)
-            else:
-                ds = np.zeros_like(u_t) + dl_dscores
+        if hidden:
+            u_t = trace.u[l][t]
+            # The last step's spikes reach no current.
+            ds = ds_in[t] if t < T - 1 else np.zeros_like(u_t)
             if reset_grad:
                 ds = ds + (-alpha) * u_t * du
             du = alpha * (dt(1) - trace.spikes[l][t]) * du + slopes[t] * ds
@@ -520,16 +502,13 @@ def train_epoch(
     mode: str = DENSE,
     drop_seed: int = 0,
     epoch_index: int = 0,
-    shuffle: bool = True,
     reset_grad: bool = True,
     force_spikes: bool = False,
 ) -> EpochMetrics:
     """One pass over `dataset` (a SpikeDataset or anything with the same
     minibatches() signature), updating the network in place."""
     spec = net.spec
-    order_rng = (
-        np.random.default_rng((drop_seed, epoch_index, 0xE90C)) if shuffle else None
-    )
+    order_rng = np.random.default_rng((drop_seed, epoch_index, 0xE90C))
     stride = spec.num_timesteps * spec.num_weight_layers
     losses = []
     correct = 0

@@ -8,7 +8,6 @@ The on-disk format (ESF) is deliberately tiny and bit-exact:
     4 bytes   uint32 LE  label
     then num_events records of (uint32 LE timestamp_us, uint32 LE channel)
 
-Duration is not stored; it is derived as max timestamp + 1 on load.
 Generated datasets are one ESF file per sample plus a manifest CSV with
 columns (path, label).
 """
@@ -36,7 +35,6 @@ class EventStream:
     channels: np.ndarray
     num_channels: int
     label: int
-    duration_us: int = 0
 
     def __post_init__(self):
         self.times_us = np.asarray(self.times_us, dtype=np.uint32)
@@ -49,7 +47,6 @@ class EventStream:
             order = np.argsort(self.times_us, kind="stable")
             self.times_us = self.times_us[order]
             self.channels = self.channels[order]
-            self.duration_us = max(self.duration_us, int(self.times_us[-1]) + 1)
 
     @property
     def num_events(self) -> int:
@@ -183,7 +180,6 @@ def synth_pattern_dataset(
                     channels=chans.astype(np.uint32),
                     num_channels=input_size,
                     label=label,
-                    duration_us=num_timesteps * bin_width_us,
                 )
             )
     return streams

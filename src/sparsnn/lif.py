@@ -21,10 +21,6 @@ import numpy as np
 
 from .errors import ConfigError, ContractViolation
 
-MEMBRANE_SUM = "membrane-sum-readout"
-SPIKE_COUNT = "spike-count-readout"
-OUTPUT_MODES = (MEMBRANE_SUM, SPIKE_COUNT)
-
 
 @dataclass(frozen=True)
 class LifParams:
@@ -121,7 +117,6 @@ class NetworkSpec:
     sparse_sizes: tuple
     batch_size: int
     num_timesteps: int
-    output_mode: str = MEMBRANE_SUM
 
     def __post_init__(self):
         object.__setattr__(self, "layer_sizes", tuple(int(n) for n in self.layer_sizes))
@@ -144,8 +139,6 @@ class NetworkSpec:
                 )
         if self.batch_size < 1 or self.num_timesteps < 1:
             raise ConfigError("batch_size and num_timesteps must be >= 1")
-        if self.output_mode not in OUTPUT_MODES:
-            raise ConfigError(f"unknown output mode {self.output_mode!r}")
 
     @property
     def num_weight_layers(self) -> int:

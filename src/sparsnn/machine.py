@@ -141,8 +141,9 @@ def map_neurons(
     neurons on every occupied tile (the last may be partial).
 
     With `layer_chips`, each weight layer is pinned to the given chip and
-    packing restarts per chip (used for weak scaling). Raises
-    OutOfTileMemory when any tile's byte estimate exceeds its SRAM.
+    packing restarts per chip (used for weak scaling); without it, a chip
+    left with no neuron raises ConfigError. Raises OutOfTileMemory when any
+    tile's byte estimate exceeds its SRAM.
     """
     if neurons_per_tile < 1:
         raise ConfigError("neurons_per_tile must be >= 1")
@@ -158,6 +159,12 @@ def map_neurons(
             raise ConfigError(
                 f"{idx} neurons at {neurons_per_tile}/tile exceed "
                 f"{machine.num_tiles} tiles"
+            )
+        filled = int(tile_of_neuron[-1][-1]) // machine.tiles_per_chip + 1
+        if filled < machine.num_chips:
+            raise ConfigError(
+                f"{idx} neurons at {neurons_per_tile}/tile fill {filled} of "
+                f"{machine.num_chips} chips; packing leaves the rest empty"
             )
     else:
         if len(layer_chips) != len(sizes):

@@ -87,13 +87,7 @@ def _array_entry(name: str, arr: np.ndarray, payloads: list) -> dict:
     return {"name": name, "dtype": str(arr.dtype), "shape": list(arr.shape)}
 
 
-def save_checkpoint(
-    path,
-    net: Network,
-    optimizer_state=None,
-    seed: int = 0,
-    extra: dict | None = None,
-) -> None:
+def save_checkpoint(path, net: Network, optimizer_state=None, seed: int = 0) -> None:
     """Write network, optimizer state and RNG seed to `path`."""
     from .optim import optimizer_state_to_dict
 
@@ -104,7 +98,6 @@ def save_checkpoint(
         "seed": int(seed),
         "layers": [],
         "optimizer": None,
-        "extra": extra or {},
     }
     for k, (w, p) in enumerate(zip(net.weights, net.params)):
         arrays.append(_array_entry(f"w{k}", w.w, payloads))
@@ -129,7 +122,7 @@ def save_checkpoint(
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (Network, optimizer_state, seed, extra).
+    """Read a checkpoint; returns (Network, optimizer_state, seed).
 
     Any malformed file (truncated anywhere, a header that is not UTF-8
     JSON or lacks a key, bytes after the last array) raises
@@ -173,7 +166,7 @@ def load_checkpoint(path):
 
 
 def _restore(meta: dict, data: dict):
-    """(Network, optimizer_state, seed, extra) from a parsed checkpoint."""
+    """(Network, optimizer_state, seed) from a parsed checkpoint."""
     from .optim import optimizer_state_from_dict
 
     spec = NetworkSpec(**meta["spec"])
@@ -193,4 +186,4 @@ def _restore(meta: dict, data: dict):
     opt_state = None
     if meta["optimizer"] is not None:
         opt_state = optimizer_state_from_dict(meta["optimizer"], data)
-    return net, opt_state, meta["seed"], meta["extra"]
+    return net, opt_state, meta["seed"]

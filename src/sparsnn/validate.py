@@ -71,24 +71,17 @@ def check_gradients(
     return GradCheckResult(max_rel_err=max(per_layer), per_layer=per_layer)
 
 
-def random_tiny_net(
-    seed: int,
-    max_hidden_layers: int = 2,
-    max_neurons: int = 8,
-    output_mode: str = "membrane-sum-readout",
-) -> tuple:
-    """A small random network plus matching random inputs/labels.
+def random_tiny_net(seed: int) -> tuple:
+    """A small random network (one or two hidden layers; input and hidden
+    layers of 2 to 8 neurons) plus matching random inputs/labels.
 
     The time horizon leaves room for signals to cross every layer (each
     hop costs two steps: current storage, then membrane integration).
     """
     rng = np.random.default_rng(seed)
-    hidden = [
-        2 * int(rng.integers(1, max_neurons // 2 + 1))
-        for _ in range(int(rng.integers(1, max_hidden_layers + 1)))
-    ]
+    hidden = [2 * int(rng.integers(1, 5)) for _ in range(int(rng.integers(1, 3)))]
     num_classes = int(rng.integers(2, 5))
-    layers = [2 * int(rng.integers(1, max_neurons // 2 + 1))] + hidden + [num_classes]
+    layers = [2 * int(rng.integers(1, 5))] + hidden + [num_classes]
     T = 2 * len(layers) + int(rng.integers(2, 5))
     batch = int(rng.integers(2, 5))
     spec = NetworkSpec(
@@ -96,7 +89,6 @@ def random_tiny_net(
         sparse_sizes=layers[:-1],
         batch_size=batch,
         num_timesteps=T,
-        output_mode=output_mode,
     )
     net = init_network(
         spec,

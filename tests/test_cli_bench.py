@@ -110,6 +110,13 @@ def _second_file_wider(data):
     write_events(EventStream([0], [16], num_channels=17, label=0), data / "sample_00001.esf")
 
 
+def _first_file_channels_bit31(data):
+    path = data / "sample_00000.esf"
+    raw = bytearray(path.read_bytes())
+    raw[11] ^= 0x80  # bit 31 of the little-endian num_channels at bytes 8..11
+    path.write_bytes(bytes(raw))
+
+
 def _manifest_not_utf8(data):
     (data / "manifest.csv").write_bytes(b"path,label\nsample_\xff.esf,0\n")
 
@@ -126,6 +133,8 @@ TRAIN = ["train", "--data", "{data}", "--layers", "16,8,2", "--batch-size", "2",
     pytest.param(_header_only_manifest, TRAIN, 3, "lists no samples", id="header_only_manifest"),
     pytest.param(_second_file_wider, TRAIN, 3, "has 17 channels, the first file 16",
                  id="channel_count_differs"),
+    pytest.param(_first_file_channels_bit31, TRAIN, 3, "the first file 2147483664",
+                 id="channel_count_bit31"),
     pytest.param(_manifest_not_utf8, TRAIN, 3, "not UTF-8", id="manifest_not_utf8"),
     pytest.param(None, TRAIN + ["--timesteps", "-1"], 2, "at least one timestep",
                  id="negative_timesteps"),
@@ -135,6 +144,8 @@ TRAIN = ["train", "--data", "{data}", "--layers", "16,8,2", "--batch-size", "2",
                  id="gradcheck_no_nets"),
     pytest.param(_config_choice, ["bench", "--config", "{data}/run.cfg"], 2,
                  "sweep='everything' not one of", id="config_value_not_a_choice"),
+    pytest.param(None, ["simulate", "--chips", "2"], 2, "fill 1 of 2 chips",
+                 id="simulate_chips_left_empty"),
 ])
 def test_bad_input_exits_with_code(tmp_path, capsys, corrupt, argv, code, message):
     data = _gen_data(tmp_path / "data")
@@ -146,6 +157,14 @@ def test_bad_input_exits_with_code(tmp_path, capsys, corrupt, argv, code, messag
     err = capsys.readouterr().err
     assert err.startswith(("config error:", "data error:")) and message in err
     assert "Traceback" not in err
+
+
+def test_failed_gradcheck_exits_1(capsys):
+    # No backward pass matches finite differences to 1e-300.
+    assert cli.main(["gradcheck", "--nets", "1", "--tolerance", "1e-300"]) == 1
+    captured = capsys.readouterr()
+    assert "FAIL max_rel_err=" in captured.out
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_simulate_out_of_tile_memory_exits_4(tmp_path, capsys):

@@ -14,7 +14,7 @@ from sparsnn.engine import (
 )
 from sparsnn.errors import ConfigError
 from sparsnn.events import SpikeDataset
-from sparsnn.lif import MEMBRANE_SUM, SPIKE_COUNT, NetworkSpec, membrane_update, surrogate
+from sparsnn.lif import NetworkSpec, membrane_update, surrogate
 from sparsnn.model import Network, init_network
 from sparsnn.optim import AdamState, SgdState
 from sparsnn.rng import DropRng
@@ -22,7 +22,7 @@ from sparsnn.sparse import decode_to_dense
 from sparsnn.validate import check_gradients, random_tiny_net
 
 
-def exactness_net(seed, layers, T, batch, output_mode=MEMBRANE_SUM):
+def exactness_net(seed, layers, T, batch):
     """Network in the include-everything regime: capacities equal to layer
     sizes, secondary threshold low enough to retain every neuron."""
     spec = NetworkSpec(
@@ -30,7 +30,6 @@ def exactness_net(seed, layers, T, batch, output_mode=MEMBRANE_SUM):
         sparse_sizes=layers[:-1],
         batch_size=batch,
         num_timesteps=T,
-        output_mode=output_mode,
     )
     return init_network(
         spec, seed=seed, alpha=0.85, threshold=1.0, grad_threshold=-1e6, beta=10.0,
@@ -72,13 +71,6 @@ class TestForward:
         )
         for t in range(4):
             assert np.all(trace.sent[1][t].num_spikes == 6)
-
-    def test_spike_count_readout_scores_are_counts(self):
-        net = exactness_net(3, [4, 6, 3], T=6, batch=2, output_mode=SPIKE_COUNT)
-        rng = np.random.default_rng(0)
-        inputs = random_inputs(rng, 2, 6, 4, density=0.8)
-        trace, scores = forward_pass(net, inputs)
-        assert np.array_equal(scores, trace.spikes[1].sum(axis=0))
 
     def test_input_shape_validated(self):
         net = exactness_net(0, [4, 6, 3], T=5, batch=2)
@@ -337,13 +329,6 @@ class TestGradientChecks:
             res = check_gradients(net, inputs, labels)
             worst = max(worst, res.max_rel_err)
         assert worst < 1e-3
-
-    def test_fd_agreement_spike_count(self):
-        for seed in (100, 101):
-            net, inputs, labels = random_tiny_net(
-                seed, output_mode=SPIKE_COUNT
-            )
-            assert check_gradients(net, inputs, labels).max_rel_err < 1e-3
 
     def test_relaxed_recovers_hard_scores_at_large_beta(self):
         net, inputs, labels = random_tiny_net(7)

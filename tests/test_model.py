@@ -21,10 +21,9 @@ class TestCheckpoint:
         opt = AdamState(lr=2e-3)
         adam_step(net.weight_arrays(), [0.1 * w.w for w in net.weights], opt)
         path = tmp_path / "ck.bin"
-        save_checkpoint(path, net, opt, seed=77, extra={"note": "x"})
-        net2, opt2, seed, extra = load_checkpoint(path)
+        save_checkpoint(path, net, opt, seed=77)
+        net2, opt2, seed = load_checkpoint(path)
         assert seed == 77
-        assert extra == {"note": "x"}
         for a, b in zip(net.weights, net2.weights):
             assert np.array_equal(a.w, b.w)
         for a, b in zip(net.params, net2.params):
@@ -45,7 +44,7 @@ class TestCheckpoint:
         net = small_net(3)
         path = tmp_path / "ck.bin"
         save_checkpoint(path, net, None, seed=0)
-        net2, _, _, _ = load_checkpoint(path)
+        net2, _, _ = load_checkpoint(path)
         rng = np.random.default_rng(0)
         x = (rng.random((2, 4, 6)) < 0.5).astype(np.float32)
         _, s1 = forward_pass(net, x)
@@ -80,6 +79,12 @@ def _drop_meta_key(raw, key):
     return _with_header(raw, json.dumps(meta, sort_keys=True).encode())
 
 
+def _with_spec_key(raw, key, value):
+    meta = json.loads(raw[12:12 + _hlen(raw)])
+    meta["spec"][key] = value
+    return _with_header(raw, json.dumps(meta, sort_keys=True).encode())
+
+
 def _first_array_bytes(raw):
     meta = json.loads(raw[12:12 + _hlen(raw)])
     first = meta["arrays"][0]
@@ -89,7 +94,8 @@ def _first_array_bytes(raw):
 # Each case turns a valid checkpoint's bytes into corrupt ones: cut at each
 # region boundary (magic, length field, header, first array, last array),
 # one byte added, the header length off by one either way or far too
-# large, and headers that are not UTF-8, not JSON or lack a key.
+# large, headers that are not UTF-8, not JSON or lack a key, and a spec
+# that still names the deleted readout option.
 CORRUPTIONS = {
     "empty": lambda raw: b"",
     "half_magic": lambda raw: raw[:4],
@@ -112,6 +118,7 @@ CORRUPTIONS = {
     "no_arrays": lambda raw: _drop_meta_key(raw, "arrays"),
     "no_optimizer": lambda raw: _drop_meta_key(raw, "optimizer"),
     "no_seed": lambda raw: _drop_meta_key(raw, "seed"),
+    "spec_output_mode": lambda raw: _with_spec_key(raw, "output_mode", "membrane-sum-readout"),
 }
 
 
