@@ -30,17 +30,36 @@ payloads of steps 0..T-2 (the current of step t + 1 is driven by the
 payload of step t), then runs the layer's LIF loop over t. The backward
 pass sweeps the top layer first, each layer in reverse time, and then
 makes one input-gradient call for the layer below; before it sweeps a
-hidden layer it forms its spike slopes of all T steps in one call. The
-last step's payload drives nothing, so no kernel reads it and its dL/dI,
-which is zero, is never formed. Stacked rows are t-major; in the backward pass they
-are in sweep order (t = T-2..0, then b ascending).
+hidden layer it forms the spike slopes of the steps it sweeps. Stacked
+rows are t-major; in the backward pass they are in sweep order (t
+descending, then b ascending).
 
-Weight gradients accumulate over all timesteps in float64 and are rounded
-once at the end: one call per layer, on the stacked (dL/dI, payload)
-rows in sweep order. Every sparse element receives the same adds in the
-same order as a per-step sweep would give it; the dense gradient is one
-product over all (T-1)*B rows. They are accumulated after the sweep, when
-the weight copies are gone, one float64 accumulator at a time.
+The last step's payload drives nothing, and each layer adds a one-step
+delay, so dL/dI is exactly zero on a tail of steps and the backward pass
+does no work there. Call dL/dI[t] of weight layer l live if t <= live(l):
+the readout's dL/dI is live on steps 1..T-1, and a hidden layer has
+live(l) = max(live(l + 1) - 2, 0). One step is lost because dL/dS[t]
+comes from the dL/dI[t + 1] of the layer above, the other because
+dL/dI[t] drives the membrane of step t + 1, so it sees only the dL/dS of
+steps after t. The kernels get only the live rows and the payloads of
+steps live(l)-1..0, and a layer with no live step makes no kernel call.
+This is exact: on the dead steps du starts at +0.0 and stays
++0.0 (a +0.0 term plus a signed zero is +0.0), so a dead row is +0.0 and
+adds only zeros to sums that start at +0.0, which leaves them unchanged.
+One caveat: the dense weight gradient is one BLAS product, which may cut
+a long sum over rows into blocks at points set by the row count. A few
+hundred float32 dL/dI values sum exactly in float64 unless their
+magnitudes span more than about 2^20, so the float32 transports do not
+see the regrouping; the float64 relaxed transport can change in the last
+bit once a layer has more rows than a block (seen at 48 x 9 rows, never
+at gradient-check sizes).
+
+Weight gradients accumulate over all live steps in float64 and are
+rounded once at the end: one call per layer, on the stacked (dL/dI,
+payload) rows in sweep order. Every sparse element receives the same adds
+in the same order as a per-step sweep would give it; the dense gradient
+is one product over all live(l)*B rows. They are accumulated after the
+sweep, when the weight copies are gone, one float64 accumulator at a time.
 
 A transport holds one float64 copy of every weight matrix, in the layout
 its kernels read: W for dense and relaxed, the C-contiguous transpose Wᵀ
@@ -158,10 +177,14 @@ class DenseTransport:
         )
 
     def sent_slopes(self, u, params, payloads):
-        """Spike slopes of a hidden layer at every step, (T, B, n), from its
-        (T, B, n) membranes and the payloads it sent; a dense payload sends
-        every slope."""
-        return surrogate(u - params.threshold, params.beta)
+        """Spike slopes of a hidden layer at a run of steps, (steps, B, n),
+        from its membranes and the payloads it sent at those steps; a dense
+        payload sends every slope. One step at a time, so that the
+        temporaries stay small."""
+        slopes = np.empty_like(u)
+        for k, u_t in enumerate(u):
+            slopes[k] = surrogate(u_t - params.threshold, params.beta)
+        return slopes
 
     def weight_grad(self, dl_di, payloads, dl_dw_acc):
         dense_weight_grad(dl_di, self.stack(payloads), dl_dw_acc)
@@ -378,6 +401,11 @@ def backward_pass(
 
     `reset_grad` routes gradients through the (1 - S) reset factor using
     the spike slope; the relaxed transport always takes the reset path.
+
+    Only live steps get work (module docstring): weight layer l's dL/dI is
+    swept, and read by its kernels, on steps live..1 with live = T - 1 at
+    the readout and two fewer at each layer below it, down to 0. A layer
+    with no live step makes no kernel call, and its gradient is zero.
     """
     spec = net.spec
     transport = trace.transport
@@ -390,64 +418,71 @@ def backward_pass(
 
     transport.load(net.weights)
     dl_di = [None] * L
+    live = [0] * L
     ds = None  # dL/dS of the layer being swept, from the layer above
     for l in range(L - 1, -1, -1):
-        dl_di[l] = _sweep_layer(net, trace, l, ds, dl_dscores, reset_grad)
+        live[l] = T - 1 if l == L - 1 else max(live[l + 1] - 2, 0)
+        if live[l]:
+            dl_di[l] = _sweep_layer(net, trace, l, live[l], ds, dl_dscores, reset_grad)
         ds = None  # freed before the next input-grad call allocates
-        if l > 0 and T > 1:
+        if l > 0 and live[l]:
             ds = transport.input_grad(
-                l, dl_di[l], net.weights[l], trace.sent[l][: T - 1][::-1]
-            ).reshape(T - 1, batch, -1)[::-1]
+                l, dl_di[l], net.weights[l], trace.sent[l][: live[l]][::-1]
+            ).reshape(live[l], batch, -1)[::-1]
         transport.w64[l] = None  # read by no later call
 
     transport.release()
     grads = []
     for l, w in enumerate(net.weights):
         acc = np.zeros(w.w.shape, order=transport.acc_order)
-        if T > 1:
-            transport.weight_grad(dl_di[l], trace.sent[l][: T - 1][::-1], acc)
+        if live[l]:
+            transport.weight_grad(dl_di[l], trace.sent[l][: live[l]][::-1], acc)
         dl_di[l] = None
         grads.append(acc.astype(dt, order="C"))
     return grads
 
 
-def _sweep_layer(net, trace, l, ds_in, dl_dscores, reset_grad) -> np.ndarray:
-    """Reverse-time sweep of weight layer l's neurons.
+def _sweep_layer(net, trace, l, live, ds_in, dl_dscores, reset_grad) -> np.ndarray:
+    """Reverse-time sweep of weight layer l's neurons over its live steps.
 
-    `ds_in[t]` is dL/dS[t] from the layer above for t < T-1 (None for the
-    readout layer). Returns dL/dI of steps T-1..1 in sweep order, as one
-    float64 ((T-1)*B, n) matrix: row block k pairs with the payload of
-    step T-2-k, which drove the current of step T-1-k. It is cast once
+    `ds_in[t]` is dL/dS[t] from the layer above for t < live + 2 (None for
+    the readout layer). Returns dL/dI of steps live..1 in sweep order, as
+    one float64 (live*B, n) matrix: row block k pairs with the payload of
+    step live-1-k, which drove the current of step live-k. It is cast once
     here because both of the layer's gradient kernels read it in float64.
+
+    dL/dI[t] is gain * du[t + 1]. Iteration t of the loop applies what
+    step t adds to du and records one row. At the readout du is du[t + 1]
+    (the scores sum the membrane after the step-t update) and the row is
+    dL/dI[t]. At a hidden layer du is du[t], once dL/dS[t] has arrived, and
+    the row is dL/dI[t - 1]; du is +0.0 until dL/dS[live + 1], the last row
+    of `ds_in`, so the sweep starts there from +0.0, the exact value a
+    sweep from step T - 1 reaches, and stops at step 2.
     """
     transport = trace.transport
     dt = transport.dtype
-    T = trace.num_timesteps
     hidden = l < net.spec.num_weight_layers - 1
     params = net.params[l]
     alpha = dt(params.alpha)
     gain = dt((1.0 - params.alpha) / params.capacitance)
     batch, n = dl_dscores.shape[0], net.spec.layer_sizes[l + 1]
-    di = np.empty((T - 1, batch, n))
+    di = np.empty((live, batch, n))
     du = np.zeros((batch, n), dtype=dt)
+    lag = int(hidden)  # steps from an update to the dL/dI it completes
     if hidden:
-        slopes = transport.sent_slopes(trace.u[l], params, trace.sent[l + 1])
+        swept = slice(2, live + 2)
+        slopes = transport.sent_slopes(trace.u[l][swept], params, trace.sent[l + 1][swept])
 
-    for t in range(T - 1, -1, -1):
-        if not hidden:
-            du = du + dl_dscores
-        if t:
-            di[T - 1 - t] = gain * du
-
+    for k, t in enumerate(range(live + lag, lag, -1)):
         if hidden:
             u_t = trace.u[l][t]
-            # The last step's spikes reach no current.
-            ds = ds_in[t] if t < T - 1 else np.zeros_like(u_t)
+            ds = ds_in[t]
             if reset_grad:
                 ds = ds + (-alpha) * u_t * du
-            du = alpha * (dt(1) - trace.spikes[l][t]) * du + slopes[t] * ds
+            du = alpha * (dt(1) - trace.spikes[l][t]) * du + slopes[t - 2] * ds
         else:
-            du = alpha * du
+            du = alpha * du + dl_dscores
+        di[k] = gain * du
     return di.reshape(-1, n)
 
 

@@ -1,5 +1,5 @@
 """Row-at-a-time reference for the sparse encoders, the drop keys and the
-sparse weight gradient.
+sparse weight gradient, and a full-length reference backward pass.
 
 These are the loop versions that the batch-vectorized `encode_sparse`,
 `encode_binary`, `DropRng.rank_keys` and `DropRng.subset` replaced. They
@@ -8,6 +8,10 @@ argsort, one row and one segment at a time; the vectorized code must give
 exactly the same ids, counts and gradient values. `sparse_weight_grad` is
 the row loop that the id-grouped kernel replaced; the kernel must give
 every accumulator element the same adds in the same order.
+`backward_pass` is the sweep over every timestep that the live-step
+backward pass replaced: it forms dL/dI of steps T-1..1 in every layer,
+dead ones included, and feeds all of them to the kernels; the engine must
+give the same gradients byte for byte.
 """
 
 import numpy as np
@@ -90,3 +94,64 @@ def sparse_weight_grad(dl_di, s_in, dl_dw_acc):
         ns = int(s_in.num_spikes[row])
         if ns:
             acc_t[s_in.ids[row, :ns]] += dl_di64[row]
+
+
+def backward_pass(net, trace, dl_dscores, reset_grad=True):
+    spec = net.spec
+    transport = trace.transport
+    dt = transport.dtype
+    reset_grad = reset_grad or transport.always_reset_grad
+    dl_dscores = np.asarray(dl_dscores, dtype=dt)
+    batch = dl_dscores.shape[0]
+    T = trace.num_timesteps
+    L = spec.num_weight_layers
+
+    transport.load(net.weights)
+    dl_di = [None] * L
+    ds = None
+    for l in range(L - 1, -1, -1):
+        dl_di[l] = _sweep_layer(net, trace, l, ds, dl_dscores, reset_grad)
+        ds = None
+        if l > 0 and T > 1:
+            ds = transport.input_grad(
+                l, dl_di[l], net.weights[l], trace.sent[l][: T - 1][::-1]
+            ).reshape(T - 1, batch, -1)[::-1]
+    transport.release()
+    grads = []
+    for l, w in enumerate(net.weights):
+        acc = np.zeros(w.w.shape, order=transport.acc_order)
+        if T > 1:
+            transport.weight_grad(dl_di[l], trace.sent[l][: T - 1][::-1], acc)
+        grads.append(acc.astype(dt, order="C"))
+    return grads
+
+
+def _sweep_layer(net, trace, l, ds_in, dl_dscores, reset_grad):
+    transport = trace.transport
+    dt = transport.dtype
+    T = trace.num_timesteps
+    hidden = l < net.spec.num_weight_layers - 1
+    params = net.params[l]
+    alpha = dt(params.alpha)
+    gain = dt((1.0 - params.alpha) / params.capacitance)
+    batch, n = dl_dscores.shape[0], net.spec.layer_sizes[l + 1]
+    di = np.empty((T - 1, batch, n))
+    du = np.zeros((batch, n), dtype=dt)
+    if hidden:
+        slopes = transport.sent_slopes(trace.u[l], params, trace.sent[l + 1])
+
+    for t in range(T - 1, -1, -1):
+        if not hidden:
+            du = du + dl_dscores
+        if t:
+            di[T - 1 - t] = gain * du
+
+        if hidden:
+            u_t = trace.u[l][t]
+            ds = ds_in[t] if t < T - 1 else np.zeros_like(u_t)
+            if reset_grad:
+                ds = ds + (-alpha) * u_t * du
+            du = alpha * (dt(1) - trace.spikes[l][t]) * du + slopes[t] * ds
+        else:
+            du = alpha * du
+    return di.reshape(-1, n)

@@ -1,8 +1,12 @@
 """Smoke tests of the benchmark protocol and the command line."""
 
 import csv
+import io
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -165,6 +169,51 @@ def test_failed_gradcheck_exits_1(capsys):
     captured = capsys.readouterr()
     assert "FAIL max_rel_err=" in captured.out
     assert "Traceback" not in captured.out + captured.err
+
+
+GEN_DATA = ["gen-data", "--classes", "2", "--input-size", "8", "--samples-per-class", "2"]
+
+
+def test_closed_stdout_exits_1(tmp_path, monkeypatch, capsys):
+    # A reader that went away, as in `sparsnn gen-data ... | head -0`.
+    read_fd, write_fd = os.pipe()
+
+    class ClosedPipe(io.TextIOBase):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return write_fd
+
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert cli.main([*GEN_DATA, "--out-dir", str(tmp_path)]) == 1
+        # stdout now points at devnull, so the flush at exit cannot fail.
+        assert os.path.samestat(os.fstat(write_fd), os.stat(os.devnull))
+    finally:
+        os.close(read_fd)
+        os.close(write_fd)
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "stdout was closed" in err
+
+
+def test_closed_stdout_exits_1_at_interpreter_exit(tmp_path):
+    # Buffered output too short to fill the buffer fails only when flushed,
+    # which without a flush in `cli.main` is at interpreter exit.
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "sparsnn.cli", *GEN_DATA, "--out-dir", str(tmp_path)],
+            stdout=write_fd, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_fd)
+    err = done.stderr.decode()
+    assert done.returncode == 1
+    assert err.count("\n") == 1 and "Traceback" not in err and "Exception" not in err
 
 
 def test_simulate_out_of_tile_memory_exits_4(tmp_path, capsys):

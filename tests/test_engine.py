@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import encode_oracle as oracle
 from sparsnn import engine
 from sparsnn.engine import (
     DENSE,
@@ -14,7 +17,7 @@ from sparsnn.engine import (
 )
 from sparsnn.errors import ConfigError
 from sparsnn.events import SpikeDataset
-from sparsnn.lif import NetworkSpec, membrane_update, surrogate
+from sparsnn.lif import LayerWeights, NetworkSpec, membrane_update, surrogate
 from sparsnn.model import Network, init_network
 from sparsnn.optim import AdamState, SgdState
 from sparsnn.rng import DropRng
@@ -205,11 +208,13 @@ class TestBackward:
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
 
+    # Live steps per weight layer of a [6, 8, 10, 3] net: T - 1 at the
+    # readout, two fewer at each layer below, down to 0. At T = 6 every
+    # layer is live; at T = 4 layer 0 is not; at T = 3 only the readout is.
+    LIVE = {6: [1, 3, 5], 4: [0, 1, 3], 3: [0, 0, 2]}
+
     @pytest.mark.parametrize("mode", [DENSE, SPARSE])
     def test_weight_grads_accumulate_per_layer_in_sweep_order(self, mode, monkeypatch):
-        net = exactness_net(5, [6, 8, 10, 3], T=4, batch=2)
-        inputs = random_inputs(np.random.default_rng(5), 2, 4, 6)
-        trace, scores = forward_pass(net, inputs, mode=mode, rng=DropRng(5))
         name = "sparse_weight_grad" if mode == SPARSE else "dense_weight_grad"
         original = getattr(engine, name)
         calls = []
@@ -219,28 +224,33 @@ class TestBackward:
             original(dl_di, s_in, dl_dw_acc)
 
         monkeypatch.setattr(engine, name, record)
-        backward_pass(net, trace, np.ones_like(scores))
-        T, B = trace.num_timesteps, 2
-        # One call per layer, after the weight copies are dropped; its rows
-        # are the payloads of steps T-2..0, the last step's never.
-        assert len(calls) == 3
-        for l, (dl_di, s_in, w64) in enumerate(calls):
-            assert w64 is None
-            assert dl_di.shape == ((T - 1) * B, net.spec.layer_sizes[l + 1])
-            swept = [trace.sent[l][t] for t in range(T - 2, -1, -1)]
-            if mode == SPARSE:
-                for key in ("ids", "num_spikes", "num_grads"):
-                    assert np.array_equal(
-                        getattr(s_in, key), np.concatenate([getattr(p, key) for p in swept])
-                    )
-            else:
-                assert np.array_equal(s_in, np.concatenate(swept))
+        B = 2
+        for T, live in self.LIVE.items():
+            net = exactness_net(5, [6, 8, 10, 3], T=T, batch=B)
+            inputs = random_inputs(np.random.default_rng(5), B, T, 6)
+            trace, scores = forward_pass(net, inputs, mode=mode, rng=DropRng(5))
+            calls.clear()
+            backward_pass(net, trace, np.ones_like(scores))
+            # One call per live layer, after the weight copies are dropped;
+            # its rows are dL/dI of steps live..1 and the payloads of steps
+            # live-1..0, the dead tail's never.
+            live_layers = [l for l in range(3) if live[l]]
+            assert len(calls) == len(live_layers)
+            for l, (dl_di, s_in, w64) in zip(live_layers, calls):
+                assert w64 is None
+                assert dl_di.shape == (live[l] * B, net.spec.layer_sizes[l + 1])
+                swept = [trace.sent[l][t] for t in range(live[l] - 1, -1, -1)]
+                if mode == SPARSE:
+                    for key in ("ids", "num_spikes", "num_grads"):
+                        assert np.array_equal(
+                            getattr(s_in, key), np.concatenate([getattr(p, key) for p in swept])
+                        )
+                else:
+                    assert np.array_equal(s_in, np.concatenate(swept))
 
     @pytest.mark.parametrize("mode", [DENSE, SPARSE])
     def test_one_kernel_call_per_layer_and_pass(self, mode, monkeypatch):
-        net = exactness_net(5, [6, 8, 10, 3], T=4, batch=2)
-        inputs = random_inputs(np.random.default_rng(5), 2, 4, 6)
-        T, B = 4, 2
+        B = 2
         prefix = "sparse_" if mode == SPARSE else "dense_"
         calls = {"forward_current": [], "input_grad": []}
         for kind, seen in calls.items():
@@ -252,33 +262,43 @@ class TestBackward:
                 return out
 
             monkeypatch.setattr(engine, prefix + kind, record)
-        trace, scores = forward_pass(net, inputs, mode=mode, rng=DropRng(5))
-        forward = calls["forward_current"]
-        assert len(forward) == 3
-        assert all(args[0] is w for (args, _), w in zip(forward, net.weights))
-        for l, ((_, s_in, *_), out) in enumerate(forward):
-            # The stacked payloads of steps 0..T-2 drive the currents of
-            # steps 1..T-1: u[t+1] integrates the current out[t-1].
-            sent = trace.sent[l][: T - 1]
-            if mode == SPARSE:
-                assert np.array_equal(s_in.ids, np.concatenate([p.ids for p in sent]))
-            else:
-                assert np.array_equal(s_in, np.concatenate(sent))
-            assert out.shape == ((T - 1) * B, net.spec.layer_sizes[l + 1])
-            u = trace.u[l]
-            s = trace.spikes[l] if trace.spikes[l] is not None else np.zeros_like(u)
-            out = out.reshape(T - 1, B, -1).astype(u.dtype)
-            for t in range(1, T - 1):
-                assert np.array_equal(
-                    membrane_update(u[t], s[t], out[t - 1], net.params[l]), u[t + 1]
-                )
-        backward_pass(net, trace, np.ones_like(scores))
-        # One input-grad call per layer above the first, top layer first.
-        grads = calls["input_grad"]
-        assert len(grads) == 2
-        for (args, _), l in zip(grads, (2, 1)):
-            assert args[1] is net.weights[l]
-            assert args[0].shape == ((T - 1) * B, net.spec.layer_sizes[l + 1])
+        for T, live in self.LIVE.items():
+            net = exactness_net(5, [6, 8, 10, 3], T=T, batch=B)
+            inputs = random_inputs(np.random.default_rng(5), B, T, 6)
+            for seen in calls.values():
+                seen.clear()
+            trace, scores = forward_pass(net, inputs, mode=mode, rng=DropRng(5))
+            forward = calls["forward_current"]
+            assert len(forward) == 3
+            assert all(args[0] is w for (args, _), w in zip(forward, net.weights))
+            for l, ((_, s_in, *_), out) in enumerate(forward):
+                # The stacked payloads of steps 0..T-2 drive the currents of
+                # steps 1..T-1: u[t+1] integrates the current out[t-1].
+                sent = trace.sent[l][: T - 1]
+                if mode == SPARSE:
+                    assert np.array_equal(s_in.ids, np.concatenate([p.ids for p in sent]))
+                else:
+                    assert np.array_equal(s_in, np.concatenate(sent))
+                assert out.shape == ((T - 1) * B, net.spec.layer_sizes[l + 1])
+                u = trace.u[l]
+                s = trace.spikes[l] if trace.spikes[l] is not None else np.zeros_like(u)
+                out = out.reshape(T - 1, B, -1).astype(u.dtype)
+                for t in range(1, T - 1):
+                    assert np.array_equal(
+                        membrane_update(u[t], s[t], out[t - 1], net.params[l]), u[t + 1]
+                    )
+            backward_pass(net, trace, np.ones_like(scores))
+            # One input-grad call per live layer above the first, top layer
+            # first, on the live rows and the payloads of steps live-1..0.
+            grads = calls["input_grad"]
+            live_layers = [l for l in (2, 1) if live[l]]
+            assert len(grads) == len(live_layers)
+            for (args, _), l in zip(grads, live_layers):
+                assert args[1] is net.weights[l]
+                assert args[0].shape == (live[l] * B, net.spec.layer_sizes[l + 1])
+                if mode == SPARSE:
+                    swept = [trace.sent[l][t] for t in range(live[l] - 1, -1, -1)]
+                    assert np.array_equal(args[2].ids, np.concatenate([p.ids for p in swept]))
 
     @pytest.mark.parametrize("mode", [DENSE, SPARSE, RELAXED])
     def test_single_timestep_gives_zero_scores_and_gradients(self, mode):
@@ -370,6 +390,45 @@ class TestExactnessRegime:
             for a, b_ in zip(gd, gs):
                 denom = max(np.abs(a).max(), 1e-12)
                 assert np.abs(a - b_).max() / denom < 1e-6
+
+
+class TestLiveSteps:
+    """The backward pass that skips the dead tail gives the full-length
+    sweep's gradients byte for byte."""
+
+    @staticmethod
+    def _draw(seed, T, capped):
+        """A `random_tiny_net` draw run at T steps, its weights tripled so
+        that more layers spike; `capped` cuts every capacity to 2 ids, so
+        that rows overflow and drop."""
+        net, _, _ = random_tiny_net(seed)
+        weights = [LayerWeights(3 * w.w) for w in net.weights]
+        spec = net.spec
+        sizes = (2,) * len(spec.sparse_sizes) if capped else spec.sparse_sizes
+        spec = replace(spec, num_timesteps=T, sparse_sizes=sizes)
+        rng = np.random.default_rng((seed, T))
+        inputs = (rng.random((spec.batch_size, T, spec.input_size)) < 0.6).astype(np.float32)
+        upstream = rng.normal(size=(spec.batch_size, spec.output_size))
+        return Network(spec, weights, net.params), inputs, upstream
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 5, 10])
+    @pytest.mark.parametrize("case", ["dense", "sparse", "sparse_capped", "relaxed"])
+    def test_gradients_equal_full_sweep_byte_for_byte(self, case, T):
+        mode = case.split("_")[0]
+        dead_layers = 0
+        for seed in range(8):
+            net, inputs, upstream = self._draw(seed, T, capped=case == "sparse_capped")
+            trace, scores = forward_pass(net, inputs, mode=mode, rng=DropRng(seed))
+            upstream = upstream.astype(scores.dtype)
+            for reset_grad in (True, False):
+                got = backward_pass(net, trace, upstream, reset_grad=reset_grad)
+                want = oracle.backward_pass(net, trace, upstream, reset_grad=reset_grad)
+                for g, w in zip(got, want):
+                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+            L = net.spec.num_weight_layers
+            dead_layers += sum(T - 1 - 2 * (L - 1 - l) <= 0 for l in range(L))
+        # Every T but 10 leaves some draw's lower layers with no live step.
+        assert (dead_layers > 0) == (T < 10)
 
 
 class TestLoss:

@@ -211,6 +211,33 @@ class TestWeightGrad:
                 # -0.0 + -0.0 stays -0.0; a sum started from 0.0 would not.
                 assert np.signbit(acc[:, 28]).all() == (start == "random")
 
+    @pytest.mark.parametrize("n_post", [1, 2, 7])
+    @pytest.mark.parametrize("lead", [1, 5, 39])
+    def test_leading_zero_rows_change_no_byte(self, n_post, lead):
+        # The backward pass drops the dead rows at the head of a sweep:
+        # all-zero dL/dI rows, of either sign, that fire ids like any other.
+        # Adding them to an accumulator that holds no -0.0 changes nothing.
+        rng = np.random.default_rng(lead)
+        for s in self._edge_batches(rng):
+            b, n_pre = s.ids.shape
+            tail = SparseSpikeBatch(
+                ids=s.ids[lead:], num_spikes=s.num_spikes[lead:], num_grads=s.num_grads[lead:]
+            )
+            for start in ("zero", "random"):
+                acc = np.zeros((n_post, n_pre), order="F")
+                if start == "random":
+                    acc[:] = rng.normal(size=acc.shape) * 10.0 ** rng.uniform(-12, 12, acc.shape)
+                    acc[rng.random(acc.shape) < 0.2] = 0.0
+                want = acc.copy(order="K")
+                dl_di = rng.normal(size=(b, n_post)) * 10.0 ** rng.uniform(-12, 12, (b, n_post))
+                dl_di[rng.random(dl_di.shape) < 0.3] = -0.0
+                dl_di[:lead] = np.where(rng.random((lead, n_post)) < 0.5, 0.0, -0.0)
+                dl_di[0, 0] = -0.0
+                dl_di = dl_di.astype(np.float32)
+                sparse_weight_grad(dl_di, s, acc)
+                sparse_weight_grad(dl_di[lead:], tail, want)
+                assert acc.tobytes() == want.tobytes()
+
     def test_matches_dense_outer_product(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
