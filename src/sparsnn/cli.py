@@ -99,8 +99,6 @@ _OPTIONS = {
         **_COMMON,
         "sweep": (str, "sparsity", "which sweep", ("sparsity", "scaleup", "weak")),
         "preset": (str, "shd-2944", "architecture preset"),
-        "mode": (str, "fixed_activity", "activity regime",
-                 ("fixed_activity", "natural_activity")),
         "max_activity": (float, 0.05, "capacity fraction for scaleup/weak"),
         "activity_grid": (str, "1.0,0.5,0.2,0.1,0.05,0.02", "sparsity grid"),
         "per_tile_grid": (str, "2,4,8,16", "neurons-per-tile grid"),
@@ -302,7 +300,6 @@ def cmd_bench(opts: dict) -> int:
     out = _out_dir(opts)
     _echo_config(opts, out)
     config = BenchConfig(
-        mode=opts["mode"],
         max_activity=opts["max_activity"],
         preset=opts["preset"],
         batch_size=opts["batch_size"],

@@ -14,7 +14,10 @@ relaxed  dense with a smooth spike in float64; only used to validate the
 
 Transports return spike slopes and input gradients dense, zero outside
 the sent entries, so the backward pass, the literal adjoint of the forward
-program swept in reverse time, runs one recurrence for all of them:
+program swept in reverse time, runs one recurrence for all of them. Every
+transport computes the slopes from the membranes the trace records
+(`trace.u`); a sparse payload carries ids only, so the sparse transport
+keeps the slopes of its retained entries and zeroes the rest:
 
     du[t] = alpha * (1 - S[t]) * du[t+1] + h[t] * dS[t]
 
@@ -241,8 +244,7 @@ class SparseTransport(DenseTransport):
 
     @staticmethod
     def stack(payloads):
-        """One batch holding the rows of a sequence of batches, in order;
-        the kernels read no gradient values."""
+        """One batch holding the rows of a sequence of batches, in order."""
         return SparseSpikeBatch(
             ids=np.concatenate([p.ids for p in payloads]),
             num_spikes=np.concatenate([p.num_spikes for p in payloads]),
@@ -253,11 +255,14 @@ class SparseTransport(DenseTransport):
         return sparse_forward_current(w, self.stack(payloads), wt64=self.w64[l])
 
     def sent_slopes(self, u, params, payloads):
-        """The slopes the payloads carry, scattered in one call; zero
-        outside the sent entries."""
+        """The dense transport's slopes of the recorded membranes `u`, times
+        a mask of the entries the payloads retained (one scatter of ones):
+        the slope of a retained entry, and +0.0 elsewhere."""
+        slopes = super().sent_slopes(u, params, payloads)
         s = self.stack(payloads)
-        values = np.concatenate([p.grad_values for p in payloads])
-        return scatter_to_dense(s, values, s.num_grads, u.shape[-1]).reshape(u.shape)
+        ones = np.broadcast_to(np.float32(1.0), s.ids.shape)
+        slopes *= scatter_to_dense(s, ones, s.num_grads, u.shape[-1]).reshape(u.shape)
+        return slopes
 
     def weight_grad(self, dl_di, payloads, dl_dw_acc):
         sparse_weight_grad(dl_di, self.stack(payloads), dl_dw_acc)
@@ -538,7 +543,6 @@ def train_epoch(
     drop_seed: int = 0,
     epoch_index: int = 0,
     reset_grad: bool = True,
-    force_spikes: bool = False,
 ) -> EpochMetrics:
     """One pass over `dataset` (a SpikeDataset or anything with the same
     minibatches() signature), updating the network in place."""
@@ -556,14 +560,7 @@ def train_epoch(
         base = (epoch_index * MAX_BATCHES_PER_EPOCH + bi) * stride
         rng = DropRng(drop_seed, base) if mode == SPARSE else None
         loss, scores = train_step(
-            net,
-            frames,
-            labels,
-            opt_state,
-            mode,
-            rng,
-            reset_grad=reset_grad,
-            force_spikes=force_spikes,
+            net, frames, labels, opt_state, mode, rng, reset_grad=reset_grad
         )
         losses.append(loss)
         correct += int((scores.argmax(axis=1) == labels).sum())

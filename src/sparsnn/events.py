@@ -3,10 +3,13 @@
 The on-disk format (ESF) is deliberately tiny and bit-exact:
 
     8 bytes   magic "ESFv0001"
-    4 bytes   uint32 LE  num_channels
+    4 bytes   uint32 LE  num_channels, at most MAX_CHANNELS (1 << 16)
     4 bytes   uint32 LE  num_events
     4 bytes   uint32 LE  label
     then num_events records of (uint32 LE timestamp_us, uint32 LE channel)
+
+The channel bound keeps a corrupt count from sizing the (T, num_channels)
+frames that binning allocates; the widest preset has 4608 channels.
 
 Generated datasets are one ESF file per sample plus a manifest CSV with
 columns (path, label).
@@ -25,6 +28,7 @@ import numpy as np
 from .errors import ConfigError, DataFormatError
 
 ESF_MAGIC = b"ESFv0001"
+MAX_CHANNELS = 1 << 16
 
 
 @dataclass
@@ -41,6 +45,10 @@ class EventStream:
         self.channels = np.asarray(self.channels, dtype=np.uint32)
         if self.times_us.shape != self.channels.shape:
             raise DataFormatError("times and channels lengths differ")
+        if self.num_channels > MAX_CHANNELS:
+            raise DataFormatError(
+                f"{self.num_channels} channels exceed the format's {MAX_CHANNELS}"
+            )
         if self.times_us.size and np.any(self.channels >= self.num_channels):
             raise DataFormatError("channel index out of range")
         if self.times_us.size:

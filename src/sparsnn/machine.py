@@ -140,49 +140,50 @@ def map_neurons(
     """Contiguous block assignment: layers in order, `neurons_per_tile`
     neurons on every occupied tile (the last may be partial).
 
-    With `layer_chips`, each weight layer is pinned to the given chip and
-    packing restarts per chip (used for weak scaling); without it, a chip
-    left with no neuron raises ConfigError. Raises OutOfTileMemory when any
-    tile's byte estimate exceeds its SRAM.
+    A layer is placed on a region of tiles, and packing continues where
+    the region's previous layer ended. Without `layer_chips` every layer's
+    region is the whole machine, and a chip left with no neuron raises
+    ConfigError; with it, each weight layer is pinned to the given chip
+    (used for weak scaling). Raises ConfigError when a region runs out of
+    tiles and OutOfTileMemory when any tile's byte estimate exceeds its
+    SRAM.
     """
     if neurons_per_tile < 1:
         raise ConfigError("neurons_per_tile must be >= 1")
     sizes = net.layer_sizes[1:]
-    tile_of_neuron = []
     if layer_chips is None:
-        idx = 0
-        for n in sizes:
-            ids = (np.arange(idx, idx + n) // neurons_per_tile).astype(np.int64)
-            tile_of_neuron.append(ids)
-            idx += n
-        if idx and int(tile_of_neuron[-1][-1]) >= machine.num_tiles:
-            raise ConfigError(
-                f"{idx} neurons at {neurons_per_tile}/tile exceed "
+        regions = [None] * len(sizes)  # None: the whole machine
+    elif len(layer_chips) != len(sizes):
+        raise ContractViolation("layer_chips must name one chip per weight layer")
+    else:
+        regions = layer_chips
+    tile_of_neuron = []
+    next_slot = {}
+    for n, chip in zip(sizes, regions):
+        if chip is None:
+            first, room = 0, machine.num_tiles
+            full = (
+                f"{sum(sizes)} neurons at {neurons_per_tile}/tile exceed "
                 f"{machine.num_tiles} tiles"
             )
+        elif 0 <= chip < machine.num_chips:
+            first, room = chip * machine.tiles_per_chip, machine.tiles_per_chip
+            full = f"chip {chip} out of tiles"
+        else:
+            raise ConfigError(f"chip {chip} out of range")
+        start = next_slot.get(chip, 0)
+        slots = np.arange(start, start + n)
+        if slots[-1] // neurons_per_tile >= room:
+            raise ConfigError(full)
+        tile_of_neuron.append((first + slots // neurons_per_tile).astype(np.int64))
+        next_slot[chip] = start + n
+    if layer_chips is None:
         filled = int(tile_of_neuron[-1][-1]) // machine.tiles_per_chip + 1
         if filled < machine.num_chips:
             raise ConfigError(
-                f"{idx} neurons at {neurons_per_tile}/tile fill {filled} of "
+                f"{sum(sizes)} neurons at {neurons_per_tile}/tile fill {filled} of "
                 f"{machine.num_chips} chips; packing leaves the rest empty"
             )
-    else:
-        if len(layer_chips) != len(sizes):
-            raise ContractViolation("layer_chips must name one chip per weight layer")
-        next_slot = {}
-        for n, chip in zip(sizes, layer_chips):
-            if not 0 <= chip < machine.num_chips:
-                raise ConfigError(f"chip {chip} out of range")
-            start = next_slot.get(chip, 0)
-            slots = np.arange(start, start + n)
-            if slots[-1] // neurons_per_tile >= machine.tiles_per_chip:
-                raise ConfigError(f"chip {chip} out of tiles")
-            tile_of_neuron.append(
-                (chip * machine.tiles_per_chip + slots // neurons_per_tile).astype(
-                    np.int64
-                )
-            )
-            next_slot[chip] = start + n
 
     per_tile = np.zeros(machine.num_tiles, dtype=np.int64)
     for k, ids in enumerate(tile_of_neuron):

@@ -48,7 +48,6 @@ def init_network(
     spec: NetworkSpec,
     seed: int,
     alpha: float = 0.9,
-    capacitance: float = 1.0,
     threshold: float = 1.0,
     grad_threshold: float = 0.75,
     beta: float = 10.0,
@@ -71,7 +70,6 @@ def init_network(
             LifParams.uniform(
                 n_post,
                 alpha=alpha,
-                capacitance=capacitance,
                 threshold=threshold,
                 grad_threshold=grad_threshold,
                 beta=beta,

@@ -1,12 +1,15 @@
 """Fixed-capacity sparse spike batches.
 
-A spike tensor of capacity n_max stores, per batch row, the indices of
-active neurons in two sorted segments: firing neurons first (membrane at
-or above the threshold), then gradient-only neurons (between the secondary
-threshold and the threshold). Two counters per row delimit the segments;
-unused slots hold the sentinel -1 (all-ones bit pattern) and are never
-read. When more neurons fire than fit, a uniform random subset is kept;
-firing neurons always win capacity over gradient-only ones.
+A spike tensor of capacity n_max is ids plus two counts per batch row:
+the indices of firing neurons (membrane at or above the threshold), then
+those of gradient-only neurons (between the secondary threshold and the
+threshold), each segment sorted, and the two counts that delimit the
+segments. Unused slots hold the sentinel -1 (all-ones bit pattern) and are
+never read. A batch carries no values: the spike slope that the backward
+pass needs is a function of the sending neuron's own membrane, which the
+forward trace records. When more neurons fire than fit, a uniform random
+subset is kept; firing neurons always win capacity over gradient-only
+ones.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, CorruptionError
-from .lif import LifParams, surrogate
+from .lif import LifParams
 from .rng import DropRng
 
 SENTINEL = np.int32(-1)
@@ -27,19 +30,16 @@ _SALT_GRADS = 1
 
 @dataclass
 class SparseSpikeBatch:
-    """ids: (B, n_max) int32, num_spikes/num_grads: (B,) int32,
-    grad_values: (B, n_max) float32 or None (forward-only batches).
+    """ids: (B, n_max) int32, num_spikes/num_grads: (B,) int32.
 
     Row layout: ids[:num_spikes] = firing neurons ascending,
     ids[num_spikes:num_grads] = gradient-only neurons ascending,
-    ids[num_grads:] = SENTINEL. grad_values holds the surrogate value
-    h(u - threshold) for every retained entry.
+    ids[num_grads:] = SENTINEL.
     """
 
     ids: np.ndarray
     num_spikes: np.ndarray
     num_grads: np.ndarray
-    grad_values: np.ndarray | None = None
 
     @property
     def n_max(self) -> int:
@@ -50,14 +50,11 @@ class SparseSpikeBatch:
         return self.ids.shape[0]
 
     @classmethod
-    def empty(cls, batch_size: int, n_max: int, with_grads: bool = False):
+    def empty(cls, batch_size: int, n_max: int):
         return cls(
             ids=np.full((batch_size, n_max), SENTINEL, dtype=np.int32),
             num_spikes=np.zeros(batch_size, dtype=np.int32),
             num_grads=np.zeros(batch_size, dtype=np.int32),
-            grad_values=(
-                np.zeros((batch_size, n_max), dtype=np.float32) if with_grads else None
-            ),
         )
 
     def validate(self) -> None:
@@ -101,19 +98,13 @@ def encode_sparse(
     """
     _check_capacity(n_max)
     u = np.asarray(u)
-    thr = params.threshold
-    fires = u >= thr
+    fires = u >= params.threshold
     spikes = rng.subset(fires, n_max, salt=_SALT_SPIKES)
     if not with_grads:
-        return _place(spikes, None, n_max)[0]
+        return _place(spikes, None, n_max)
     band = (u >= params.grad_threshold) & ~fires
     grads = rng.subset(band, n_max - spikes.sum(axis=1), salt=_SALT_GRADS)
-    out, rows, slots = _place(spikes, grads, n_max)
-    ids = out.ids[rows, slots]
-    out.grad_values[rows, slots] = surrogate(
-        u[rows, ids].astype(np.float32) - thr[ids], params.beta
-    )
-    return out
+    return _place(spikes, grads, n_max)
 
 
 def encode_binary(
@@ -122,22 +113,21 @@ def encode_binary(
     """Sparse-encode a binary spike frame (B, n); no gradient segment."""
     _check_capacity(n_max)
     frame = np.asarray(frame)
-    return _place(rng.subset(frame != 0, n_max, salt=_SALT_SPIKES), None, n_max)[0]
+    return _place(rng.subset(frame != 0, n_max, salt=_SALT_SPIKES), None, n_max)
 
 
-def _place(spikes: np.ndarray, grads: np.ndarray | None, n_max: int) -> tuple:
-    """(batch, rows, slots): the batch whose rows hold the set columns of
-    `spikes`, then those of `grads` (None: no gradient segment), each
-    ascending, and the row and slot of every entry it holds."""
+def _place(spikes: np.ndarray, grads: np.ndarray | None, n_max: int) -> SparseSpikeBatch:
+    """The batch whose rows hold the set columns of `spikes`, then those of
+    `grads` (None: no gradient segment), each ascending."""
     batch, n = spikes.shape
     both = spikes if grads is None else np.concatenate([spikes, grads], axis=1)
     rows, cols = np.divmod(np.flatnonzero(both), both.shape[1])
-    out = SparseSpikeBatch.empty(batch, n_max, with_grads=grads is not None)
+    out = SparseSpikeBatch.empty(batch, n_max)
     out.num_spikes[:] = np.bincount(rows[cols < n], minlength=batch)
     out.num_grads[:] = np.bincount(rows, minlength=batch)
     slots = np.arange(rows.size) - (np.cumsum(out.num_grads) - out.num_grads)[rows]
     out.ids[rows, slots] = cols % n
-    return out, rows, slots
+    return out
 
 
 def decode_to_dense(s: SparseSpikeBatch, n: int) -> np.ndarray:

@@ -5,7 +5,7 @@ These are the loop versions that the batch-vectorized `encode_sparse`,
 `encode_binary`, `DropRng.rank_keys` and `DropRng.subset` replaced. They
 draw keys from pure-Python integers and pick winners with a stable
 argsort, one row and one segment at a time; the vectorized code must give
-exactly the same ids, counts and gradient values. `sparse_weight_grad` is
+exactly the same ids and counts. `sparse_weight_grad` is
 the row loop that the id-grouped kernel replaced; the kernel must give
 every accumulator element the same adds in the same order.
 `backward_pass` is the sweep over every timestep that the live-step
@@ -16,7 +16,6 @@ give the same gradients byte for byte.
 
 import numpy as np
 
-from sparsnn.lif import surrogate
 from sparsnn.rng import _GOLDEN, _MASK64, _mix64_array, mix64
 from sparsnn.sparse import SparseSpikeBatch, _check_capacity
 
@@ -44,9 +43,8 @@ def subset(rng, row, candidates, keep, salt=0):
 def encode_sparse(u, params, n_max, rng, with_grads=True):
     _check_capacity(n_max)
     u = np.asarray(u)
-    thr = params.threshold
-    out = SparseSpikeBatch.empty(u.shape[0], n_max, with_grads)
-    spike_mask = u >= thr
+    out = SparseSpikeBatch.empty(u.shape[0], n_max)
+    spike_mask = u >= params.threshold
     grad_mask = (u >= params.grad_threshold) & ~spike_mask if with_grads else None
     for row in range(u.shape[0]):
         spike_ids = np.flatnonzero(spike_mask[row]).astype(np.int32)
@@ -64,18 +62,13 @@ def encode_sparse(u, params, n_max, rng, with_grads=True):
             out.ids[row, ns:ng] = grad_ids
         out.num_spikes[row] = ns
         out.num_grads[row] = ng
-        if with_grads and ng:
-            kept = out.ids[row, :ng]
-            out.grad_values[row, :ng] = surrogate(
-                u[row, kept].astype(np.float32) - thr[kept], params.beta
-            )
     return out
 
 
 def encode_binary(frame, n_max, rng):
     _check_capacity(n_max)
     frame = np.asarray(frame)
-    out = SparseSpikeBatch.empty(frame.shape[0], n_max, with_grads=False)
+    out = SparseSpikeBatch.empty(frame.shape[0], n_max)
     for row in range(frame.shape[0]):
         ids = np.flatnonzero(frame[row]).astype(np.int32)
         if len(ids) > n_max:

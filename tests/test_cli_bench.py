@@ -106,6 +106,15 @@ def test_threads_option_is_gone(tmp_path):
     assert cli.main(["gen-data", "--config", str(config), "--out-dir", str(tmp_path)]) == 2
 
 
+def test_bench_mode_option_is_gone(tmp_path):
+    # The sparsity sweep runs both activity regimes itself; no other sweep
+    # reads one.
+    assert cli.main(["bench", "--mode", "fixed_activity", "--out-dir", str(tmp_path)]) == 2
+    config = tmp_path / "run.cfg"
+    config.write_text("mode=fixed_activity\n")
+    assert cli.main(["bench", "--config", str(config), "--out-dir", str(tmp_path)]) == 2
+
+
 def _header_only_manifest(data):
     (data / "manifest.csv").write_text("path,label\n")
 
@@ -137,7 +146,7 @@ TRAIN = ["train", "--data", "{data}", "--layers", "16,8,2", "--batch-size", "2",
     pytest.param(_header_only_manifest, TRAIN, 3, "lists no samples", id="header_only_manifest"),
     pytest.param(_second_file_wider, TRAIN, 3, "has 17 channels, the first file 16",
                  id="channel_count_differs"),
-    pytest.param(_first_file_channels_bit31, TRAIN, 3, "the first file 2147483664",
+    pytest.param(_first_file_channels_bit31, TRAIN, 3, "2147483664 channels exceed",
                  id="channel_count_bit31"),
     pytest.param(_manifest_not_utf8, TRAIN, 3, "not UTF-8", id="manifest_not_utf8"),
     pytest.param(None, TRAIN + ["--timesteps", "-1"], 2, "at least one timestep",

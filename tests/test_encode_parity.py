@@ -1,6 +1,6 @@
 """The batch-vectorized encoders and drop keys against their row-at-a-time
-reference (`encode_oracle`): the same ids, counts, gradient values and
-keys, bit for bit."""
+reference (`encode_oracle`): the same ids, counts and keys, bit for
+bit."""
 
 import numpy as np
 import pytest
@@ -19,10 +19,6 @@ def assert_same_batch(got, want):
     assert np.array_equal(got.ids, want.ids)
     assert np.array_equal(got.num_spikes, want.num_spikes)
     assert np.array_equal(got.num_grads, want.num_grads)
-    if want.grad_values is None:
-        assert got.grad_values is None
-    else:
-        assert np.array_equal(got.grad_values, want.grad_values)
 
 
 def test_rank_keys_equal_keys_row_by_row():

@@ -392,6 +392,35 @@ class TestExactnessRegime:
                 assert np.abs(a - b_).max() / denom < 1e-6
 
 
+class TestSparseSlopes:
+    @pytest.mark.parametrize("force_spikes", [False, True])
+    def test_slopes_are_surrogate_at_retained_entries_only(self, force_spikes):
+        # Capacity 4 of 10 and 12 ids: rows overflow and drop, and free
+        # dynamics also retain gradient-only entries. A batch carries ids
+        # only; the slope of every retained entry comes from the recorded
+        # membrane, and every other entry is +0.0.
+        spec = NetworkSpec((8, 10, 12, 3), (8, 4, 4), batch_size=3, num_timesteps=8)
+        net = init_network(spec, seed=2, grad_threshold=0.25, weight_gain=8.0)
+        inputs = random_inputs(np.random.default_rng(2), 3, 8, 8, density=0.6)
+        trace, _ = forward_pass(net, inputs, mode=SPARSE, rng=DropRng(2),
+                                force_spikes=force_spikes)
+        seen = {"dropped": 0, "gradient_only": 0}
+        for l in range(2):
+            params, u, sent = net.params[l], trace.u[l], trace.sent[l + 1]
+            got = trace.transport.sent_slopes(u, params, sent)
+            want = np.zeros_like(u)
+            for t, batch in enumerate(sent):
+                for b in range(spec.batch_size):
+                    ids = batch.ids[b, : batch.num_grads[b]]
+                    want[t, b, ids] = surrogate(u[t, b, ids] - params.threshold[ids], params.beta)
+                    seen["gradient_only"] += int(batch.num_grads[b] - batch.num_spikes[b])
+                kept = batch.num_grads.sum()
+                seen["dropped"] += int((u[t] >= params.grad_threshold).sum() - kept)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert seen["dropped"] > 0
+        assert (seen["gradient_only"] > 0) == (not force_spikes)
+
+
 class TestLiveSteps:
     """The backward pass that skips the dead tail gives the full-length
     sweep's gradients byte for byte."""

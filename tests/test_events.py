@@ -4,6 +4,7 @@ import pytest
 from sparsnn.errors import ConfigError, DataFormatError
 from sparsnn.events import (
     DATASET_PRESETS,
+    MAX_CHANNELS,
     EventStream,
     SpikeDataset,
     bin_events,
@@ -69,6 +70,19 @@ class TestEsfFormat:
         payload += struct.pack("<II", 10, 9)  # channel 9 >= 4
         path.write_bytes(payload)
         with pytest.raises(DataFormatError):
+            load_events(path)
+
+    def test_channel_count_is_bounded(self, tmp_path):
+        assert stream([], [], n=MAX_CHANNELS).num_channels == MAX_CHANNELS
+        assert MAX_CHANNELS >= max(p.input_size for p in DATASET_PRESETS.values())
+        with pytest.raises(DataFormatError, match="channels exceed"):
+            EventStream([], [], num_channels=2**31, label=0)
+        path = tmp_path / "a.esf"
+        write_events(stream([5, 1], [3, 0]), path)
+        raw = bytearray(path.read_bytes())
+        raw[11] ^= 0x80  # bit 31 of the little-endian num_channels at bytes 8..11
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataFormatError, match="2147483656 channels exceed"):
             load_events(path)
 
 

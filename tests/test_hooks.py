@@ -8,7 +8,9 @@ objects, so that it can tell layers apart by identity. The forward pass
 runs one layer at a time, so the calls come layer by layer (the input
 first), and each layer's calls come in time order:
 `perfbench/counts.py::step_activity` gives the k-th call of a layer to
-timestep k.
+timestep k. It reads the arguments of the engine's kernel calls and of
+`simulate_batch` by parameter name too, so renaming one of the names in
+`BOUND_BY_NAME` makes every benchmark step fail.
 """
 
 import inspect
@@ -16,6 +18,7 @@ import inspect
 import numpy as np
 import pytest
 
+import sparsnn
 from sparsnn import engine
 from sparsnn.lif import NetworkSpec
 from sparsnn.model import init_network
@@ -24,6 +27,29 @@ from sparsnn.rng import DropRng
 
 HOOKED = ("encode_sparse", "encode_binary", "threshold_spikes_dense")
 T = 3
+
+# Parameters that outside instrumentation binds by name, per function.
+BOUND_BY_NAME = {
+    engine.sparse_forward_current: ("w", "s_in"),
+    engine.sparse_weight_grad: ("dl_di", "s_in", "dl_dw_acc"),
+    engine.sparse_input_grad: ("dl_di", "w", "s_in"),
+    engine.dense_forward_current: ("w", "s_in"),
+    engine.dense_weight_grad: ("dl_di", "s_in", "dl_dw_acc"),
+    engine.dense_input_grad: ("dl_di", "w"),
+    engine.encode_sparse: ("u", "params", "n_max", "with_grads"),
+    engine.encode_binary: ("frame",),
+    engine.threshold_spikes_dense: ("u", "threshold"),
+    sparsnn.simulate_batch: ("mode", "grad_activity"),
+}
+
+
+@pytest.mark.parametrize("fn", BOUND_BY_NAME, ids=lambda fn: fn.__name__)
+def test_parameters_bound_by_name_keep_their_names(fn):
+    params = inspect.signature(fn).parameters
+    for name in BOUND_BY_NAME[fn]:
+        assert name in params, f"{fn.__name__} has no parameter {name!r}"
+        keyword = (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
+        assert params[name].kind in keyword, f"{fn.__name__}: {name!r} is positional-only"
 
 
 @pytest.fixture

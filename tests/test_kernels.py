@@ -19,12 +19,11 @@ from sparsnn.sparse import SparseSpikeBatch, decode_to_dense, encode_sparse
 
 
 def batch_from(ids_rows, n_max, num_spikes=None):
-    b = SparseSpikeBatch.empty(len(ids_rows), n_max, with_grads=True)
+    b = SparseSpikeBatch.empty(len(ids_rows), n_max)
     for r, ids in enumerate(ids_rows):
         b.ids[r, : len(ids)] = ids
         b.num_spikes[r] = len(ids) if num_spikes is None else num_spikes[r]
         b.num_grads[r] = len(ids)
-        b.grad_values[r, : len(ids)] = 1.0
     return b
 
 

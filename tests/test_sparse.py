@@ -3,7 +3,7 @@ import pytest
 from scipy import stats
 
 from sparsnn.errors import ConfigError, CorruptionError
-from sparsnn.lif import LifParams, surrogate, threshold_spikes_dense
+from sparsnn.lif import LifParams, threshold_spikes_dense
 from sparsnn.rng import DropRng
 from sparsnn.sparse import (
     SENTINEL,
@@ -36,19 +36,9 @@ class TestEncode:
         assert not out.num_grads.any()
         assert np.all(out.ids == SENTINEL)
 
-    def test_grad_values_are_surrogate_at_entries(self):
-        u = np.array([[1.2, 0.9, 0.85, 0.2]], dtype=np.float32)
-        p = params(4)
-        out = encode_sparse(u, p, 4, DropRng(0))
-        ng = out.num_grads[0]
-        ids = out.ids[0, :ng]
-        expect = surrogate(u[0, ids] - p.threshold[ids], p.beta)
-        np.testing.assert_array_equal(out.grad_values[0, :ng], expect)
-
     def test_without_grads(self):
         u = np.array([[1.2, 0.9, 0.85, 0.2]], dtype=np.float32)
         out = encode_sparse(u, params(4), 4, DropRng(0), with_grads=False)
-        assert out.grad_values is None
         assert out.num_grads[0] == out.num_spikes[0] == 1
 
     def test_overflow_keeps_uniform_subset(self):
@@ -81,7 +71,6 @@ class TestEncode:
         assert np.array_equal(a.ids, b.ids)
         assert np.array_equal(a.num_spikes, b.num_spikes)
         assert np.array_equal(a.num_grads, b.num_grads)
-        assert np.array_equal(a.grad_values, b.grad_values)
 
     def test_capacity_law_random_inputs(self):
         rng = np.random.default_rng(11)
