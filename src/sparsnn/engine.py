@@ -17,7 +17,7 @@ the sent entries, so the backward pass, the literal adjoint of the forward
 program swept in reverse time, runs one recurrence for all of them. Every
 transport computes the slopes from the membranes the trace records
 (`trace.u`); a sparse payload carries ids only, so the sparse transport
-keeps the slopes of its retained entries and zeroes the rest:
+computes the slopes of its retained entries only and zeroes the rest:
 
     du[t] = alpha * (1 - S[t]) * du[t+1] + h[t] * dS[t]
 
@@ -29,7 +29,7 @@ exact because the network is feedforward across layers, and drop
 decisions are a pure function of (seed, position, row, salt), so they do
 not depend on the order of the calls. The forward pass encodes all T input
 payloads, then for each layer makes one current call on the stacked
-payloads of steps 0..T-2 (the current of step t + 1 is driven by the
+payloads of its window (the current of step t + 1 is driven by the
 payload of step t), then runs the layer's LIF loop over t. The backward
 pass sweeps the top layer first, each layer in reverse time, and then
 makes one input-gradient call for the layer below; before it sweeps a
@@ -37,31 +37,48 @@ hidden layer it forms the spike slopes of the steps it sweeps. Stacked
 rows are t-major; in the backward pass they are in sweep order (t
 descending, then b ascending).
 
-The last step's payload drives nothing, and each layer adds a one-step
-delay, so dL/dI is exactly zero on a tail of steps and the backward pass
-does no work there. Call dL/dI[t] of weight layer l live if t <= live(l):
-the readout's dL/dI is live on steps 1..T-1, and a hidden layer has
-live(l) = max(live(l + 1) - 2, 0). One step is lost because dL/dS[t]
-comes from the dL/dI[t + 1] of the layer above, the other because
-dL/dI[t] drives the membrane of step t + 1, so it sees only the dL/dS of
-steps after t. The kernels get only the live rows and the payloads of
-steps live(l)-1..0, and a layer with no live step makes no kernel call.
-This is exact: on the dead steps du starts at +0.0 and stays
-+0.0 (a +0.0 term plus a signed zero is +0.0), so a dead row is +0.0 and
-adds only zeros to sums that start at +0.0, which leaves them unchanged.
-One caveat: the dense weight gradient is one BLAS product, which may cut
-a long sum over rows into blocks at points set by the row count. A few
-hundred float32 dL/dI values sum exactly in float64 unless their
-magnitudes span more than about 2^20, so the float32 transports do not
-see the regrouping; the float64 relaxed transport can change in the last
-bit once a layer has more rows than a block (seen at 48 x 9 rows, never
-at gradient-check sizes).
+One window per layer. Weight layer l gets kernel work only on payload
+steps first(l)..live(l)-1, and `_window` is the one place both passes
+read them from.
+- The head: `first` is the first of steps 0..T-2 whose payload holds a
+  spike (T - 1 if none does), read from the data, not from a rule: a
+  hidden layer cannot fire before its input has, but forced spikes and
+  thresholds <= 0 fire at step 0. A silent payload drives a current of
+  signed zeros, and a +0.0 membrane updated with a signed-zero current
+  stays +0.0, so the forward pass computes the currents of steps
+  first+1..T-1 only and leaves the earlier ones +0.0. A silent payload
+  adds nothing to the weight gradient either.
+- The tail: the last step's payload drives nothing, and each layer adds
+  a one-step delay, so dL/dI is exactly zero on a tail of steps. Call
+  dL/dI[t] of weight layer l live if t <= live(l): the readout's dL/dI is
+  live on steps 1..T-1, and a hidden layer has
+  live(l) = max(live(l + 1) - 2, 0). One step is lost because dL/dS[t]
+  comes from the dL/dI[t + 1] of the layer above, the other because
+  dL/dI[t] drives the membrane of step t + 1, so it sees only the dL/dS
+  of steps after t. On the dead steps du starts at +0.0 and stays +0.0
+  (a +0.0 term plus a signed zero is +0.0), so a dead row is +0.0.
+- Rows no sweep reads: the sweep of layer l - 1 stops at step 2, so it
+  reads the dL/dS of payload steps 2..live(l)-1 only, and the input
+  gradient is not formed for steps 0 and 1.
+So the sweep covers steps live..1, the weight gradient gets the first
+(live - first) * B of its rows with the payloads of steps live-1..first,
+and the input gradient the first (live - 2) * B rows with the payloads of
+steps live-1..2; a kernel with an empty window is not called. This is
+exact: the head and the tail leave out only zeros that would be added to
+sums that start at +0.0, which leaves them unchanged, and the input
+gradient leaves out only rows that nothing reads. One caveat: the dense kernels are BLAS products,
+which may cut a long sum over rows into blocks at points set by the row
+count. A few hundred float32 dL/dI values sum exactly in float64 unless
+their magnitudes span more than about 2^20, so the float32 transports do
+not see the regrouping; the float64 relaxed transport can change in the
+last bit once a layer has more rows than a block (seen at 48 x 9 rows,
+never at gradient-check sizes).
 
-Weight gradients accumulate over all live steps in float64 and are
-rounded once at the end: one call per layer, on the stacked (dL/dI,
-payload) rows in sweep order. Every sparse element receives the same adds
-in the same order as a per-step sweep would give it; the dense gradient
-is one product over all live(l)*B rows. They are accumulated after the
+Weight gradients accumulate over the window in float64 and are rounded
+once at the end: one call per layer, on the stacked (dL/dI, payload) rows
+in sweep order. Every sparse element receives the same adds in the same
+order as a per-step sweep would give it; the dense gradient is one
+product over all (live - first) * B rows. They are accumulated after the
 sweep, when the weight copies are gone, one float64 accumulator at a time.
 
 A transport holds one float64 copy of every weight matrix, in the layout
@@ -75,8 +92,8 @@ transpose.
 
 Transports call kernels, encoders and LIF helpers through this module's
 names at call time, so wrappers installed on `sparsnn.engine` (profilers,
-activity counters) see each call. Kernels are called once per (layer,
-pass) with the layer's own weights; encoders and thresholds once per
+activity counters) see each call. Kernels are called at most once per
+(layer, pass) with the layer's own weights; encoders and thresholds once per
 (timestep, layer), with the layer's own params, each layer's calls in
 time order.
 """
@@ -108,6 +125,7 @@ from .model import Network
 from .rng import DropRng
 from .sparse import (
     SparseSpikeBatch,
+    check_ids,
     decode_to_dense,
     encode_binary,
     encode_sparse,
@@ -164,6 +182,11 @@ class DenseTransport:
         """Where a trace keeps the payloads of the layer whose (T, B, n)
         spike matrices are `spikes`: a dense payload is the matrix."""
         return spikes
+
+    @staticmethod
+    def holds_spike(payload):
+        """Whether a payload drives a current that is not all zero."""
+        return np.any(payload)
 
     @staticmethod
     def stack(payloads):
@@ -243,6 +266,10 @@ class SparseTransport(DenseTransport):
         return [None] * len(spikes)
 
     @staticmethod
+    def holds_spike(payload):
+        return payload.num_spikes.any()
+
+    @staticmethod
     def stack(payloads):
         """One batch holding the rows of a sequence of batches, in order."""
         return SparseSpikeBatch(
@@ -255,14 +282,17 @@ class SparseTransport(DenseTransport):
         return sparse_forward_current(w, self.stack(payloads), wt64=self.w64[l])
 
     def sent_slopes(self, u, params, payloads):
-        """The dense transport's slopes of the recorded membranes `u`, times
-        a mask of the entries the payloads retained (one scatter of ones):
-        the slope of a retained entry, and +0.0 elsewhere."""
-        slopes = super().sent_slopes(u, params, payloads)
+        """The dense transport's slopes of the recorded membranes `u` at the
+        entries the payloads retained, and +0.0 elsewhere: one gather, one
+        surrogate on the gathered membranes and one scatter."""
         s = self.stack(payloads)
-        ones = np.broadcast_to(np.float32(1.0), s.ids.shape)
-        slopes *= scatter_to_dense(s, ones, s.num_grads, u.shape[-1]).reshape(u.shape)
-        return slopes
+        n = u.shape[-1]
+        kept = check_ids(s, s.num_grads, n)
+        rows, ids = np.nonzero(kept)[0], s.ids[kept]
+        u = u.reshape(-1, n)
+        slopes = np.zeros_like(u)
+        slopes[rows, ids] = surrogate(u[rows, ids] - params.threshold[ids], params.beta)
+        return slopes.reshape(len(payloads), -1, n)
 
     def weight_grad(self, dl_di, payloads, dl_dw_acc):
         sparse_weight_grad(dl_di, self.stack(payloads), dl_dw_acc)
@@ -360,12 +390,14 @@ def forward_pass(
         hidden = l < L - 1
         shape = (T, batch, spec.layer_sizes[l + 1])
         # The current of step t + 1 is driven by the payload of step t;
-        # the last step's payload drives nothing.
+        # the last step's payload drives nothing, and neither do the silent
+        # payloads before the layer's window.
+        first, _ = _window(transport, payloads, l, L)
         i_syn = np.zeros(shape, dtype=dtype)
-        if T > 1:
-            i_syn[1:] = transport.current(l, net.weights[l], payloads[:-1]).reshape(
-                (T - 1,) + shape[1:]
-            )
+        if first < T - 1:
+            i_syn[first + 1 :] = transport.current(
+                l, net.weights[l], payloads[first:-1]
+            ).reshape((T - 1 - first,) + shape[1:])
         u_seen = np.empty(shape, dtype=dtype) if record_trace else None
         spikes = np.empty(shape, dtype=dtype) if hidden else None
         sent = transport.payloads(spikes) if hidden else None
@@ -407,10 +439,12 @@ def backward_pass(
     `reset_grad` routes gradients through the (1 - S) reset factor using
     the spike slope; the relaxed transport always takes the reset path.
 
-    Only live steps get work (module docstring): weight layer l's dL/dI is
-    swept, and read by its kernels, on steps live..1 with live = T - 1 at
-    the readout and two fewer at each layer below it, down to 0. A layer
-    with no live step makes no kernel call, and its gradient is zero.
+    Only each layer's window gets work (module docstring): weight layer
+    l's dL/dI is swept on steps live..1, with live = T - 1 at the readout
+    and two fewer at each layer below it, down to 0; its kernels read the
+    rows of steps live..first+1 (weight gradient) and live..3 (input
+    gradient). A kernel with an empty window is not called; a layer with
+    no weight-gradient call has a zero gradient.
     """
     spec = net.spec
     transport = trace.transport
@@ -423,38 +457,58 @@ def backward_pass(
 
     transport.load(net.weights)
     dl_di = [None] * L
-    live = [0] * L
+    windows = [None] * L
     ds = None  # dL/dS of the layer being swept, from the layer above
     for l in range(L - 1, -1, -1):
-        live[l] = T - 1 if l == L - 1 else max(live[l + 1] - 2, 0)
-        if live[l]:
-            dl_di[l] = _sweep_layer(net, trace, l, live[l], ds, dl_dscores, reset_grad)
+        windows[l] = first, live = _window(transport, trace.sent[l], l, L)
+        if live:
+            dl_di[l] = _sweep_layer(net, trace, l, live, ds, dl_dscores, reset_grad)
         ds = None  # freed before the next input-grad call allocates
-        if l > 0 and live[l]:
+        if l > 0 and live > 2:
+            # The sweep below reads dL/dS of steps 2..live-1 only: the
+            # first (live - 2) * B rows and the payloads of steps live-1..2.
             ds = transport.input_grad(
-                l, dl_di[l], net.weights[l], trace.sent[l][: live[l]][::-1]
-            ).reshape(live[l], batch, -1)[::-1]
+                l, dl_di[l][: (live - 2) * batch], net.weights[l], trace.sent[l][2:live][::-1]
+            ).reshape(live - 2, batch, -1)[::-1]
         transport.w64[l] = None  # read by no later call
 
     transport.release()
     grads = []
     for l, w in enumerate(net.weights):
+        first, live = windows[l]
         acc = np.zeros(w.w.shape, order=transport.acc_order)
-        if live[l]:
-            transport.weight_grad(dl_di[l], trace.sent[l][: live[l]][::-1], acc)
+        if live > first:
+            # Payload steps first..live-1 pair with the first rows of dL/dI.
+            transport.weight_grad(
+                dl_di[l][: (live - first) * batch], trace.sent[l][first:live][::-1], acc
+            )
         dl_di[l] = None
         grads.append(acc.astype(dt, order="C"))
     return grads
 
 
+def _window(transport, sent, l, num_layers):
+    """Weight layer l's window (first, live) over its payloads `sent`.
+
+    Payload steps first..live-1 are the ones that get kernel work: `first`
+    is the first of steps 0..T-2 whose payload holds a spike (T - 1 if
+    none does), and dL/dI is live on steps 1..live, with live = T - 1 at
+    the readout and two fewer at each layer below it, down to 0.
+    """
+    T = len(sent)
+    first = next((t for t in range(T - 1) if transport.holds_spike(sent[t])), T - 1)
+    return first, max(T - 1 - 2 * (num_layers - 1 - l), 0)
+
+
 def _sweep_layer(net, trace, l, live, ds_in, dl_dscores, reset_grad) -> np.ndarray:
     """Reverse-time sweep of weight layer l's neurons over its live steps.
 
-    `ds_in[t]` is dL/dS[t] from the layer above for t < live + 2 (None for
-    the readout layer). Returns dL/dI of steps live..1 in sweep order, as
-    one float64 (live*B, n) matrix: row block k pairs with the payload of
-    step live-1-k, which drove the current of step live-k. It is cast once
-    here because both of the layer's gradient kernels read it in float64.
+    `ds_in[t - 2]` is dL/dS[t] from the layer above for 2 <= t < live + 2
+    (None for the readout layer): the sweep reads no other step. Returns
+    dL/dI of steps live..1 in sweep order, as one float64 (live*B, n)
+    matrix: row block k pairs with the payload of step live-1-k, which
+    drove the current of step live-k. It is cast once here because both of
+    the layer's gradient kernels read it in float64.
 
     dL/dI[t] is gain * du[t + 1]. Iteration t of the loop applies what
     step t adds to du and records one row. At the readout du is du[t + 1]
@@ -462,7 +516,8 @@ def _sweep_layer(net, trace, l, live, ds_in, dl_dscores, reset_grad) -> np.ndarr
     dL/dI[t]. At a hidden layer du is du[t], once dL/dS[t] has arrived, and
     the row is dL/dI[t - 1]; du is +0.0 until dL/dS[live + 1], the last row
     of `ds_in`, so the sweep starts there from +0.0, the exact value a
-    sweep from step T - 1 reaches, and stops at step 2.
+    sweep from step T - 1 reaches, and stops at step 2, the first row of
+    `ds_in`.
     """
     transport = trace.transport
     dt = transport.dtype
@@ -481,7 +536,7 @@ def _sweep_layer(net, trace, l, live, ds_in, dl_dscores, reset_grad) -> np.ndarr
     for k, t in enumerate(range(live + lag, lag, -1)):
         if hidden:
             u_t = trace.u[l][t]
-            ds = ds_in[t]
+            ds = ds_in[t - 2]
             if reset_grad:
                 ds = ds + (-alpha) * u_t * du
             du = alpha * (dt(1) - trace.spikes[l][t]) * du + slopes[t - 2] * ds

@@ -241,10 +241,6 @@ class CostLedger:
     def total_inter_bytes(self) -> float:
         return float(sum(s.inter_bytes for s in self.supersteps))
 
-    @property
-    def sync_count(self) -> int:
-        return len(self.supersteps)
-
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as f:
             writer = csv.writer(f)

@@ -57,25 +57,6 @@ class SparseSpikeBatch:
             num_grads=np.zeros(batch_size, dtype=np.int32),
         )
 
-    def validate(self) -> None:
-        """Check the structural invariants; raises CorruptionError."""
-        b, n_max = self.ids.shape
-        if self.num_spikes.shape != (b,) or self.num_grads.shape != (b,):
-            raise CorruptionError("count vectors do not match batch size")
-        for row in range(b):
-            ns, ng = int(self.num_spikes[row]), int(self.num_grads[row])
-            if not 0 <= ns <= ng <= n_max:
-                raise CorruptionError(f"row {row}: bad counts ns={ns} ng={ng}")
-            spikes = self.ids[row, :ns]
-            grads = self.ids[row, ns:ng]
-            for seg in (spikes, grads):
-                if seg.size and (np.any(np.diff(seg) <= 0) or np.any(seg < 0)):
-                    raise CorruptionError(f"row {row}: segment not strictly ascending")
-            if np.intersect1d(spikes, grads).size:
-                raise CorruptionError(f"row {row}: duplicate ids across segments")
-            if np.any(self.ids[row, ng:] != SENTINEL):
-                raise CorruptionError(f"row {row}: padding is not sentinel")
-
 
 def _check_capacity(n_max: int) -> None:
     if n_max < 2 or n_max % 2 != 0:

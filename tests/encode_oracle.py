@@ -1,5 +1,6 @@
 """Row-at-a-time reference for the sparse encoders, the drop keys and the
-sparse weight gradient, and a full-length reference backward pass.
+sparse weight gradient, a structural check of spike batches, and
+full-length reference forward and backward passes.
 
 These are the loop versions that the batch-vectorized `encode_sparse`,
 `encode_binary`, `DropRng.rank_keys` and `DropRng.subset` replaced. They
@@ -8,16 +9,22 @@ argsort, one row and one segment at a time; the vectorized code must give
 exactly the same ids and counts. `sparse_weight_grad` is
 the row loop that the id-grouped kernel replaced; the kernel must give
 every accumulator element the same adds in the same order.
-`backward_pass` is the sweep over every timestep that the live-step
-backward pass replaced: it forms dL/dI of steps T-1..1 in every layer,
-dead ones included, and feeds all of them to the kernels; the engine must
-give the same gradients byte for byte.
+`forward_pass` and `backward_pass` are the passes that the windowed ones
+replaced. The forward pass makes every layer's current call on the
+payloads of steps 0..T-2, silent ones included. The backward pass sweeps
+every timestep: it forms dL/dI of steps T-1..1 in every layer, dead ones
+included, feeds all of them to the kernels, and computes dL/dS of every
+payload step. The engine must give the same scores, membranes and
+gradients byte for byte.
 """
 
 import numpy as np
 
+from sparsnn.engine import ForwardTrace, _transport
+from sparsnn.errors import CorruptionError
+from sparsnn.lif import membrane_update
 from sparsnn.rng import _GOLDEN, _MASK64, _mix64_array, mix64
-from sparsnn.sparse import SparseSpikeBatch, _check_capacity
+from sparsnn.sparse import SENTINEL, SparseSpikeBatch, _check_capacity
 
 
 def _combine(h, word):
@@ -80,6 +87,27 @@ def encode_binary(frame, n_max, rng):
     return out
 
 
+def validate(batch):
+    """Check the structural invariants of a SparseSpikeBatch; raises
+    CorruptionError."""
+    b, n_max = batch.ids.shape
+    if batch.num_spikes.shape != (b,) or batch.num_grads.shape != (b,):
+        raise CorruptionError("count vectors do not match batch size")
+    for row in range(b):
+        ns, ng = int(batch.num_spikes[row]), int(batch.num_grads[row])
+        if not 0 <= ns <= ng <= n_max:
+            raise CorruptionError(f"row {row}: bad counts ns={ns} ng={ng}")
+        spikes = batch.ids[row, :ns]
+        grads = batch.ids[row, ns:ng]
+        for seg in (spikes, grads):
+            if seg.size and (np.any(np.diff(seg) <= 0) or np.any(seg < 0)):
+                raise CorruptionError(f"row {row}: segment not strictly ascending")
+        if np.intersect1d(spikes, grads).size:
+            raise CorruptionError(f"row {row}: duplicate ids across segments")
+        if np.any(batch.ids[row, ng:] != SENTINEL):
+            raise CorruptionError(f"row {row}: padding is not sentinel")
+
+
 def sparse_weight_grad(dl_di, s_in, dl_dw_acc):
     dl_di64 = np.asarray(dl_di, dtype=np.float64)
     acc_t = dl_dw_acc.T
@@ -87,6 +115,49 @@ def sparse_weight_grad(dl_di, s_in, dl_dw_acc):
         ns = int(s_in.num_spikes[row])
         if ns:
             acc_t[s_in.ids[row, :ns]] += dl_di64[row]
+
+
+def forward_pass(net, inputs, mode, rng=None, force_spikes=False):
+    spec = net.spec
+    transport = _transport(mode, spec, rng, force_spikes)
+    transport.load(net.weights)
+    dtype = transport.dtype
+    batch = inputs.shape[0]
+    T = spec.num_timesteps
+    L = spec.num_weight_layers
+    scores = np.zeros((batch, spec.output_size), dtype=dtype)
+    trace = ForwardTrace(transport, [], [], [], T)
+
+    payloads = [transport.send_input(t, inputs[:, t, :]) for t in range(T)]
+    for l in range(L):
+        params = net.params[l]
+        hidden = l < L - 1
+        shape = (T, batch, spec.layer_sizes[l + 1])
+        i_syn = np.zeros(shape, dtype=dtype)
+        if T > 1:
+            i_syn[1:] = transport.current(l, net.weights[l], payloads[:-1]).reshape(
+                (T - 1,) + shape[1:]
+            )
+        u_seen = np.empty(shape, dtype=dtype)
+        spikes = np.empty(shape, dtype=dtype) if hidden else None
+        sent = transport.payloads(spikes) if hidden else None
+        u = np.zeros(shape[1:], dtype=dtype)
+        for t in range(T):
+            if hidden and force_spikes:
+                u = np.broadcast_to(params.threshold + np.float32(1.0), u.shape).astype(dtype)
+            u_seen[t] = u
+            if hidden:
+                s, sent[t] = transport.send(l, t, u, params)
+                spikes[t] = s
+                u = membrane_update(u, s, i_syn[t], params)
+            else:
+                u = membrane_update(u, np.zeros_like(u), i_syn[t], params)
+                scores += u
+        trace.u.append(u_seen)
+        trace.spikes.append(spikes)
+        trace.sent.append(payloads)
+        payloads = sent
+    return trace, scores
 
 
 def backward_pass(net, trace, dl_dscores, reset_grad=True):

@@ -209,9 +209,39 @@ class TestBackward:
             assert np.array_equal(a, b)
 
     # Live steps per weight layer of a [6, 8, 10, 3] net: T - 1 at the
-    # readout, two fewer at each layer below, down to 0. At T = 6 every
-    # layer is live; at T = 4 layer 0 is not; at T = 3 only the readout is.
-    LIVE = {6: [1, 3, 5], 4: [0, 1, 3], 3: [0, 0, 2]}
+    # readout, two fewer at each layer below, down to 0. At T = 10 and 6
+    # every layer is live; at T = 4 layer 0 is not; at T = 3 only the
+    # readout is.
+    LIVE = {10: [5, 7, 9], 6: [1, 3, 5], 4: [0, 1, 3], 3: [0, 0, 2]}
+
+    @staticmethod
+    def _spiking_net(T, B):
+        """A [6, 8, 10, 3] net at full capacity whose hidden layers first
+        fire at steps 2 and 4 or later, and inputs for it."""
+        spec = NetworkSpec((6, 8, 10, 3), (6, 8, 10), batch_size=B, num_timesteps=T)
+        net = init_network(spec, seed=0, alpha=0.85, grad_threshold=-1e6, weight_gain=8.0)
+        return net, random_inputs(np.random.default_rng(0), B, T, 6, density=0.5)
+
+    @staticmethod
+    def _first(trace, inputs, l):
+        """The first of steps 0..T-2 at which weight layer l's input holds
+        a spike, or T - 1 if none does."""
+        spikes = inputs.transpose(1, 0, 2) if l == 0 else trace.spikes[l - 1]
+        T = len(spikes)
+        return next((t for t in range(T - 1) if spikes[t].any()), T - 1)
+
+    @staticmethod
+    def _record_sweeps(monkeypatch):
+        """{layer: dL/dI rows} of every `_sweep_layer` call."""
+        swept = {}
+        original = engine._sweep_layer
+
+        def record(net, trace, l, *args):
+            swept[l] = original(net, trace, l, *args)
+            return swept[l]
+
+        monkeypatch.setattr(engine, "_sweep_layer", record)
+        return swept
 
     @pytest.mark.parametrize("mode", [DENSE, SPARSE])
     def test_weight_grads_accumulate_per_layer_in_sweep_order(self, mode, monkeypatch):
@@ -224,29 +254,40 @@ class TestBackward:
             original(dl_di, s_in, dl_dw_acc)
 
         monkeypatch.setattr(engine, name, record)
+        swept = self._record_sweeps(monkeypatch)
         B = 2
+        late_starts = empty_windows = 0
         for T, live in self.LIVE.items():
-            net = exactness_net(5, [6, 8, 10, 3], T=T, batch=B)
-            inputs = random_inputs(np.random.default_rng(5), B, T, 6)
+            net, inputs = self._spiking_net(T, B)
             trace, scores = forward_pass(net, inputs, mode=mode, rng=DropRng(5))
             calls.clear()
+            swept.clear()
             backward_pass(net, trace, np.ones_like(scores))
-            # One call per live layer, after the weight copies are dropped;
-            # its rows are dL/dI of steps live..1 and the payloads of steps
-            # live-1..0, the dead tail's never.
-            live_layers = [l for l in range(3) if live[l]]
-            assert len(calls) == len(live_layers)
-            for l, (dl_di, s_in, w64) in zip(live_layers, calls):
+            # One call per layer whose window (first, live) is not empty,
+            # after the weight copies are dropped. Its rows are the first
+            # (live - first) * B rows of the sweep, dL/dI of steps
+            # live..first+1, and its payloads those of steps live-1..first:
+            # never the dead tail's, nor the silent head's.
+            first = [self._first(trace, inputs, l) for l in range(3)]
+            windowed = [l for l in range(3) if live[l] > first[l]]
+            assert len(calls) == len(windowed)
+            late_starts += sum(first[l] > 0 for l in windowed)
+            empty_windows += sum(0 < live[l] <= first[l] for l in range(3))
+            for l, (dl_di, s_in, w64) in zip(windowed, calls):
                 assert w64 is None
-                assert dl_di.shape == (live[l] * B, net.spec.layer_sizes[l + 1])
-                swept = [trace.sent[l][t] for t in range(live[l] - 1, -1, -1)]
+                rows = (live[l] - first[l]) * B
+                assert dl_di.shape == (rows, net.spec.layer_sizes[l + 1])
+                assert np.shares_memory(dl_di, swept[l])
+                assert np.array_equal(dl_di, swept[l][:rows])
+                steps = [trace.sent[l][t] for t in range(live[l] - 1, first[l] - 1, -1)]
                 if mode == SPARSE:
                     for key in ("ids", "num_spikes", "num_grads"):
                         assert np.array_equal(
-                            getattr(s_in, key), np.concatenate([getattr(p, key) for p in swept])
+                            getattr(s_in, key), np.concatenate([getattr(p, key) for p in steps])
                         )
                 else:
-                    assert np.array_equal(s_in, np.concatenate(swept))
+                    assert np.array_equal(s_in, np.concatenate(steps))
+        assert late_starts > 0 and empty_windows > 0
 
     @pytest.mark.parametrize("mode", [DENSE, SPARSE])
     def test_one_kernel_call_per_layer_and_pass(self, mode, monkeypatch):
@@ -262,43 +303,62 @@ class TestBackward:
                 return out
 
             monkeypatch.setattr(engine, prefix + kind, record)
+        swept = self._record_sweeps(monkeypatch)
+        late_starts = silent_layers = 0
         for T, live in self.LIVE.items():
-            net = exactness_net(5, [6, 8, 10, 3], T=T, batch=B)
-            inputs = random_inputs(np.random.default_rng(5), B, T, 6)
+            net, inputs = self._spiking_net(T, B)
             for seen in calls.values():
                 seen.clear()
             trace, scores = forward_pass(net, inputs, mode=mode, rng=DropRng(5))
+            # One current call per layer whose input spikes before the last
+            # step, on the stacked payloads of steps first..T-2: they drive
+            # the currents of steps first+1..T-1, and u[t+1] integrates the
+            # current out[t-1-first]. Before that the membrane stays +0.0.
+            first = [self._first(trace, inputs, l) for l in range(3)]
+            driven = [l for l in range(3) if first[l] < T - 1]
+            late_starts += sum(first[l] > 0 for l in driven)
+            silent_layers += 3 - len(driven)
             forward = calls["forward_current"]
-            assert len(forward) == 3
-            assert all(args[0] is w for (args, _), w in zip(forward, net.weights))
-            for l, ((_, s_in, *_), out) in enumerate(forward):
-                # The stacked payloads of steps 0..T-2 drive the currents of
-                # steps 1..T-1: u[t+1] integrates the current out[t-1].
-                sent = trace.sent[l][: T - 1]
+            assert len(forward) == len(driven)
+            for l, ((w, s_in, *_), out) in zip(driven, forward):
+                assert w is net.weights[l]
+                sent = trace.sent[l][first[l] : T - 1]
                 if mode == SPARSE:
                     assert np.array_equal(s_in.ids, np.concatenate([p.ids for p in sent]))
                 else:
                     assert np.array_equal(s_in, np.concatenate(sent))
-                assert out.shape == ((T - 1) * B, net.spec.layer_sizes[l + 1])
+                steps = T - 1 - first[l]
+                assert out.shape == (steps * B, net.spec.layer_sizes[l + 1])
                 u = trace.u[l]
                 s = trace.spikes[l] if trace.spikes[l] is not None else np.zeros_like(u)
-                out = out.reshape(T - 1, B, -1).astype(u.dtype)
-                for t in range(1, T - 1):
+                out = out.reshape(steps, B, -1).astype(u.dtype)
+                for t in range(first[l] + 1, T - 1):
                     assert np.array_equal(
-                        membrane_update(u[t], s[t], out[t - 1], net.params[l]), u[t + 1]
+                        membrane_update(u[t], s[t], out[t - 1 - first[l]], net.params[l]),
+                        u[t + 1],
                     )
+            for l in range(3):
+                head = trace.u[l][: first[l] + 1]
+                assert not head.any() and not np.signbit(head).any()
+            swept.clear()
             backward_pass(net, trace, np.ones_like(scores))
-            # One input-grad call per live layer above the first, top layer
-            # first, on the live rows and the payloads of steps live-1..0.
+            # One input-grad call per layer above the first whose sweep
+            # reaches step 3, top layer first. The sweep below reads dL/dS
+            # of steps 2..live-1 only, so the call gets the first
+            # (live - 2) * B rows of dL/dI and the payloads of steps
+            # live-1..2.
             grads = calls["input_grad"]
-            live_layers = [l for l in (2, 1) if live[l]]
-            assert len(grads) == len(live_layers)
-            for (args, _), l in zip(grads, live_layers):
+            fed = [l for l in (2, 1) if live[l] > 2]
+            assert len(grads) == len(fed)
+            for (args, _), l in zip(grads, fed):
+                rows = (live[l] - 2) * B
                 assert args[1] is net.weights[l]
-                assert args[0].shape == (live[l] * B, net.spec.layer_sizes[l + 1])
+                assert args[0].shape == (rows, net.spec.layer_sizes[l + 1])
+                assert np.array_equal(args[0], swept[l][:rows])
                 if mode == SPARSE:
-                    swept = [trace.sent[l][t] for t in range(live[l] - 1, -1, -1)]
-                    assert np.array_equal(args[2].ids, np.concatenate([p.ids for p in swept]))
+                    steps = [trace.sent[l][t] for t in range(live[l] - 1, 1, -1)]
+                    assert np.array_equal(args[2].ids, np.concatenate([p.ids for p in steps]))
+        assert late_starts > 0 and silent_layers > 0
 
     @pytest.mark.parametrize("mode", [DENSE, SPARSE, RELAXED])
     def test_single_timestep_gives_zero_scores_and_gradients(self, mode):
@@ -458,6 +518,72 @@ class TestLiveSteps:
             dead_layers += sum(T - 1 - 2 * (L - 1 - l) <= 0 for l in range(L))
         # Every T but 10 leaves some draw's lower layers with no live step.
         assert (dead_layers > 0) == (T < 10)
+
+
+class TestWindows:
+    """The passes that give each layer work only in its window give the
+    full-window passes' scores, membranes and gradients byte for byte."""
+
+    # None keeps the draw's threshold of 1.0; a threshold <= 0 fires at
+    # step 0 from the +0.0 start, so no hidden-fed window starts late.
+    THRESHOLDS = (None, 0.0, -0.5)
+
+    @staticmethod
+    def _draw(seed, T, capped, threshold):
+        """A `TestLiveSteps` draw whose first `seed % 3` input steps are
+        silent, so that layer 0's window starts late too, at `threshold`."""
+        net, inputs, upstream = TestLiveSteps._draw(seed, T, capped)
+        inputs[:, : seed % 3] = 0
+        if threshold is not None:
+            params = [
+                replace(
+                    p,
+                    threshold=np.full_like(p.threshold, threshold),
+                    grad_threshold=np.full_like(p.grad_threshold, threshold - 0.5),
+                )
+                for p in net.params
+            ]
+            net = Network(net.spec, net.weights, params)
+        return net, inputs, upstream
+
+    @pytest.mark.parametrize("T", [1, 2, 3, 5, 10])
+    @pytest.mark.parametrize(
+        "case",
+        ["dense", "dense_forced", "relaxed", "sparse", "sparse_forced",
+         "sparse_capped", "sparse_capped_forced"],
+    )
+    def test_equal_full_window_passes_byte_for_byte(self, case, T):
+        mode = case.split("_")[0]
+        forced = case.endswith("_forced")
+        late_starts = 0
+        for seed in range(6):
+            for threshold in self.THRESHOLDS:
+                net, inputs, upstream = self._draw(seed, T, "_capped" in case, threshold)
+                got_trace, got = forward_pass(
+                    net, inputs, mode=mode, rng=DropRng(seed), force_spikes=forced
+                )
+                want_trace, want = oracle.forward_pass(
+                    net, inputs, mode, rng=DropRng(seed), force_spikes=forced
+                )
+                pairs = [(got, want), *zip(got_trace.u, want_trace.u)]
+                upstream = upstream.astype(got.dtype)
+                for reset_grad in (True, False):
+                    pairs += zip(
+                        backward_pass(net, got_trace, upstream, reset_grad=reset_grad),
+                        oracle.backward_pass(net, want_trace, upstream, reset_grad=reset_grad),
+                    )
+                for g, w in pairs:
+                    assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+                L = net.spec.num_weight_layers
+                first = [
+                    engine._window(got_trace.transport, got_trace.sent[l], l, L)[0]
+                    for l in range(L)
+                ]
+                late_starts += sum(f > 0 for f in first)
+                if threshold is not None and T > 1:
+                    assert not any(first[1:])
+        # Silent leading inputs start some layer-0 window late at every T > 1.
+        assert (late_starts > 0) == (T > 1)
 
 
 class TestLoss:

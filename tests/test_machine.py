@@ -158,7 +158,7 @@ class TestSimulate:
         mapping = map_neurons(net, hand_machine(), 4)
         led = simulate_batch(net, mapping, hand_machine(), saturated_activity(net))
         assert led.total_time_cycles == sum(s.time_cycles for s in led.supersteps)
-        assert led.sync_count == len(led.supersteps) == 6  # fwd+bwd per step
+        assert len(led.supersteps) == 6  # fwd+bwd per step
 
     def test_dense_backward_moves_full_gradient_tensors(self):
         # Backward, weight layer l sends dL/dS of its input layer (size
@@ -199,7 +199,7 @@ class TestSimulate:
         led.write_csv(path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "superstep,phase,chip,cycles,intra_bytes,inter_bytes"
-        assert len(lines) == 1 + led.sync_count * 1
+        assert len(lines) == 1 + len(led.supersteps) * 1
 
 
 class TestAcceleration:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import encode_oracle as oracle
+
 from sparsnn.errors import ConfigError, CorruptionError
 from sparsnn.lif import LifParams, threshold_spikes_dense
 from sparsnn.rng import DropRng
@@ -27,7 +29,7 @@ class TestEncode:
         assert out.ids[0].tolist() == [0, 2]
         assert out.num_spikes[0] == 1
         assert out.num_grads[0] == 2
-        out.validate()
+        oracle.validate(out)
 
     def test_empty_when_all_below_grad_threshold(self):
         u = np.full((3, 4), 0.1, dtype=np.float32)
@@ -81,7 +83,7 @@ class TestEncode:
             out = encode_sparse(u, params(n), n_max, DropRng(int(rng.integers(1e9))))
             assert np.all(out.num_grads <= n_max)
             assert np.all(out.num_spikes <= out.num_grads)
-            out.validate()
+            oracle.validate(out)
 
 
 class TestDecode:
