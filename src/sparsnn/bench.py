@@ -115,9 +115,7 @@ class BenchResult:
     measured_accel: float
     modeled_accel: float
     frames_per_sec: float
-    observed_activity: float
     hidden_spikes: tuple
-    dense_ledger: object
     sparse_ledger: object
 
     @property
@@ -225,13 +223,6 @@ def run_benchmark(config: BenchConfig) -> BenchResult:
     dense_ledger = simulate_batch(spec, mapping, config.machine, None, mode="dense")
     modeled = acceleration_model(dense_ledger, sparse_ledger)
 
-    capacities = np.asarray(spec.sparse_sizes[1:], dtype=float)
-    if capacities.size:
-        used = act[:, 1 : 1 + capacities.size] / capacities[None, :]
-        observed = config.max_activity * float(used.mean())
-    else:
-        observed = 0.0
-
     dense_mean = float(np.mean(dense_times))
     sparse_mean = float(np.mean(sparse_times))
     return BenchResult(
@@ -241,9 +232,7 @@ def run_benchmark(config: BenchConfig) -> BenchResult:
         measured_accel=dense_mean / sparse_mean,
         modeled_accel=modeled,
         frames_per_sec=config.batch_size * config.num_timesteps / sparse_mean,
-        observed_activity=observed,
         hidden_spikes=tuple(act[:, 1 : spec.num_weight_layers].mean(axis=0).tolist()),
-        dense_ledger=dense_ledger,
         sparse_ledger=sparse_ledger,
     )
 

@@ -22,6 +22,11 @@ Traffic between chips is modeled as a separate exchange superstep with its
 own sync, at `inter_chip_cycles_per_8_bytes` (doubled beyond a chip pair);
 traffic within a chip rides the compute superstep at the intra rate.
 
+`simulate_batch` prices each direction for all T steps at once
+(`_phase_cycles`), reading only the mapping's `tile_of_neuron`: compute
+counts each layer's neurons per tile, and each spike tensor's bytes are
+spread evenly over the consuming layer's tiles on each chip.
+
 Per-tile memory estimate for a neuron with fan-in F, batch B, T timesteps:
 16*F (weights, weight grads, two optimizer moments at 4 bytes) plus
 4*B*(4 + T) (four state arrays and a per-timestep membrane trace).
@@ -30,6 +35,7 @@ Per-tile memory estimate for a neuron with fan-in F, batch B, T timesteps:
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -51,6 +57,10 @@ class CostParams:
     sync_cycles_per_superstep: float = 100.0
 
     def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
         if not self.intra_chip_cycles_per_8_bytes > 0:
             raise ConfigError("intra-chip byte cost must be > 0")
         if self.inter_chip_cycles_per_8_bytes < self.intra_chip_cycles_per_8_bytes:
@@ -104,31 +114,14 @@ def neuron_bytes(fan_in: int, batch_size: int, num_timesteps: int) -> int:
 class TileMapping:
     """Neuron-to-tile assignment for the non-input layers of a network."""
 
-    net: NetworkSpec
-    machine: MachineSpec
-    neurons_per_tile: int
     tile_of_neuron: list  # per weight layer: global tile id per neuron
     per_tile_bytes: np.ndarray
 
-    def __post_init__(self):
-        self.layer_hist = [
-            np.bincount(t, minlength=self.machine.num_tiles)
-            for t in self.tile_of_neuron
-        ]
-        self.layer_chips = [
-            np.unique(t // self.machine.tiles_per_chip) for t in self.tile_of_neuron
-        ]
-        self.layer_tiles_by_chip = []
-        for t in self.tile_of_neuron:
-            tiles = np.unique(t)
-            chips = tiles // self.machine.tiles_per_chip
-            self.layer_tiles_by_chip.append(
-                {int(c): tiles[chips == c] for c in np.unique(chips)}
-            )
-
     @property
     def tiles_used(self) -> int:
-        return int(sum((h > 0).sum() for h in self.layer_hist))
+        """Distinct tiles holding a neuron; packing continues where the
+        previous layer ended, so one tile may hold neurons of two layers."""
+        return int(np.unique(np.concatenate(self.tile_of_neuron)).size)
 
 
 def map_neurons(
@@ -195,13 +188,7 @@ def map_neurons(
     if over.size:
         tile = int(over[0])
         raise OutOfTileMemory(tile, int(per_tile[tile]), machine.sram_per_tile)
-    return TileMapping(
-        net=net,
-        machine=machine,
-        neurons_per_tile=neurons_per_tile,
-        tile_of_neuron=tile_of_neuron,
-        per_tile_bytes=per_tile,
-    )
+    return TileMapping(tile_of_neuron=tile_of_neuron, per_tile_bytes=per_tile)
 
 
 @dataclass
@@ -210,7 +197,6 @@ class SuperstepCost:
     timestep: int
     phase: str
     time_cycles: float
-    compute_cycles: float  # max over tiles
     chip_cycles: np.ndarray  # per chip: max over its tiles
     chip_intra_bytes: np.ndarray
     chip_inter_bytes: np.ndarray
@@ -261,109 +247,57 @@ class CostLedger:
                     )
 
 
-class _Simulator:
-    def __init__(self, net, mapping, machine, header_bytes):
-        if mapping.net is not net and mapping.net.layer_sizes != net.layer_sizes:
-            raise ContractViolation("mapping was built for a different network")
-        self.net = net
-        self.mapping = mapping
-        self.machine = machine
-        self.header_bytes = header_bytes
-        self.cost = machine.cost
-        self.num_tiles = machine.num_tiles
-        self.num_chips = machine.num_chips
-        self.records = []
-        self.index = 0
+def _phase_cycles(
+    tile_of_neuron: list, machine: MachineSpec, batch: int, header_bytes: float,
+    in_counts: np.ndarray, edges: list,
+) -> tuple:
+    """Price one direction for all T steps at once.
 
-    def _tile_tier(self, src_chips: np.ndarray, dst_chip: int):
-        """(rate per 8 bytes, is_inter) for traffic reaching `dst_chip`."""
-        if dst_chip in src_chips:
-            return self.cost.intra_chip_cycles_per_8_bytes, False
-        if any(int(c) // 2 == dst_chip // 2 for c in src_chips):
-            return self.cost.inter_chip_cycles_per_8_bytes, True
-        return _BEYOND_PAIR_FACTOR * self.cost.inter_chip_cycles_per_8_bytes, True
+    in_counts[t, l]: incoming activations per sample for weight layer l at
+    step t. edges: (producer_layer, consumer_layer, counts) spike tensors,
+    `counts` a (T,) vector; producer -1 is the network input, which is
+    loaded host-side onto the consuming chips (always local).
 
-    def _edge_exchange(
-        self, producer_layer: int, consumer_layer: int, bytes_total: float,
-        intra_tile: np.ndarray, inter_tile: np.ndarray,
-        intra_chip: np.ndarray, inter_chip: np.ndarray,
-    ) -> None:
-        """Spread one spike tensor over the consuming layer's tiles.
-
-        producer_layer/consumer_layer index weight layers; producer -1
-        means the network input, which is loaded host-side onto the
-        consuming chip (always local).
-        """
-        mapping = self.mapping
-        if producer_layer < 0:
-            src_chips = mapping.layer_chips[consumer_layer]
-        else:
-            src_chips = mapping.layer_chips[producer_layer]
-        for chip, tiles in mapping.layer_tiles_by_chip[consumer_layer].items():
-            rate, is_inter = self._tile_tier(src_chips, chip)
-            cycles = bytes_total / 8.0 * rate / len(tiles)
-            if is_inter:
-                inter_tile[tiles] += cycles
-                inter_chip[chip] += bytes_total
+    Returns (T, chips) arrays: the per-chip cycles and intra-chip bytes of
+    the compute superstep, then the per-chip cycles and inter-chip bytes
+    of the exchange superstep. Compute sums layer by layer and each
+    exchange tier edge by edge in its own array; the compute superstep
+    adds its intra-chip exchange last.
+    """
+    cost = machine.cost
+    T, tiles, per_chip = in_counts.shape[0], machine.num_tiles, machine.tiles_per_chip
+    compute = np.zeros((T, tiles))
+    for l, ids in enumerate(tile_of_neuron):
+        per_neuron = batch * (
+            in_counts[:, l] * cost.cycles_per_mac + cost.cycles_per_state_update
+        )
+        compute += np.bincount(ids, minlength=tiles) * per_neuron[:, None]
+    intra_tile, inter_tile = np.zeros((T, tiles)), np.zeros((T, tiles))
+    intra_chip = np.zeros((T, machine.num_chips))
+    inter_chip = np.zeros((T, machine.num_chips))
+    for producer, consumer, counts in edges:
+        bytes_total = 4.0 * counts * batch + header_bytes * batch
+        src = tile_of_neuron[producer if producer >= 0 else consumer]
+        src_chips = np.unique(src // per_chip)
+        dst_tiles = np.unique(tile_of_neuron[consumer])
+        dst_chips = dst_tiles // per_chip
+        for chip in np.unique(dst_chips):
+            on_chip = dst_tiles[dst_chips == chip]
+            if chip in src_chips:
+                rate = cost.intra_chip_cycles_per_8_bytes
+                tile_acc, chip_acc = intra_tile, intra_chip
             else:
-                intra_tile[tiles] += cycles
-                intra_chip[chip] += bytes_total
+                rate = cost.inter_chip_cycles_per_8_bytes
+                if not np.any(src_chips // 2 == chip // 2):
+                    rate = _BEYOND_PAIR_FACTOR * rate
+                tile_acc, chip_acc = inter_tile, inter_chip
+            tile_acc[:, on_chip] += (bytes_total / 8.0 * rate / on_chip.size)[:, None]
+            chip_acc[:, chip] += bytes_total
 
-    def _emit(self, t: int, phase: str, tile_cycles: np.ndarray,
-              intra_chip: np.ndarray, inter_chip: np.ndarray) -> None:
-        chip_view = tile_cycles.reshape(self.num_chips, self.machine.tiles_per_chip)
-        chip_max = chip_view.max(axis=1)
-        compute_max = float(tile_cycles.max()) if tile_cycles.size else 0.0
-        self.records.append(
-            SuperstepCost(
-                index=self.index,
-                timestep=t,
-                phase=phase,
-                time_cycles=compute_max + self.cost.sync_cycles_per_superstep,
-                compute_cycles=compute_max,
-                chip_cycles=chip_max,
-                chip_intra_bytes=intra_chip,
-                chip_inter_bytes=inter_chip,
-            )
-        )
-        self.index += 1
+    def chip_max(tile_cycles):
+        return tile_cycles.reshape(T, machine.num_chips, per_chip).max(axis=2)
 
-    def step(self, t: int, phase: str, in_counts: np.ndarray,
-             edges: list) -> None:
-        """One compute+intra superstep plus an inter-chip exchange
-        superstep when any edge crosses chips.
-
-        in_counts[l]: incoming activations per sample for weight layer l.
-        edges: (producer_layer, consumer_layer, count) spike tensors moved
-        this step.
-        """
-        net, mapping, cost = self.net, self.mapping, self.cost
-        batch = net.batch_size
-        compute = np.zeros(self.num_tiles)
-        for l, hist in enumerate(mapping.layer_hist):
-            per_neuron = batch * (
-                in_counts[l] * cost.cycles_per_mac + cost.cycles_per_state_update
-            )
-            compute += hist * per_neuron
-        intra_tile = np.zeros(self.num_tiles)
-        inter_tile = np.zeros(self.num_tiles)
-        intra_chip = np.zeros(self.num_chips)
-        inter_chip = np.zeros(self.num_chips)
-        for producer, consumer, count in edges:
-            bytes_total = 4.0 * count * batch + self.header_bytes * batch
-            self._edge_exchange(
-                producer, consumer, bytes_total,
-                intra_tile, inter_tile, intra_chip, inter_chip,
-            )
-        self._emit(
-            t, phase, compute + intra_tile, intra_chip, np.zeros(self.num_chips)
-        )
-        if inter_chip.any():
-            # Cross-chip traffic pays for its own superstep (and sync).
-            self._emit(
-                t, phase + "-exchange", inter_tile,
-                np.zeros(self.num_chips), inter_chip,
-            )
+    return chip_max(compute + intra_tile), intra_chip, chip_max(inter_tile), inter_chip
 
 
 def simulate_batch(
@@ -384,6 +318,9 @@ def simulate_batch(
     """
     if mode not in ("sparse", "dense"):
         raise ConfigError(f"unknown simulate mode {mode!r}")
+    tile_of_neuron = mapping.tile_of_neuron
+    if [ids.size for ids in tile_of_neuron] != list(net.layer_sizes[1:]):
+        raise ContractViolation("mapping was built for a different network")
     L = net.num_weight_layers
     T = net.num_timesteps
     sizes = np.asarray(net.layer_sizes, dtype=float)
@@ -403,18 +340,42 @@ def simulate_batch(
             raise ContractViolation("grad_activity shape mismatch")
         header_bytes = 8.0
 
-    sim = _Simulator(net, mapping, machine, header_bytes)
-    for t in range(T):
-        # Forward: layer l consumes layer l-1's spikes of this step.
-        edges = [(l - 1, l, activity[t, l]) for l in range(L)]
-        sim.step(t, "forward", activity[t, :L], edges)
-    for t in range(T - 1, -1, -1):
+    def price(in_counts, edges):
+        return _phase_cycles(
+            tile_of_neuron, machine, net.batch_size, header_bytes, in_counts, edges
+        )
+
+    phases = (
+        # Forward: layer l consumes layer l-1's spikes of the same step.
+        ("forward", range(T), price(
+            activity[:, :L], [(l - 1, l, activity[:, l]) for l in range(L)]
+        )),
         # Backward: weight grads read input spikes, input grads write
         # gradient entries back to the producing layer's tiles.
-        edges = [(l, l - 1, grad[t, l]) for l in range(1, L)]
-        sim.step(t, "backward", activity[t, :L] + grad[t, :L], edges)
+        ("backward", range(T - 1, -1, -1), price(
+            activity[:, :L] + grad[:, :L], [(l, l - 1, grad[:, l]) for l in range(1, L)]
+        )),
+    )
+    records = []
 
-    return CostLedger(supersteps=sim.records, num_chips=machine.num_chips)
+    def emit(t, phase, chip_cycles, intra_bytes, inter_bytes):
+        records.append(SuperstepCost(
+            index=len(records),
+            timestep=t,
+            phase=phase,
+            time_cycles=float(chip_cycles.max()) + machine.cost.sync_cycles_per_superstep,
+            chip_cycles=chip_cycles,
+            chip_intra_bytes=intra_bytes,
+            chip_inter_bytes=inter_bytes,
+        ))
+
+    for phase, steps, (cycles, intra, exchange, inter) in phases:
+        for t in steps:
+            emit(t, phase, cycles[t], intra[t], np.zeros(machine.num_chips))
+            if inter[t].any():
+                # Cross-chip traffic pays for its own superstep (and sync).
+                emit(t, phase + "-exchange", exchange[t], np.zeros(machine.num_chips), inter[t])
+    return CostLedger(supersteps=records, num_chips=machine.num_chips)
 
 
 def acceleration_model(dense_ledger: CostLedger, sparse_ledger: CostLedger) -> float:

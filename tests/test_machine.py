@@ -40,6 +40,14 @@ class TestMapping:
         mapping = map_neurons(net, machine, 2)
         assert mapping.tiles_used == 1472
 
+    @pytest.mark.parametrize("layers, tiles", [
+        ((16, 7, 2), 5),  # tile 3 holds the last of 7 and the first of 2
+        ((700, 975, 973, 20), 984),
+    ])
+    def test_tiles_used_counts_a_shared_tile_once(self, layers, tiles):
+        net = spec(list(layers), [2] * (len(layers) - 1))
+        assert map_neurons(net, MachineSpec(), 2).tiles_used == tiles
+
     def test_single_neuron_tile_zero(self):
         net = spec([4, 1], [2])
         mapping = map_neurons(net, small_machine(), 4)
@@ -113,8 +121,9 @@ class TestSimulate:
         # ids contribute nothing; only the per-row count headers move.
         fwd = ledger.supersteps[0]
         assert fwd.intra_bytes == 2 * 8 * 2  # two edges, 8 bytes/row, B=2
-        # compute is the state-update floor
-        assert fwd.compute_cycles >= 8 * 2 * 2.0
+        # the slowest tile holds the 8 hidden neurons: their state-update
+        # floor, the 16 header bytes of the input edge, then the sync
+        assert fwd.time_cycles == 8 * 2 * 2.0 + 16 / 8 + 10.0
 
     def test_exchange_bytes_exactly_linear_in_counts(self):
         net = spec([8, 8, 2], [8, 8], batch=3, T=1)
@@ -315,6 +324,11 @@ class TestMachineConfig:
         path.write_text("tiles_per_chip = 64\nwarp_drive = on\n")
         with pytest.raises(ConfigError):
             load_machine_config(path)
+
+    def test_zero_costs_are_valid(self):
+        # A free sync or a free MAC prices a limit case, not an error.
+        CostParams(cycles_per_mac=0.0, cycles_per_state_update=0.0,
+                   sync_cycles_per_superstep=0.0)
 
     def test_cost_invariant(self):
         with pytest.raises(ConfigError):
