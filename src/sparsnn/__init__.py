@@ -22,6 +22,7 @@ from .errors import (
     ContractViolation,
     CorruptionError,
     DataFormatError,
+    NonFiniteStep,
     OutOfTileMemory,
 )
 from .events import (

@@ -110,13 +110,10 @@ class BenchResult:
     """
 
     config: BenchConfig
-    wall_dense_mean: float
-    wall_sparse_mean: float
     measured_accel: float
     modeled_accel: float
     frames_per_sec: float
     hidden_spikes: tuple
-    sparse_ledger: object
 
     @property
     def valid(self) -> bool:
@@ -227,13 +224,10 @@ def run_benchmark(config: BenchConfig) -> BenchResult:
     sparse_mean = float(np.mean(sparse_times))
     return BenchResult(
         config=config,
-        wall_dense_mean=dense_mean,
-        wall_sparse_mean=sparse_mean,
         measured_accel=dense_mean / sparse_mean,
         modeled_accel=modeled,
         frames_per_sec=config.batch_size * config.num_timesteps / sparse_mean,
         hidden_spikes=tuple(act[:, 1 : spec.num_weight_layers].mean(axis=0).tolist()),
-        sparse_ledger=sparse_ledger,
     )
 
 

@@ -4,8 +4,9 @@ Options resolve in three layers: built-in defaults, then a flat key=value
 --config file (keys are the long option names with underscores), then
 explicit command-line flags. Unknown config keys are rejected.
 
-Exit codes: 0 success, 1 failed check or unexpected error, 2 configuration
-error, 3 data error, 4 out of tile memory.
+Exit codes: 0 success, 1 failed check, diverged training (a non-finite
+loss or gradient) or unexpected error, 2 configuration error, 3 data
+error, 4 out of tile memory.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .bench import (
 )
 from .config import coerce, load_flat_config
 from .engine import train_epoch
-from .errors import ConfigError, DataFormatError, OutOfTileMemory
+from .errors import ConfigError, DataFormatError, NonFiniteStep, OutOfTileMemory
 from .events import (
     SpikeDataset,
     load_dataset,
@@ -361,11 +362,11 @@ def cmd_simulate(opts: dict) -> int:
 
 
 def cmd_gradcheck(opts: dict) -> int:
-    worst, results = run_gradcheck_suite(
+    worst, errors = run_gradcheck_suite(
         num_nets=opts["nets"], eps=opts["eps"], seed=opts["seed"]
     )
-    for k, res in enumerate(results):
-        print(f"net {k}: max_rel_err={res.max_rel_err:.3e}")
+    for k, err in enumerate(errors):
+        print(f"net {k}: max_rel_err={err:.3e}")
     tol = opts["tolerance"]
     if worst < tol:
         print(f"PASS max_rel_err={worst:.3e} < {tol:g}")
@@ -431,6 +432,9 @@ def _run(argv) -> int:
     except OutOfTileMemory as exc:
         print(f"out of tile memory: {exc}", file=sys.stderr)
         return 4
+    except NonFiniteStep as exc:
+        print(f"training diverged: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

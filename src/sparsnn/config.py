@@ -9,8 +9,9 @@ from __future__ import annotations
 from .errors import ConfigError
 
 
-def parse_flat_config(text: str, allowed_keys=None) -> dict:
-    """Parse `key = value` lines into a str->str dict."""
+def parse_flat_config(text: str, allowed_keys) -> dict:
+    """Parse `key = value` lines into a str->str dict; a key outside
+    `allowed_keys` is an error."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -21,7 +22,7 @@ def parse_flat_config(text: str, allowed_keys=None) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
-        if allowed_keys is not None and key not in allowed_keys:
+        if key not in allowed_keys:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in out:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -29,7 +30,7 @@ def parse_flat_config(text: str, allowed_keys=None) -> dict:
     return out
 
 
-def load_flat_config(path, allowed_keys=None) -> dict:
+def load_flat_config(path, allowed_keys) -> dict:
     try:
         with open(path) as f:
             text = f.read()

@@ -104,7 +104,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation
+from .errors import ConfigError, ContractViolation, NonFiniteStep
 from .kernels import (
     dense_forward_current,
     dense_input_grad,
@@ -198,9 +198,7 @@ class DenseTransport:
     def current(self, l, w, payloads):
         """Current of every row of `payloads` (a sequence of per-step
         payloads), one kernel call; rows follow the payloads."""
-        return dense_forward_current(
-            w, self.stack(payloads), dtype=self.dtype, w64=self.w64[l]
-        )
+        return dense_forward_current(w, self.stack(payloads), self.w64[l], self.dtype)
 
     def sent_slopes(self, u, params, payloads):
         """Spike slopes of a hidden layer at a run of steps, (steps, B, n),
@@ -218,7 +216,7 @@ class DenseTransport:
     def input_grad(self, l, dl_di, w, payloads):
         """dL/dS of the sending layer for every row of `payloads`, dense
         (rows, n_pre); a dense product needs only dL/dI."""
-        return dense_input_grad(dl_di, w, w64=self.w64[l], dtype=self.dtype)
+        return dense_input_grad(dl_di, w, self.w64[l], self.dtype)
 
 
 class RelaxedTransport(DenseTransport):
@@ -279,7 +277,7 @@ class SparseTransport(DenseTransport):
         )
 
     def current(self, l, w, payloads):
-        return sparse_forward_current(w, self.stack(payloads), wt64=self.w64[l])
+        return sparse_forward_current(w, self.stack(payloads), self.w64[l])
 
     def sent_slopes(self, u, params, payloads):
         """The dense transport's slopes of the recorded membranes `u` at the
@@ -299,7 +297,7 @@ class SparseTransport(DenseTransport):
 
     def input_grad(self, l, dl_di, w, payloads):
         s = self.stack(payloads)
-        ds = sparse_input_grad(dl_di, w, s, wt64=self.w64[l])
+        ds = sparse_input_grad(dl_di, w, s, self.w64[l])
         return scatter_to_dense(s, ds, s.num_grads, w.fan_in)
 
 
@@ -523,8 +521,7 @@ def _sweep_layer(net, trace, l, live, ds_in, dl_dscores, reset_grad) -> np.ndarr
     dt = transport.dtype
     hidden = l < net.spec.num_weight_layers - 1
     params = net.params[l]
-    alpha = dt(params.alpha)
-    gain = dt((1.0 - params.alpha) / params.capacitance)
+    alpha, gain = params.step_constants(dt)
     batch, n = dl_dscores.shape[0], net.spec.layer_sizes[l + 1]
     di = np.empty((live, batch, n))
     du = np.zeros((batch, n), dtype=dt)
@@ -577,7 +574,8 @@ def train_step(
 ):
     """forward + loss + backward + optimizer update on one batch.
 
-    Returns (loss, scores).
+    Returns (loss, scores). A non-finite loss or gradient raises
+    NonFiniteStep before the update (see `_check_finite`).
     """
     from .optim import optimizer_step
 
@@ -586,8 +584,25 @@ def train_step(
     )
     loss, dl_dscores = softmax_cross_entropy(scores, labels)
     grads = backward_pass(net, trace, dl_dscores, reset_grad=reset_grad)
+    _check_finite(net, loss, grads)
     optimizer_step(net.weight_arrays(), grads, opt_state)
     return loss, scores
+
+
+def _check_finite(net: Network, loss: float, grads: list) -> None:
+    """Raise NonFiniteStep, naming the first weight layer whose gradient or
+    weight holds a non-finite entry, if the loss or a gradient sum is not
+    finite. The normal path costs one reduction per gradient; the arrays
+    are scanned only after that check fails (a sum can also overflow)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(loss) and all(np.isfinite(g.sum()) for g in grads):
+            return
+    for l, (g, w) in enumerate(zip(grads, net.weights)):
+        for name, a in (("gradient", g), ("weight", w.w)):
+            if not np.isfinite(a).all():
+                raise NonFiniteStep(f"non-finite {name} in weight layer {l}")
+    if not np.isfinite(loss):
+        raise NonFiniteStep(f"non-finite loss {loss}")
 
 
 def train_epoch(
@@ -614,9 +629,12 @@ def train_epoch(
             raise ConfigError("too many batches per epoch for the drop stream")
         base = (epoch_index * MAX_BATCHES_PER_EPOCH + bi) * stride
         rng = DropRng(drop_seed, base) if mode == SPARSE else None
-        loss, scores = train_step(
-            net, frames, labels, opt_state, mode, rng, reset_grad=reset_grad
-        )
+        try:
+            loss, scores = train_step(
+                net, frames, labels, opt_state, mode, rng, reset_grad=reset_grad
+            )
+        except NonFiniteStep as exc:
+            raise NonFiniteStep(f"epoch {epoch_index}, batch {bi}: {exc}") from None
         losses.append(loss)
         correct += int((scores.argmax(axis=1) == labels).sum())
         seen += len(labels)

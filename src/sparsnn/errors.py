@@ -18,6 +18,10 @@ class CorruptionError(ValueError):
     """A sparse batch or trace contains internally inconsistent data."""
 
 
+class NonFiniteStep(ArithmeticError):
+    """A training step produced a non-finite loss or weight gradient."""
+
+
 class OutOfTileMemory(RuntimeError):
     """The per-tile memory estimate exceeds the tile's SRAM budget."""
 

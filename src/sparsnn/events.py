@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
+from .lif import check_capacity
 
 ESF_MAGIC = b"ESFv0001"
 MAX_CHANNELS = 1 << 16
@@ -70,8 +71,9 @@ class DatasetSpec:
     num_classes: int
 
     def __post_init__(self):
-        if self.sparse_input_size % 2 or self.sparse_input_size > self.input_size:
-            raise ConfigError("sparse input size must be even and <= input size")
+        check_capacity(self.sparse_input_size)
+        if self.sparse_input_size > self.input_size:
+            raise ConfigError("sparse input size must be <= input size")
 
 
 DATASET_PRESETS = {

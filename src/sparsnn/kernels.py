@@ -41,36 +41,32 @@ def transposed64(w: LayerWeights) -> np.ndarray:
 
 
 def dense_forward_current(
-    w: LayerWeights, s_in: np.ndarray, dtype=np.float32, w64: np.ndarray | None = None
+    w: LayerWeights, s_in: np.ndarray, w64: np.ndarray, dtype
 ) -> np.ndarray:
     """I = S @ W^T for a batch of dense spike rows.
 
-    `dtype` is the boundary precision; the float64 gradient-check pipeline
-    passes float64 to avoid rounding between timesteps. `w64` is a cached
-    float64 copy of `w.w`.
+    `w64` is the float64 copy of `w.w`. `dtype` is the boundary precision;
+    the float64 gradient-check pipeline passes float64 to avoid rounding
+    between timesteps.
     """
     s_in = np.asarray(s_in)
     if s_in.ndim != 2 or s_in.shape[1] != w.fan_in:
         raise ContractViolation(
             f"spike shape {s_in.shape} incompatible with fan-in {w.fan_in}"
         )
-    if w64 is None:
-        w64 = w.w.astype(np.float64)
     out = np.asarray(s_in, dtype=np.float64) @ w64.T
     return out.astype(dtype)
 
 
 def sparse_forward_current(
-    w: LayerWeights, s_in: SparseSpikeBatch, wt64: np.ndarray | None = None
+    w: LayerWeights, s_in: SparseSpikeBatch, wt64: np.ndarray
 ) -> np.ndarray:
     """Sum of the rows of Wᵀ named by each row's firing ids.
 
     Gradient-only entries contribute nothing. Summation order is fixed
-    (ascending id). `wt64` is a cached `transposed64(w)`.
+    (ascending id). `wt64` is `transposed64(w)`.
     """
     check_ids(s_in, s_in.num_spikes, w.fan_in)
-    if wt64 is None:
-        wt64 = transposed64(w)
     out = np.zeros((s_in.batch_size, w.n_post), dtype=np.float32)
     for row in range(s_in.batch_size):
         ns = int(s_in.num_spikes[row])
@@ -130,14 +126,14 @@ def sparse_input_grad(
     dl_di: np.ndarray,
     w: LayerWeights,
     s_in: SparseSpikeBatch,
-    wt64: np.ndarray | None = None,
+    wt64: np.ndarray,
 ) -> np.ndarray:
     """Gradient w.r.t. every retained entry of `s_in` (both segments):
 
         dl_dspike[b, k] = sum_i dl_di[b, i] * w[i, ids[b, k]]
 
     i.e. the transpose product restricted to retained columns. Returns a
-    (B, n_max) float32 array aligned with `s_in.ids`. `wt64` is a cached
+    (B, n_max) float32 array aligned with `s_in.ids`. `wt64` is
     `transposed64(w)`.
     """
     if dl_di.shape != (s_in.batch_size, w.n_post):
@@ -145,8 +141,6 @@ def sparse_input_grad(
             f"dl_di shape {dl_di.shape} incompatible with weights {w.w.shape}"
         )
     check_ids(s_in, s_in.num_grads, w.fan_in)
-    if wt64 is None:
-        wt64 = transposed64(w)
     dl_di64 = np.asarray(dl_di, dtype=np.float64)
     out = np.zeros((s_in.batch_size, s_in.n_max), dtype=np.float32)
     for row in range(s_in.batch_size):
@@ -157,10 +151,8 @@ def sparse_input_grad(
 
 
 def dense_input_grad(
-    dl_di: np.ndarray, w: LayerWeights, w64: np.ndarray | None = None,
-    dtype=np.float32,
+    dl_di: np.ndarray, w: LayerWeights, w64: np.ndarray, dtype
 ) -> np.ndarray:
-    """Dense counterpart: dL/dS = dL/dI @ W, float64 inside."""
-    if w64 is None:
-        w64 = w.w.astype(np.float64)
+    """Dense counterpart: dL/dS = dL/dI @ W, float64 inside; `w64` is the
+    float64 copy of `w.w`."""
     return (np.asarray(dl_di, dtype=np.float64) @ w64).astype(dtype)

@@ -80,6 +80,18 @@ class LifParams:
     def size(self) -> int:
         return self.threshold.shape[0]
 
+    def step_constants(self, dtype) -> tuple:
+        """(alpha, (1 - alpha) / C) in `dtype`: the decay and the input gain
+        of one membrane update."""
+        dt = np.dtype(dtype).type
+        return dt(self.alpha), dt((1.0 - self.alpha) / self.capacitance)
+
+
+def check_capacity(n_max: int) -> None:
+    """The one rule for every spike capacity: even and >= 2."""
+    if n_max < 2 or n_max % 2 != 0:
+        raise ConfigError(f"spike capacity must be even and >= 2, got {n_max}")
+
 
 @dataclass
 class LayerWeights:
@@ -131,8 +143,7 @@ class NetworkSpec:
                 f"({len(self.layer_sizes) - 1}), got {len(self.sparse_sizes)}"
             )
         for k, n_max in enumerate(self.sparse_sizes):
-            if n_max < 2 or n_max % 2 != 0:
-                raise ConfigError(f"sparse size {n_max} at boundary {k} not even >= 2")
+            check_capacity(n_max)
             if n_max > self.layer_sizes[k]:
                 raise ConfigError(
                     f"sparse size {n_max} exceeds layer size {self.layer_sizes[k]}"
@@ -172,10 +183,8 @@ def membrane_update(
     Shared by the dense and sparse execution paths: the state update is
     dense by nature, only spike transmission differs between them.
     """
-    dt = u.dtype.type
-    alpha = dt(params.alpha)
-    gain = dt((1.0 - params.alpha) / params.capacitance)
-    return alpha * u * (dt(1) - spikes) + gain * i_syn
+    alpha, gain = params.step_constants(u.dtype)
+    return alpha * u * (u.dtype.type(1) - spikes) + gain * i_syn
 
 
 def surrogate(x: np.ndarray, beta: float) -> np.ndarray:

@@ -112,10 +112,12 @@ def neuron_bytes(fan_in: int, batch_size: int, num_timesteps: int) -> int:
 
 @dataclass
 class TileMapping:
-    """Neuron-to-tile assignment for the non-input layers of a network."""
+    """Neuron-to-tile assignment for the non-input layers of a network,
+    packed for chips of `tiles_per_chip` tiles."""
 
     tile_of_neuron: list  # per weight layer: global tile id per neuron
     per_tile_bytes: np.ndarray
+    tiles_per_chip: int
 
     @property
     def tiles_used(self) -> int:
@@ -188,7 +190,7 @@ def map_neurons(
     if over.size:
         tile = int(over[0])
         raise OutOfTileMemory(tile, int(per_tile[tile]), machine.sram_per_tile)
-    return TileMapping(tile_of_neuron=tile_of_neuron, per_tile_bytes=per_tile)
+    return TileMapping(tile_of_neuron, per_tile, machine.tiles_per_chip)
 
 
 @dataclass
@@ -314,13 +316,19 @@ def simulate_batch(
     the input layer) at step t; `grad_activity` the retained-entry count
     (defaults to `activity`). Dense mode ignores both: every count is the
     layer size and rows carry no count header. The ledger is a pure
-    function of the arguments.
+    function of the arguments. A mapping packed for another network or
+    another chip size raises ContractViolation.
     """
     if mode not in ("sparse", "dense"):
         raise ConfigError(f"unknown simulate mode {mode!r}")
     tile_of_neuron = mapping.tile_of_neuron
     if [ids.size for ids in tile_of_neuron] != list(net.layer_sizes[1:]):
         raise ContractViolation("mapping was built for a different network")
+    if mapping.tiles_per_chip != machine.tiles_per_chip:
+        raise ContractViolation(
+            f"mapping was packed for {mapping.tiles_per_chip} tiles per chip, "
+            f"the machine has {machine.tiles_per_chip}"
+        )
     L = net.num_weight_layers
     T = net.num_timesteps
     sizes = np.asarray(net.layer_sizes, dtype=float)

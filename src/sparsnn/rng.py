@@ -65,14 +65,11 @@ class DropRng:
         """Return the same keyed stream repositioned at `position`."""
         return DropRng(self.seed, position)
 
-    def keys(self, row: int, count: int, salt: int = 0) -> np.ndarray:
-        """`count` independent 64-bit keys for (seed, position, row, salt)."""
-        return self.rank_keys(np.array([row]), np.arange(1, count + 1)[None], salt)[0]
-
     def rank_keys(self, rows: np.ndarray, ranks: np.ndarray, salt: int = 0) -> np.ndarray:
         """Key number ranks[i, j] (counting from 1) of row rows[i], for every
-        (i, j), as one array expression: keys(rows[i], count, salt)[r - 1]
-        for any count >= r."""
+        (i, j), as one array expression. Key r of a row is a pure function
+        of (seed, position, row, salt, r): it does not depend on which other
+        keys are drawn."""
         start = np.array([_combine(self.seed & _MASK64, self.position)], dtype=np.uint64)
         base = _combine_array(start, np.asarray(rows, dtype=np.uint64))
         base = _combine_array(base, np.uint64(salt & _MASK64))
@@ -85,7 +82,7 @@ class DropRng:
         array. Returns a new mask.
 
         Row b's candidates are its set columns in ascending order, and
-        candidate j gets key j of keys(b, count, salt). The keep[b] smallest
+        candidate j gets key j of row b (`rank_keys`). The keep[b] smallest
         keys win, ties going to the earlier candidate, which makes every
         subset equally likely. Rows within their keep, and rows that keep
         nothing, draw no keys.

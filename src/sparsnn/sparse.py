@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, CorruptionError
-from .lif import LifParams
+from .errors import CorruptionError
+from .lif import LifParams, check_capacity
 from .rng import DropRng
 
 SENTINEL = np.int32(-1)
@@ -58,11 +58,6 @@ class SparseSpikeBatch:
         )
 
 
-def _check_capacity(n_max: int) -> None:
-    if n_max < 2 or n_max % 2 != 0:
-        raise ConfigError(f"spike capacity must be even and >= 2, got {n_max}")
-
-
 def encode_sparse(
     u: np.ndarray,
     params: LifParams,
@@ -77,7 +72,7 @@ def encode_sparse(
     uniform random subset, firing entries taking precedence: the
     gradient-only segment gets the room the kept spikes leave.
     """
-    _check_capacity(n_max)
+    check_capacity(n_max)
     u = np.asarray(u)
     fires = u >= params.threshold
     spikes = rng.subset(fires, n_max, salt=_SALT_SPIKES)
@@ -92,7 +87,7 @@ def encode_binary(
     frame: np.ndarray, n_max: int, rng: DropRng
 ) -> SparseSpikeBatch:
     """Sparse-encode a binary spike frame (B, n); no gradient segment."""
-    _check_capacity(n_max)
+    check_capacity(n_max)
     frame = np.asarray(frame)
     return _place(rng.subset(frame != 0, n_max, salt=_SALT_SPIKES), None, n_max)
 

@@ -1,6 +1,7 @@
 """Row-at-a-time reference for the sparse encoders, the drop keys and the
-sparse weight gradient, a structural check of spike batches, and
-full-length reference forward and backward passes.
+sparse weight gradient, a structural check of spike batches,
+full-length reference forward and backward passes, and a dense replay of
+a capped sparse run.
 
 These are the loop versions that the batch-vectorized `encode_sparse`,
 `encode_binary`, `DropRng.rank_keys` and `DropRng.subset` replaced. They
@@ -15,16 +16,19 @@ payloads of steps 0..T-2, silent ones included. The backward pass sweeps
 every timestep: it forms dL/dI of steps T-1..1 in every layer, dead ones
 included, feeds all of them to the kernels, and computes dL/dS of every
 payload step. The engine must give the same scores, membranes and
-gradients byte for byte.
+gradients byte for byte. `ReplayTransport` is the dense program that a
+sparse run at any capacity computes: a sparse run must give the scores
+and gradients of its replay byte for byte.
 """
 
 import numpy as np
 
-from sparsnn.engine import ForwardTrace, _transport
+from sparsnn.engine import DenseTransport, ForwardTrace, SparseTransport, _transport
 from sparsnn.errors import CorruptionError
-from sparsnn.lif import membrane_update
+from sparsnn.kernels import dense_forward_current, dense_weight_grad
+from sparsnn.lif import check_capacity, membrane_update
 from sparsnn.rng import _GOLDEN, _MASK64, _mix64_array, mix64
-from sparsnn.sparse import SENTINEL, SparseSpikeBatch, _check_capacity
+from sparsnn.sparse import SENTINEL, SparseSpikeBatch, decode_to_dense, scatter_to_dense
 
 
 def _combine(h, word):
@@ -48,7 +52,7 @@ def subset(rng, row, candidates, keep, salt=0):
 
 
 def encode_sparse(u, params, n_max, rng, with_grads=True):
-    _check_capacity(n_max)
+    check_capacity(n_max)
     u = np.asarray(u)
     out = SparseSpikeBatch.empty(u.shape[0], n_max)
     spike_mask = u >= params.threshold
@@ -73,7 +77,7 @@ def encode_sparse(u, params, n_max, rng, with_grads=True):
 
 
 def encode_binary(frame, n_max, rng):
-    _check_capacity(n_max)
+    check_capacity(n_max)
     frame = np.asarray(frame)
     out = SparseSpikeBatch.empty(frame.shape[0], n_max)
     for row in range(frame.shape[0]):
@@ -196,8 +200,7 @@ def _sweep_layer(net, trace, l, ds_in, dl_dscores, reset_grad):
     T = trace.num_timesteps
     hidden = l < net.spec.num_weight_layers - 1
     params = net.params[l]
-    alpha = dt(params.alpha)
-    gain = dt((1.0 - params.alpha) / params.capacitance)
+    alpha, gain = params.step_constants(dt)
     batch, n = dl_dscores.shape[0], net.spec.layer_sizes[l + 1]
     di = np.empty((T - 1, batch, n))
     du = np.zeros((batch, n), dtype=dt)
@@ -219,3 +222,51 @@ def _sweep_layer(net, trace, l, ds_in, dl_dscores, reset_grad):
         else:
             du = alpha * du
     return di.reshape(-1, n)
+
+
+class ReplayTransport(DenseTransport):
+    """The dense program that a sparse run at any capacity computes.
+
+    It replays the sets that the sparse run `sent` (a sparse trace's
+    `sent`) retained: the kept spikes of every step are the spike matrices,
+    which drive the currents and reset the membranes, and a neuron's slope
+    is the dense one at its retained entries and +0.0 elsewhere. Currents
+    and gradients come from the dense kernels, on the decoded spikes. A
+    payload is the sparse run's batch, so that its retained set stays at
+    hand for the slopes.
+    """
+
+    def __init__(self, sent):
+        self.sent = sent
+
+    def send_input(self, t, frame):
+        return self.sent[0][t]
+
+    def send(self, l, t, u, params):
+        batch = self.sent[l + 1][t]
+        return decode_to_dense(batch, u.shape[1]), batch
+
+    def payloads(self, spikes):
+        return [None] * len(spikes)
+
+    holds_spike = staticmethod(SparseTransport.holds_spike)
+
+    @staticmethod
+    def decoded(payloads, n):
+        """The kept spikes of a sequence of payloads as one float64 matrix."""
+        return np.concatenate([decode_to_dense(p, n) for p in payloads]).astype(np.float64)
+
+    def current(self, l, w, payloads):
+        s = self.decoded(payloads, w.fan_in)
+        return dense_forward_current(w, s, self.w64[l], self.dtype)
+
+    def sent_slopes(self, u, params, payloads):
+        slopes = DenseTransport.sent_slopes(self, u, params, payloads)
+        n = u.shape[-1]
+        for k, p in enumerate(payloads):
+            retained = scatter_to_dense(p, np.ones(p.ids.shape, np.float32), p.num_grads, n)
+            slopes[k][retained == 0] = 0.0
+        return slopes
+
+    def weight_grad(self, dl_di, payloads, dl_dw_acc):
+        dense_weight_grad(dl_di, self.decoded(payloads, dl_dw_acc.shape[1]), dl_dw_acc)

@@ -21,7 +21,9 @@ from sparsnn.events import EventStream, load_dataset, write_events
 def test_run_benchmark_tiny(mode):
     config = BenchConfig(mode=mode, preset="tiny", max_activity=0.25, repetitions=2)
     result = run_benchmark(config)
-    for value in (result.wall_dense_mean, result.wall_sparse_mean, result.modeled_accel):
+    # Both mean step times are finite and > 0 exactly when these two are;
+    # a finite modeled_accel means the sparse ledger's time is > 0.
+    for value in (result.measured_accel, result.frames_per_sec, result.modeled_accel):
         assert math.isfinite(value) and value > 0
     # Forced spikes fill every hidden capacity; free dynamics stay at or
     # below it, and on this preset leave every hidden layer silent.
@@ -33,7 +35,6 @@ def test_run_benchmark_tiny(mode):
     else:
         assert result.hidden_spikes == (0.0, 0.0)
         assert not result.valid
-    assert result.sparse_ledger.total_time_cycles > 0
 
 
 def test_sparsity_sweep_marks_silent_rows_invalid(tmp_path):
@@ -252,6 +253,23 @@ def test_simulate_out_of_tile_memory_exits_4(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("out of tile memory: tile 0 needs ") and "only 64 are available" in err
     assert "Traceback" not in err
+
+
+def test_nan_weight_mid_run_exits_1(tmp_path, monkeypatch, capsys):
+    data = _gen_data(tmp_path / "data")
+    train_epoch = cli.train_epoch
+
+    def poisoned(net, *args, epoch_index, **kwargs):
+        if epoch_index == 1:
+            net.weights[0].w[0, 0] = np.nan
+        return train_epoch(net, *args, epoch_index=epoch_index, **kwargs)
+
+    monkeypatch.setattr(cli, "train_epoch", poisoned)
+    argv = [arg.format(data=data) for arg in TRAIN]
+    capsys.readouterr()
+    assert cli.main([*argv, "--epochs", "2", "--out-dir", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err == "training diverged: epoch 1, batch 0: non-finite gradient in weight layer 0\n"
 
 
 def test_zero_epochs_write_header_only_metrics(tmp_path):

@@ -15,7 +15,7 @@ from sparsnn.engine import (
     softmax_cross_entropy,
     train_epoch,
 )
-from sparsnn.errors import ConfigError
+from sparsnn.errors import ConfigError, NonFiniteStep
 from sparsnn.events import SpikeDataset
 from sparsnn.lif import LayerWeights, NetworkSpec, membrane_update, surrogate
 from sparsnn.model import Network, init_network
@@ -403,11 +403,7 @@ class TestBackward:
 
 class TestGradientChecks:
     def test_fd_agreement_membrane_sum(self):
-        worst = 0.0
-        for seed in range(6):
-            net, inputs, labels = random_tiny_net(seed)
-            res = check_gradients(net, inputs, labels)
-            worst = max(worst, res.max_rel_err)
+        worst = max(check_gradients(*random_tiny_net(seed)) for seed in range(6))
         assert worst < 1e-3
 
     def test_relaxed_recovers_hard_scores_at_large_beta(self):
@@ -450,6 +446,89 @@ class TestExactnessRegime:
             for a, b_ in zip(gd, gs):
                 denom = max(np.abs(a).max(), 1e-12)
                 assert np.abs(a - b_).max() / denom < 1e-6
+
+
+class ResetsDroppedSpikes(engine.SparseTransport):
+    """Mutant: every firing neuron resets, the dropped ones included."""
+
+    def send(self, l, t, u, params):
+        _, batch = super().send(l, t, u, params)
+        return engine.threshold_spikes_dense(u, params.threshold), batch
+
+
+class SlopesThroughDroppedEntries(engine.SparseTransport):
+    """Mutant: every candidate entry gets its slope, the dropped ones
+    included."""
+
+    def sent_slopes(self, u, params, payloads):
+        slopes = engine.DenseTransport.sent_slopes(self, u, params, payloads)
+        return np.where(u >= params.grad_threshold, slopes, np.float32(0.0))
+
+
+class TestCappedRegimeOracle:
+    """At any capacity, a sparse run computes the dense program on the sets
+    it retained: `oracle.ReplayTransport` runs that program, and the scores
+    and gradients agree byte for byte (signed zeros included)."""
+
+    @staticmethod
+    def _cases():
+        """`random_tiny_net` draws, weights tripled so that hidden layers
+        fire and drop in free runs too, at every even capacity from 2 to
+        full (capped at each layer's size)."""
+        for seed in range(20):
+            net, inputs, labels = random_tiny_net(seed)
+            weights = [LayerWeights(3 * w.w) for w in net.weights]
+            sizes = net.spec.layer_sizes[:-1]
+            for cap in range(2, max(sizes) + 1, 2):
+                spec = replace(net.spec, sparse_sizes=[min(cap, n) for n in sizes])
+                yield Network(spec, weights, net.params), inputs, labels
+
+    @staticmethod
+    def _run(net, inputs, labels, force_spikes, reset_grad, transport=None):
+        """(trace, scores, gradients) of a sparse run, or of a run of
+        `transport` in place of the dense one."""
+        mode = SPARSE if transport is None else DENSE
+        with pytest.MonkeyPatch.context() as mp:
+            if transport is not None:
+                mp.setattr(engine, "_transport", lambda *args: transport)
+            trace, scores = forward_pass(net, inputs, mode=mode, rng=DropRng(11),
+                                         force_spikes=force_spikes)
+        _, dl = softmax_cross_entropy(scores, labels)
+        return trace, scores, backward_pass(net, trace, dl, reset_grad=reset_grad)
+
+    def _mismatches(self, force_spikes, reset_grad):
+        """Cases whose sparse run differs from its replay in any byte, and
+        cases whose hidden layers dropped a spike."""
+        differ = dropped = 0
+        for net, inputs, labels in self._cases():
+            trace, scores, grads = self._run(net, inputs, labels, force_spikes, reset_grad)
+            replay = oracle.ReplayTransport(trace.sent)
+            _, r_scores, r_grads = self._run(
+                net, inputs, labels, force_spikes, reset_grad, replay
+            )
+            same = scores.tobytes() == r_scores.tobytes() and all(
+                g.dtype == r.dtype and g.tobytes() == r.tobytes() for g, r in zip(grads, r_grads)
+            )
+            differ += not same
+            hidden = range(net.spec.num_weight_layers - 1)
+            fired = sum(int((trace.u[l] >= net.params[l].threshold).sum()) for l in hidden)
+            kept = sum(int(b.num_spikes.sum()) for l in hidden for b in trace.sent[l + 1])
+            dropped += fired > kept
+        return differ, dropped
+
+    @pytest.mark.parametrize("reset_grad", [True, False])
+    @pytest.mark.parametrize("force_spikes", [False, True])
+    def test_sparse_equals_replay_of_its_retained_sets(self, force_spikes, reset_grad):
+        differ, dropped = self._mismatches(force_spikes, reset_grad)
+        assert differ == 0
+        assert dropped > 0
+
+    @pytest.mark.parametrize("mutant", [ResetsDroppedSpikes, SlopesThroughDroppedEntries])
+    def test_mutants_differ_from_replay(self, mutant, monkeypatch):
+        monkeypatch.setattr(engine, "SparseTransport", mutant)
+        for force_spikes in (False, True):
+            differ, _ = self._mismatches(force_spikes, reset_grad=True)
+            assert differ > 0
 
 
 class TestSparseSlopes:
@@ -654,6 +733,38 @@ class TestTraining:
                 break
         assert acc == 1.0
         assert metrics.mean_loss < first.mean_loss
+
+    def test_nan_weight_mid_run_names_epoch_batch_and_layer(self):
+        rng = np.random.default_rng(5)
+        ds = toy_dataset(rng, 6, 8, 16, 3)
+        net = exactness_net(0, [6, 8, 3], T=8, batch=4)
+        opt = AdamState(lr=1e-3)
+        train_epoch(net, ds, opt, epoch_index=0)
+
+        class Poisoned:
+            """The dataset's batches, with a NaN put into a weight of layer 0
+            after the first two have trained."""
+
+            def minibatches(self, batch_size, order):
+                for k, batch in enumerate(ds.minibatches(batch_size, order)):
+                    if k == 2:
+                        net.weights[0].w[0, 0] = np.nan
+                    yield batch
+
+        message = r"^epoch 1, batch 2: non-finite gradient in weight layer 0$"
+        with pytest.raises(NonFiniteStep, match=message):
+            train_epoch(net, Poisoned(), opt, epoch_index=1)
+        # The failed step made no update: the NaN is still the only one.
+        assert np.count_nonzero(np.isnan(net.weights[0].w)) == 1
+        assert np.isfinite(net.weights[1].w).all()
+
+    def test_overflowing_gradient_sum_is_not_an_error(self):
+        net = exactness_net(0, [6, 8, 3], T=8, batch=4)
+        grads = [np.full(w.w.shape, 3e38, dtype=np.float32) for w in net.weights]
+        engine._check_finite(net, 1.0, grads)
+        grads[1][2, 1] = np.inf
+        with pytest.raises(NonFiniteStep, match="^non-finite gradient in weight layer 1$"):
+            engine._check_finite(net, 1.0, grads)
 
     def test_evaluate_runs(self):
         rng = np.random.default_rng(4)

@@ -5,6 +5,7 @@ from sparsnn.errors import ConfigError, DataFormatError
 from sparsnn.events import (
     DATASET_PRESETS,
     MAX_CHANNELS,
+    DatasetSpec,
     EventStream,
     SpikeDataset,
     bin_events,
@@ -187,6 +188,12 @@ class TestSparseHiddenSize:
         assert (nm.input_size, nm.sparse_input_size, nm.num_classes) == (2048, 32, 10)
         dvs = DATASET_PRESETS["dvsgesture"]
         assert (dvs.input_size, dvs.sparse_input_size, dvs.num_classes) == (4608, 96, 11)
+
+    @pytest.mark.parametrize("capacity", [0, 3, 702])
+    def test_dataset_input_capacity_follows_the_capacity_rule(self, capacity):
+        # Even, >= 2 and at most the input width, as every capacity.
+        with pytest.raises(ConfigError):
+            DatasetSpec(700, capacity, 20)
 
 
 class TestSynthDataset:

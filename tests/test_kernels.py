@@ -18,6 +18,11 @@ from sparsnn.rng import DropRng
 from sparsnn.sparse import SparseSpikeBatch, decode_to_dense, encode_sparse
 
 
+def as64(w):
+    """The float64 copy of W that the dense kernels read."""
+    return w.w.astype(np.float64)
+
+
 def batch_from(ids_rows, n_max, num_spikes=None):
     b = SparseSpikeBatch.empty(len(ids_rows), n_max)
     for r, ids in enumerate(ids_rows):
@@ -38,39 +43,39 @@ def include_everything_batch(rng, b, n):
 class TestForwardCurrent:
     def test_dense_one_hot(self):
         w = LayerWeights(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        out = dense_forward_current(w, np.array([[0.0, 1.0]]))
+        out = dense_forward_current(w, np.array([[0.0, 1.0]]), as64(w), np.float32)
         assert out.tolist() == [[2.0, 4.0]]
 
     def test_dense_all_ones_row_sums(self):
         w = LayerWeights(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        out = dense_forward_current(w, np.ones((1, 2)))
+        out = dense_forward_current(w, np.ones((1, 2)), as64(w), np.float32)
         assert out.tolist() == [[3.0, 7.0]]
 
     def test_dense_zeros(self):
         w = LayerWeights(np.ones((3, 5)))
-        assert not dense_forward_current(w, np.zeros((2, 5))).any()
+        assert not dense_forward_current(w, np.zeros((2, 5)), as64(w), np.float32).any()
 
     def test_sparse_matches_values(self):
         w = LayerWeights(np.array([[1.0, 2.0], [3.0, 4.0]]))
         s = batch_from([[1]], 2)
-        assert sparse_forward_current(w, s).tolist() == [[2.0, 4.0]]
+        assert sparse_forward_current(w, s, transposed64(w)).tolist() == [[2.0, 4.0]]
         s2 = batch_from([[0, 1]], 2)
-        assert sparse_forward_current(w, s2).tolist() == [[3.0, 7.0]]
+        assert sparse_forward_current(w, s2, transposed64(w)).tolist() == [[3.0, 7.0]]
 
     def test_sparse_empty(self):
         w = LayerWeights(np.ones((3, 4)))
-        assert not sparse_forward_current(w, SparseSpikeBatch.empty(2, 4)).any()
+        assert not sparse_forward_current(w, SparseSpikeBatch.empty(2, 4), transposed64(w)).any()
 
     def test_grad_only_entries_do_not_transmit(self):
         w = LayerWeights(np.array([[1.0, 2.0], [3.0, 4.0]]))
         s = batch_from([[0, 1]], 2, num_spikes=[1])
-        assert sparse_forward_current(w, s).tolist() == [[1.0, 3.0]]
+        assert sparse_forward_current(w, s, transposed64(w)).tolist() == [[1.0, 3.0]]
 
     def test_id_out_of_range(self):
         w = LayerWeights(np.ones((2, 2)))
         s = batch_from([[3]], 4)
         with pytest.raises(CorruptionError):
-            sparse_forward_current(w, s)
+            sparse_forward_current(w, s, transposed64(w))
 
     def test_oracle_equivalence_random(self):
         rng = np.random.default_rng(0)
@@ -80,8 +85,8 @@ class TestForwardCurrent:
             b = int(rng.integers(1, 6))
             w = LayerWeights(rng.normal(size=(n_post, n_pre)).astype(np.float32))
             u, p, s = include_everything_batch(rng, b, n_pre)
-            got = sparse_forward_current(w, s)
-            want = dense_forward_current(w, decode_to_dense(s, n_pre))
+            got = sparse_forward_current(w, s, transposed64(w))
+            want = dense_forward_current(w, decode_to_dense(s, n_pre), as64(w), np.float32)
             np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-7)
 
     def test_work_proportional_to_activity(self):
@@ -91,26 +96,14 @@ class TestForwardCurrent:
         rng = np.random.default_rng(1)
         w = LayerWeights(rng.normal(size=(7, 16)).astype(np.float32))
         u, p, s = include_everything_batch(rng, 4, 16)
-        clean = sparse_forward_current(w, s)
+        clean = sparse_forward_current(w, s, transposed64(w))
         for row in range(4):
             assert s.num_spikes[row] < s.num_grads[row]
             poisoned = LayerWeights(w.w.copy())
             unread = np.setdiff1d(np.arange(16), s.ids[row, : s.num_spikes[row]])
             poisoned.w[:, unread] = np.nan
-            assert np.array_equal(sparse_forward_current(poisoned, s)[row], clean[row])
-
-    def test_cached_weights_equal_uncached(self):
-        rng = np.random.default_rng(6)
-        w = LayerWeights(rng.normal(size=(9, 14)).astype(np.float32))
-        u, p, s = include_everything_batch(rng, 5, 14)
-        assert np.array_equal(
-            sparse_forward_current(w, s, wt64=transposed64(w)), sparse_forward_current(w, s)
-        )
-        dense = decode_to_dense(s, 14)
-        assert np.array_equal(
-            dense_forward_current(w, dense, w64=w.w.astype(np.float64)),
-            dense_forward_current(w, dense),
-        )
+            got = sparse_forward_current(poisoned, s, transposed64(poisoned))
+            assert np.array_equal(got[row], clean[row])
 
     def test_linearity_in_spikes(self):
         rng = np.random.default_rng(3)
@@ -118,8 +111,9 @@ class TestForwardCurrent:
         sa = batch_from([[0, 3, 7]], 12)
         sb = batch_from([[1, 4]], 12)
         su = batch_from([[0, 1, 3, 4, 7]], 12)
-        got = sparse_forward_current(w, su)
-        parts = sparse_forward_current(w, sa) + sparse_forward_current(w, sb)
+        wt64 = transposed64(w)
+        got = sparse_forward_current(w, su, wt64)
+        parts = sparse_forward_current(w, sa, wt64) + sparse_forward_current(w, sb, wt64)
         np.testing.assert_allclose(got, parts, rtol=1e-6)
 
 
@@ -255,19 +249,19 @@ class TestInputGrad:
     def test_single_entry(self):
         w = LayerWeights(np.array([[1.0, 2.0], [3.0, 4.0]]))
         s = batch_from([[1]], 2)
-        out = sparse_input_grad(np.array([[1.0, 0.0]], dtype=np.float32), w, s)
+        out = sparse_input_grad(np.array([[1.0, 0.0]], dtype=np.float32), w, s, transposed64(w))
         assert out[0, 0] == 2.0
 
     def test_zero_upstream(self):
         w = LayerWeights(np.ones((3, 4)))
         s = batch_from([[0, 2]], 4)
-        out = sparse_input_grad(np.zeros((1, 3), dtype=np.float32), w, s)
+        out = sparse_input_grad(np.zeros((1, 3), dtype=np.float32), w, s, transposed64(w))
         assert not out.any()
 
     def test_gradient_only_entries_receive_gradients(self):
         w = LayerWeights(np.array([[1.0, 2.0], [3.0, 4.0]]))
         s = batch_from([[0, 1]], 2, num_spikes=[1])  # id 1 is gradient-only
-        out = sparse_input_grad(np.array([[1.0, 1.0]], dtype=np.float32), w, s)
+        out = sparse_input_grad(np.array([[1.0, 1.0]], dtype=np.float32), w, s, transposed64(w))
         assert out[0].tolist() == [4.0, 6.0]
 
     def test_full_coverage_matches_transpose_product(self):
@@ -278,8 +272,8 @@ class TestInputGrad:
             w = LayerWeights(rng.normal(size=(n_post, n_pre)).astype(np.float32))
             u, p, s = include_everything_batch(rng, b, n_pre)
             dl_di = rng.normal(size=(b, n_post)).astype(np.float32)
-            got = sparse_input_grad(dl_di, w, s)
-            want = dense_input_grad(dl_di, w)
+            got = sparse_input_grad(dl_di, w, s, transposed64(w))
+            want = dense_input_grad(dl_di, w, as64(w), np.float32)
             for row in range(b):
                 ng = int(s.num_grads[row])
                 ids = s.ids[row, :ng]
@@ -292,24 +286,16 @@ class TestInputGrad:
         # input gradient does.
         w = LayerWeights(np.ones((3, 4)))
         s = batch_from([[1], [0, 2], [1, 5]], 4, num_spikes=[1, 2, 1])
-        sparse_forward_current(w, s)
+        sparse_forward_current(w, s, transposed64(w))
         with pytest.raises(CorruptionError, match="row 2"):
-            sparse_input_grad(np.ones((3, 3), dtype=np.float32), w, s)
-
-    def test_cached_weights_equal_uncached(self):
-        rng = np.random.default_rng(8)
-        w = LayerWeights(rng.normal(size=(9, 14)).astype(np.float32))
-        u, p, s = include_everything_batch(rng, 5, 14)
-        dl_di = rng.normal(size=(5, 9)).astype(np.float32)
-        assert np.array_equal(
-            sparse_input_grad(dl_di, w, s, wt64=transposed64(w)), sparse_input_grad(dl_di, w, s)
-        )
+            sparse_input_grad(np.ones((3, 3), dtype=np.float32), w, s, transposed64(w))
 
     def test_shape_mismatch(self):
         w = LayerWeights(np.ones((3, 4)))
         with pytest.raises(ContractViolation):
             sparse_input_grad(
-                np.zeros((1, 2), dtype=np.float32), w, SparseSpikeBatch.empty(1, 4)
+                np.zeros((1, 2), dtype=np.float32), w, SparseSpikeBatch.empty(1, 4),
+                transposed64(w),
             )
 
 
@@ -344,13 +330,14 @@ class TestStackedBatches:
         w, batches, dl_di = self._steps(seed)
         stacked = SparseTransport.stack(batches)
         assert stacked.batch_size == sum(s.batch_size for s in batches)
+        wt64 = transposed64(w)
         assert np.array_equal(
-            sparse_forward_current(w, stacked),
-            np.concatenate([sparse_forward_current(w, s) for s in batches]),
+            sparse_forward_current(w, stacked, wt64),
+            np.concatenate([sparse_forward_current(w, s, wt64) for s in batches]),
         )
         assert np.array_equal(
-            sparse_input_grad(np.concatenate(dl_di), w, stacked),
-            np.concatenate([sparse_input_grad(g, w, s) for g, s in zip(dl_di, batches)]),
+            sparse_input_grad(np.concatenate(dl_di), w, stacked, wt64),
+            np.concatenate([sparse_input_grad(g, w, s, wt64) for g, s in zip(dl_di, batches)]),
         )
 
     @pytest.mark.parametrize("seed", range(5))

@@ -295,6 +295,19 @@ class TestFrozenShd2944:
         assert ledger.total_intra_bytes == 672000.0
         assert ledger.total_inter_bytes == 0.0
 
+    def test_two_chip_mapping_prices_only_on_its_geometry(self):
+        # Packed on 2 x 736 tiles, the network spans both chips and pays
+        # for inter-chip traffic; priced on 1 x 1472 the same tile ids
+        # would all sit on one chip and give the one-chip totals above.
+        net = network_spec_for(BenchConfig())
+        two = MachineSpec(tiles_per_chip=736, num_chips=2)
+        mapping = map_neurons(net, two, 2)
+        ledger = simulate_batch(net, mapping, two, saturated_activity(net))
+        assert ledger.total_time_cycles == 148119.32368127975
+        assert ledger.total_inter_bytes == 192000.0
+        with pytest.raises(ContractViolation, match="736 tiles per chip"):
+            simulate_batch(net, mapping, MachineSpec(), saturated_activity(net))
+
     @pytest.mark.parametrize("chips, slowdown", [
         (2, 1.016477453868782),
         (4, 1.0191907224303651),
