@@ -247,6 +247,11 @@ def cmd_train(opts: dict) -> int:
         batch_size=opts["batch_size"],
         num_timesteps=T,
     )
+    if spec.receptive_frames == 0:
+        raise ConfigError(
+            f"no input frame reaches the loss in {T} timesteps through "
+            f"{spec.num_weight_layers} weight layers (two steps of delay per hidden layer)"
+        )
     net = init_network(
         spec,
         seed=opts["seed"],
@@ -265,6 +270,7 @@ def cmd_train(opts: dict) -> int:
         )
     out = _out_dir(opts)
     _echo_config(opts, out)
+    print(f"receptive frames: {spec.receptive_frames} of {T} input frames reach the loss")
     opt_state = make_optimizer(opts["optimizer"], opts["lr"])
     rows = []
     for epoch in range(opts["epochs"]):

@@ -39,19 +39,33 @@ descending, then b ascending).
 
 One window per layer. Weight layer l gets kernel work only on payload
 steps first(l)..live(l)-1, and `_window` is the one place both passes
-read them from.
+read them from: the forward current, the weight gradient and the input
+gradient.
+- The reach: each hidden layer adds two steps between a payload it reads
+  and one it sends. The payload of step t drives the current of step
+  t + 1, the membrane of step t + 2 integrates that current, and the
+  layer's payload of step t + 2 is fired from that membrane. The
+  readout's payload of step T - 2 drives the last current the scores
+  sum, so weight layer l's payload of step t reaches the loss only if
+  t <= live(l) - 1 = T - 2 - 2(L - 1 - l) (`NetworkSpec.live_steps`).
+  The forward pass therefore computes the currents of steps
+  first+1..live only and leaves the later ones +0.0. Layer l's membranes
+  and spikes of steps 0..live+1, all that the layer above and the
+  backward sweep read, are unchanged by that; the later ones are those
+  of a layer whose input stopped, and nothing downstream reads them.
+  Only input frames 0..live(0)-1 reach the loss
+  (`NetworkSpec.receptive_frames`).
 - The head: `first` is the first of steps 0..T-2 whose payload holds a
   spike (T - 1 if none does), read from the data, not from a rule: a
   hidden layer cannot fire before its input has, but forced spikes and
   thresholds <= 0 fire at step 0. A silent payload drives a current of
   signed zeros, and a +0.0 membrane updated with a signed-zero current
-  stays +0.0, so the forward pass computes the currents of steps
-  first+1..T-1 only and leaves the earlier ones +0.0. A silent payload
-  adds nothing to the weight gradient either.
-- The tail: the last step's payload drives nothing, and each layer adds
-  a one-step delay, so dL/dI is exactly zero on a tail of steps. Call
-  dL/dI[t] of weight layer l live if t <= live(l): the readout's dL/dI is
-  live on steps 1..T-1, and a hidden layer has
+  stays +0.0, so the forward pass leaves the currents of steps up to
+  `first` +0.0. A silent payload adds nothing to the weight gradient
+  either.
+- The tail, the mirror of the reach: dL/dI is exactly zero on a tail
+  of steps. Call dL/dI[t] of weight layer l live if t <= live(l): the
+  readout's dL/dI is live on steps 1..T-1, and a hidden layer has
   live(l) = max(live(l + 1) - 2, 0). One step is lost because dL/dS[t]
   comes from the dL/dI[t + 1] of the layer above, the other because
   dL/dI[t] drives the membrane of step t + 1, so it sees only the dL/dS
@@ -63,16 +77,18 @@ read them from.
 So the sweep covers steps live..1, the weight gradient gets the first
 (live - first) * B of its rows with the payloads of steps live-1..first,
 and the input gradient the first (live - 2) * B rows with the payloads of
-steps live-1..2; a kernel with an empty window is not called. This is
-exact: the head and the tail leave out only zeros that would be added to
-sums that start at +0.0, which leaves them unchanged, and the input
-gradient leaves out only rows that nothing reads. One caveat: the dense kernels are BLAS products,
-which may cut a long sum over rows into blocks at points set by the row
-count. A few hundred float32 dL/dI values sum exactly in float64 unless
-their magnitudes span more than about 2^20, so the float32 transports do
-not see the regrouping; the float64 relaxed transport can change in the
-last bit once a layer has more rows than a block (seen at 48 x 9 rows,
-never at gradient-check sizes).
+steps live-1..2; the forward current gets the payloads of steps
+first..live-1 in time order. A kernel with an empty window is not
+called. This is exact: the head and the tail leave out only zeros that
+would be added to sums that start at +0.0, which leaves them unchanged,
+and the reach and the input gradient leave out only rows that nothing
+reads. One caveat: the dense kernels are BLAS products, which may cut a
+long sum over rows into blocks at points set by the row count. A few
+hundred float32 dL/dI values sum exactly in float64 unless their
+magnitudes span more than about 2^20, so the float32 transports do not
+see the regrouping; the float64 relaxed transport can change in the last
+bit once a layer has more rows than a block (seen at 48 x 9 rows, never
+at gradient-check sizes).
 
 Weight gradients accumulate over the window in float64 and are rounded
 once at the end: one call per layer, on the stacked (dL/dI, payload) rows
@@ -328,6 +344,10 @@ class ForwardTrace:
     sent[l][t]: the payload weight layer l read at step t; sent[0] holds
         the input frames. Dense payloads are spike matrices, so there
         sent[l] is spikes[l - 1] itself for l >= 1.
+
+    Rows of u[l] and spikes[l] after step live(l) + 1 come from a layer
+    whose input current stopped at step live(l); the scores, the layer
+    above and the backward sweep read none of them.
     """
 
     transport: DenseTransport
@@ -356,7 +376,11 @@ def forward_pass(
 
     Every weight layer below the top is hidden: its neurons spike and send.
     The last weight layer is a non-spiking integrator, and the scores are
-    the sum over steps of its membrane after each update.
+    the sum over steps of its membrane after each update. Each layer's
+    current is computed on its window only (module docstring), so the
+    membranes and spikes a hidden layer records after step live(l) + 1
+    are those of a layer whose input stopped (see `ForwardTrace`). The
+    LIF loops, the sends and the encoders still run at every step.
 
     `inputs` is a (B, T, input_size) binary array. In sparse mode `rng`
     supplies drop decisions; its position is advanced internally by one
@@ -388,14 +412,13 @@ def forward_pass(
         hidden = l < L - 1
         shape = (T, batch, spec.layer_sizes[l + 1])
         # The current of step t + 1 is driven by the payload of step t;
-        # the last step's payload drives nothing, and neither do the silent
-        # payloads before the layer's window.
-        first, _ = _window(transport, payloads, l, L)
+        # only the payloads of the layer's window reach the loss.
+        first, live = _window(transport, payloads, spec, l)
         i_syn = np.zeros(shape, dtype=dtype)
-        if first < T - 1:
-            i_syn[first + 1 :] = transport.current(
-                l, net.weights[l], payloads[first:-1]
-            ).reshape((T - 1 - first,) + shape[1:])
+        if live > first:
+            i_syn[first + 1 : live + 1] = transport.current(
+                l, net.weights[l], payloads[first:live]
+            ).reshape((live - first,) + shape[1:])
         u_seen = np.empty(shape, dtype=dtype) if record_trace else None
         spikes = np.empty(shape, dtype=dtype) if hidden else None
         sent = transport.payloads(spikes) if hidden else None
@@ -458,7 +481,7 @@ def backward_pass(
     windows = [None] * L
     ds = None  # dL/dS of the layer being swept, from the layer above
     for l in range(L - 1, -1, -1):
-        windows[l] = first, live = _window(transport, trace.sent[l], l, L)
+        windows[l] = first, live = _window(transport, trace.sent[l], spec, l)
         if live:
             dl_di[l] = _sweep_layer(net, trace, l, live, ds, dl_dscores, reset_grad)
         ds = None  # freed before the next input-grad call allocates
@@ -485,17 +508,17 @@ def backward_pass(
     return grads
 
 
-def _window(transport, sent, l, num_layers):
+def _window(transport, sent, spec, l):
     """Weight layer l's window (first, live) over its payloads `sent`.
 
     Payload steps first..live-1 are the ones that get kernel work: `first`
     is the first of steps 0..T-2 whose payload holds a spike (T - 1 if
-    none does), and dL/dI is live on steps 1..live, with live = T - 1 at
-    the readout and two fewer at each layer below it, down to 0.
+    none does), and `live` is `spec.live_steps(l)`: T - 1 at the readout
+    and two fewer at each layer below it, down to 0.
     """
     T = len(sent)
     first = next((t for t in range(T - 1) if transport.holds_spike(sent[t])), T - 1)
-    return first, max(T - 1 - 2 * (num_layers - 1 - l), 0)
+    return first, spec.live_steps(l)
 
 
 def _sweep_layer(net, trace, l, live, ds_in, dl_dscores, reset_grad) -> np.ndarray:
@@ -591,11 +614,17 @@ def train_step(
 
 def _check_finite(net: Network, loss: float, grads: list) -> None:
     """Raise NonFiniteStep, naming the first weight layer whose gradient or
-    weight holds a non-finite entry, if the loss or a gradient sum is not
-    finite. The normal path costs one reduction per gradient; the arrays
+    weight holds a non-finite entry, if the loss or a gradient or weight
+    sum is not finite. A NaN weight need not reach the gradients: a sparse
+    run without `reset_grad` never retains the neuron whose membrane it
+    makes NaN. The normal path costs one reduction per array; the arrays
     are scanned only after that check fails (a sum can also overflow)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        if np.isfinite(loss) and all(np.isfinite(g.sum()) for g in grads):
+        if (
+            np.isfinite(loss)
+            and all(np.isfinite(g.sum()) for g in grads)
+            and all(np.isfinite(w.w.sum()) for w in net.weights)
+        ):
             return
     for l, (g, w) in enumerate(zip(grads, net.weights)):
         for name, a in (("gradient", g), ("weight", w.w)):

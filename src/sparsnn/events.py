@@ -78,8 +78,6 @@ class DatasetSpec:
 
 DATASET_PRESETS = {
     "shd": DatasetSpec(700, 48, 20),
-    "nmnist": DatasetSpec(2048, 32, 10),
-    "dvsgesture": DatasetSpec(4608, 96, 11),
 }
 
 

@@ -163,6 +163,20 @@ class NetworkSpec:
     def output_size(self) -> int:
         return self.layer_sizes[-1]
 
+    def live_steps(self, l: int) -> int:
+        """Weight layer l's live bound: its payload of step t reaches the
+        loss only if t < live, and its dL/dI is nonzero only on steps
+        1..live. live = T - 1 at the readout and two fewer at each layer
+        below it, down to 0: a hidden layer adds two steps of delay (the
+        `engine` module docstring has the argument)."""
+        return max(self.num_timesteps - 1 - 2 * (self.num_weight_layers - 1 - l), 0)
+
+    @property
+    def receptive_frames(self) -> int:
+        """How many input frames reach the loss: frames 0..receptive_frames-1
+        do, later ones change no score and no gradient."""
+        return self.live_steps(0)
+
 
 def threshold_spikes_dense(u: np.ndarray, threshold: np.ndarray) -> np.ndarray:
     """Heaviside spikes: 1 where u >= threshold (ties fire), else 0."""

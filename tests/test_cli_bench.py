@@ -47,7 +47,7 @@ def test_sparsity_sweep_marks_silent_rows_invalid(tmp_path):
     assert rows == [(FIXED, "True")] * 2 + [(NATURAL, "False")] * 2
 
 
-def test_gen_data_then_sparse_train(tmp_path):
+def test_gen_data_then_sparse_train(tmp_path, capsys):
     data = tmp_path / "data"
     assert cli.main([
         "gen-data", "--out-dir", str(data), "--classes", "2", "--input-size", "16",
@@ -56,11 +56,14 @@ def test_gen_data_then_sparse_train(tmp_path):
     assert (data / "manifest.csv").is_file()
 
     run = tmp_path / "run"
+    capsys.readouterr()
     assert cli.main([
         "train", "--data", str(data), "--layers", "16,8,2", "--mode", "sparse",
         "--max-activity", "0.5", "--batch-size", "4", "--timesteps", "10",
         "--epochs", "2", "--out-dir", str(run),
     ]) == 0
+    # Two weight layers at 10 steps: frames 0..6 reach the loss.
+    assert "receptive frames: 7 of 10 input frames reach the loss\n" in capsys.readouterr().out
     for name in ("config.txt", "metrics.csv", "checkpoint.bin"):
         assert (run / name).is_file()
     rows = (run / "metrics.csv").read_text().splitlines()
@@ -160,6 +163,9 @@ SIMULATE_MACHINE = ["simulate", "--machine-config", "{data}/machine.cfg"]
                  id="negative_timesteps"),
     pytest.param(None, TRAIN + ["--optimizer", "adam", "--lr", "-1"], 2,
                  "learning rate must be > 0", id="adam_negative_lr"),
+    pytest.param(None, TRAIN + ["--layers", "16,8,8,8,8,8,2"], 2,
+                 "no input frame reaches the loss in 10 timesteps through 6 weight layers",
+                 id="no_receptive_frame"),
     pytest.param(None, ["gradcheck", "--nets", "0"], 2, "at least one network",
                  id="gradcheck_no_nets"),
     pytest.param(_config_choice, ["bench", "--config", "{data}/run.cfg"], 2,
@@ -187,7 +193,7 @@ def test_bad_input_exits_with_code(tmp_path, capsys, corrupt, argv, code, messag
     assert cli.main(argv + ["--out-dir", str(tmp_path / "run")]) == code
     err = capsys.readouterr().err
     assert err.startswith(("config error:", "data error:")) and message in err
-    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_failed_gradcheck_exits_1(capsys):

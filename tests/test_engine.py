@@ -310,31 +310,33 @@ class TestBackward:
             for seen in calls.values():
                 seen.clear()
             trace, scores = forward_pass(net, inputs, mode=mode, rng=DropRng(5))
-            # One current call per layer whose input spikes before the last
-            # step, on the stacked payloads of steps first..T-2: they drive
-            # the currents of steps first+1..T-1, and u[t+1] integrates the
-            # current out[t-1-first]. Before that the membrane stays +0.0.
+            # One current call per layer whose window (first, live) is not
+            # empty, on the stacked payloads of steps first..live-1: they
+            # drive the currents of steps first+1..live, and u[t+1]
+            # integrates the current out[t-1-first]. Before that the
+            # membrane stays +0.0; after it the current is +0.0.
             first = [self._first(trace, inputs, l) for l in range(3)]
-            driven = [l for l in range(3) if first[l] < T - 1]
+            driven = [l for l in range(3) if live[l] > first[l]]
             late_starts += sum(first[l] > 0 for l in driven)
             silent_layers += 3 - len(driven)
             forward = calls["forward_current"]
             assert len(forward) == len(driven)
             for l, ((w, s_in, *_), out) in zip(driven, forward):
                 assert w is net.weights[l]
-                sent = trace.sent[l][first[l] : T - 1]
+                sent = trace.sent[l][first[l] : live[l]]
                 if mode == SPARSE:
                     assert np.array_equal(s_in.ids, np.concatenate([p.ids for p in sent]))
                 else:
                     assert np.array_equal(s_in, np.concatenate(sent))
-                steps = T - 1 - first[l]
+                steps = live[l] - first[l]
                 assert out.shape == (steps * B, net.spec.layer_sizes[l + 1])
+                out = out.reshape(steps, B, -1)
                 u = trace.u[l]
                 s = trace.spikes[l] if trace.spikes[l] is not None else np.zeros_like(u)
-                out = out.reshape(steps, B, -1).astype(u.dtype)
                 for t in range(first[l] + 1, T - 1):
+                    i_t = out[t - 1 - first[l]] if t <= live[l] else np.zeros_like(out[0])
                     assert np.array_equal(
-                        membrane_update(u[t], s[t], out[t - 1 - first[l]], net.params[l]),
+                        membrane_update(u[t], s[t], i_t.astype(u.dtype), net.params[l]),
                         u[t + 1],
                     )
             for l in range(3):
@@ -601,7 +603,9 @@ class TestLiveSteps:
 
 class TestWindows:
     """The passes that give each layer work only in its window give the
-    full-window passes' scores, membranes and gradients byte for byte."""
+    full-window passes' scores and gradients byte for byte, and the
+    membranes of every step the backward pass reads: weight layer l's
+    steps 0..live(l)+1."""
 
     # None keeps the draw's threshold of 1.0; a threshold <= 0 fires at
     # step 0 from the +0.0 start, so no hidden-fed window starts late.
@@ -644,7 +648,10 @@ class TestWindows:
                 want_trace, want = oracle.forward_pass(
                     net, inputs, mode, rng=DropRng(seed), force_spikes=forced
                 )
-                pairs = [(got, want), *zip(got_trace.u, want_trace.u)]
+                L = net.spec.num_weight_layers
+                read = [max(T - 1 - 2 * (L - 1 - l), 0) + 2 for l in range(L)]
+                pairs = [(got, want)]
+                pairs += [(g[:r], w[:r]) for g, w, r in zip(got_trace.u, want_trace.u, read)]
                 upstream = upstream.astype(got.dtype)
                 for reset_grad in (True, False):
                     pairs += zip(
@@ -653,9 +660,8 @@ class TestWindows:
                     )
                 for g, w in pairs:
                     assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
-                L = net.spec.num_weight_layers
                 first = [
-                    engine._window(got_trace.transport, got_trace.sent[l], l, L)[0]
+                    engine._window(got_trace.transport, got_trace.sent[l], net.spec, l)[0]
                     for l in range(L)
                 ]
                 late_starts += sum(f > 0 for f in first)
@@ -663,6 +669,69 @@ class TestWindows:
                     assert not any(first[1:])
         # Silent leading inputs start some layer-0 window late at every T > 1.
         assert (late_starts > 0) == (T > 1)
+
+    @staticmethod
+    def _deep_net(T, sparse_sizes=(6, 8, 10, 12)):
+        """A [6, 8, 10, 12, 3] net (L = 4) and dense inputs for it."""
+        spec = NetworkSpec((6, 8, 10, 12, 3), sparse_sizes, batch_size=2, num_timesteps=T)
+        net = init_network(spec, seed=0, alpha=0.85, grad_threshold=-1e6, weight_gain=8.0)
+        return net, random_inputs(np.random.default_rng(0), 2, T, 6, density=0.5)
+
+    @pytest.mark.parametrize("mode", [DENSE, SPARSE])
+    def test_forward_current_reads_the_weight_gradients_payload_steps(self, mode, monkeypatch):
+        prefix = "sparse_" if mode == SPARSE else "dense_"
+        calls = {"forward_current": [], "weight_grad": []}
+        for kind, seen in calls.items():
+            original = getattr(engine, prefix + kind)
+
+            def record(w_or_dl_di, s_in, *args, _fn=original, _seen=seen):
+                _seen.append(s_in)
+                return _fn(w_or_dl_di, s_in, *args)
+
+            monkeypatch.setattr(engine, prefix + kind, record)
+        net, inputs = self._deep_net(10)
+        B = net.spec.batch_size
+        trace, scores = forward_pass(net, inputs, mode=mode, rng=DropRng(5), force_spikes=True)
+        backward_pass(net, trace, np.ones_like(scores))
+        # Forced spikes start every window at step 0, so each layer reads
+        # payload steps 0..live-1, live = 3, 5, 7, 9: in time order for the
+        # current and in sweep order for the weight gradient.
+        forward, backward = calls["forward_current"], calls["weight_grad"]
+        assert len(forward) == len(backward) == 4
+        for live, fwd, bwd in zip((3, 5, 7, 9), forward, backward):
+            if mode == SPARSE:
+                keys = ("ids", "num_spikes", "num_grads")
+                pairs = [(getattr(fwd, k), getattr(bwd, k)) for k in keys]
+            else:
+                pairs = [(fwd, bwd)]
+            for f, b in pairs:
+                assert len(f) == len(b) == live * B
+                f = f.reshape((live, B) + f.shape[1:])
+                assert np.array_equal(f[::-1], b.reshape(f.shape))
+
+    @pytest.mark.parametrize("case", ["dense", "sparse", "sparse_capped"])
+    def test_frames_after_the_receptive_ones_change_nothing(self, case):
+        mode = case.split("_")[0]
+        sizes = (4, 4, 6, 6) if case == "sparse_capped" else (6, 8, 10, 12)
+        net, inputs = self._deep_net(10, sizes)
+        k = 3  # T - 1 - 2(L - 1): frames 0..2 reach the loss
+
+        def run(frames):
+            trace, scores = forward_pass(net, frames, mode=mode, rng=DropRng(9))
+            return [scores, *backward_pass(net, trace, np.ones_like(scores))]
+
+        want = run(inputs)
+        assert all(g.any() for g in want)
+        rng = np.random.default_rng(1)
+        for start in (k, k + 1, 9):
+            frames = inputs.copy()
+            frames[:, start:] = rng.random(frames[:, start:].shape) < 0.5
+            for g, w in zip(run(frames), want):
+                assert g.tobytes() == w.tobytes()
+        # The bound is tight: the last receptive frame reaches the loss.
+        frames = inputs.copy()
+        frames[:, k - 1] = 1 - frames[:, k - 1]
+        assert any(g.tobytes() != w.tobytes() for g, w in zip(run(frames), want))
 
 
 class TestLoss:
@@ -757,6 +826,26 @@ class TestTraining:
         # The failed step made no update: the NaN is still the only one.
         assert np.count_nonzero(np.isnan(net.weights[0].w)) == 1
         assert np.isfinite(net.weights[1].w).all()
+
+    def test_nan_weight_that_no_gradient_reaches_is_caught(self):
+        # A NaN membrane neither fires nor falls in the gradient band, so a
+        # sparse run without the reset term never retains its neuron: the
+        # loss and every gradient stay finite, and only the weight is NaN.
+        spec = NetworkSpec((16, 24, 4), (8, 8), batch_size=4, num_timesteps=8)
+        net = init_network(spec, seed=1, weight_gain=6.0)
+        net.weights[0].w[0, 0] = np.nan
+        rng = np.random.default_rng(1)
+        frames = (rng.random((4, 8, 16)) < 0.5).astype(np.float32)
+        labels = rng.integers(0, 4, 4)
+        trace, scores = forward_pass(net, frames, mode=SPARSE, rng=DropRng(1))
+        loss, upstream = softmax_cross_entropy(scores, labels)
+        grads = backward_pass(net, trace, upstream, reset_grad=False)
+        assert np.isfinite(loss) and all(np.isfinite(g).all() for g in grads)
+        with pytest.raises(NonFiniteStep, match="^non-finite weight in weight layer 0$"):
+            engine.train_step(
+                net, frames, labels, SgdState(), SPARSE, DropRng(1), reset_grad=False
+            )
+        assert np.count_nonzero(np.isnan(net.weights[0].w)) == 1
 
     def test_overflowing_gradient_sum_is_not_an_error(self):
         net = exactness_net(0, [6, 8, 3], T=8, batch=4)

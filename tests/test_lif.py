@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from sparsnn.bench import BenchConfig, network_spec_for
 from sparsnn.engine import forward_pass
 from sparsnn.errors import ConfigError, ContractViolation
 from sparsnn.lif import (
@@ -142,6 +145,19 @@ class TestNetworkSpec:
             NetworkSpec((10, 10, 2), (12, 4), batch_size=1, num_timesteps=1)
         spec = NetworkSpec((10, 10, 2), (10, 4), batch_size=2, num_timesteps=3)
         assert spec.num_weight_layers == 2
+
+    @pytest.mark.parametrize("preset, frames", [("tiny", 5), ("shd-2944", 3)])
+    def test_receptive_frames_of_the_presets(self, preset, frames):
+        # T = 10; each of the L - 1 hidden layers costs two steps of reach.
+        spec = network_spec_for(BenchConfig(preset=preset))
+        assert spec.num_timesteps == 10
+        assert spec.receptive_frames == frames == spec.live_steps(0)
+
+    def test_receptive_frames_floor_at_zero(self):
+        spec = NetworkSpec((4,) * 7, (4,) * 6, batch_size=1, num_timesteps=10)
+        assert [spec.live_steps(l) for l in range(6)] == [0, 1, 3, 5, 7, 9]
+        assert spec.receptive_frames == 0
+        assert replace(spec, num_timesteps=12).receptive_frames == 1
 
     def test_current_linearity(self):
         # Eq-level property: current from a union of disjoint spike sets is
