@@ -106,7 +106,9 @@ class BenchResult:
     """One configuration's timings and model.
 
     hidden_spikes: mean spikes per batch row and timestep of each hidden
-        layer, in the probe forward pass that feeds the ledger.
+        layer, in the probe forward pass that feeds the ledger, over the
+        steps the layer above reads (`collect_activity`); 0.0 for a layer
+        with none.
     """
 
     config: BenchConfig
@@ -158,12 +160,18 @@ def bench_dataset(config: BenchConfig) -> SpikeDataset:
 
 def collect_activity(spec: NetworkSpec, trace) -> tuple:
     """(spike counts, retained-entry counts) per (t, layer) averaged over
-    the batch, from a sparse-mode trace. Column 0 is the input layer."""
+    the batch, from a sparse-mode trace. Column 0 is the input layer.
+
+    Column k holds the payloads weight layer k reads on steps
+    0..live(k)-1 (`NetworkSpec.live_steps`), the network's own activity,
+    and 0.0 on the later steps, whose recorded spikes come from a layer
+    whose input stopped; the ledger reads none of those."""
     shape = (spec.num_timesteps, len(spec.layer_sizes))
     act, grad = np.zeros(shape), np.zeros(shape)
     for k, payloads in enumerate(trace.sent):
-        act[:, k] = [b.num_spikes.mean() for b in payloads]
-        grad[:, k] = [b.num_grads.mean() for b in payloads]
+        live = spec.live_steps(k)
+        act[:live, k] = [b.num_spikes.mean() for b in payloads[:live]]
+        grad[:live, k] = [b.num_grads.mean() for b in payloads[:live]]
     return act, grad
 
 
@@ -227,7 +235,10 @@ def run_benchmark(config: BenchConfig) -> BenchResult:
         measured_accel=dense_mean / sparse_mean,
         modeled_accel=modeled,
         frames_per_sec=config.batch_size * config.num_timesteps / sparse_mean,
-        hidden_spikes=tuple(act[:, 1 : spec.num_weight_layers].mean(axis=0).tolist()),
+        hidden_spikes=tuple(
+            float(act[:, k].sum() / max(spec.live_steps(k), 1))
+            for k in range(1, spec.num_weight_layers)
+        ),
     )
 
 
@@ -268,7 +279,8 @@ def sparsity_sweep(config: BenchConfig, activity_grid) -> list:
 
 def scaleup_sweep(config: BenchConfig, per_tile_grid) -> list:
     """Modeled acceleration for the published per-tile scale-up
-    architectures; memory failures become recorded cells, not crashes."""
+    architectures, priced on every step (`machine` module docstring);
+    memory failures become recorded cells, not crashes."""
     rows = []
     for npt in per_tile_grid:
         if npt not in SCALEUP_SHD:
@@ -288,8 +300,12 @@ def scaleup_sweep(config: BenchConfig, per_tile_grid) -> list:
             rows.append(row)
             continue
         act = saturated_activity(spec)
-        sparse_ledger = simulate_batch(spec, mapping, config.machine, act)
-        dense_ledger = simulate_batch(spec, mapping, config.machine, None, mode="dense")
+        sparse_ledger = simulate_batch(
+            spec, mapping, config.machine, act, every_step=True
+        )
+        dense_ledger = simulate_batch(
+            spec, mapping, config.machine, None, mode="dense", every_step=True
+        )
         row["modeled_accel"] = acceleration_model(dense_ledger, sparse_ledger)
         rows.append(row)
     return rows

@@ -9,7 +9,7 @@ The on-disk format (ESF) is deliberately tiny and bit-exact:
     then num_events records of (uint32 LE timestamp_us, uint32 LE channel)
 
 The channel bound keeps a corrupt count from sizing the (T, num_channels)
-frames that binning allocates; the widest preset has 4608 channels.
+frames that binning allocates; the only preset, `shd`, has 700 channels.
 
 Generated datasets are one ESF file per sample plus a manifest CSV with
 columns (path, label).

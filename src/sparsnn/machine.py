@@ -27,6 +27,21 @@ traffic within a chip rides the compute superstep at the intra rate.
 counts each layer's neurons per tile, and each spike tensor's bytes are
 spread evenly over the consuming layer's tiles on each chip.
 
+The schedule is the engine's: weight layer l multiplies and receives its
+payload of step t only if t < live(l) (`NetworkSpec.live_steps`), the
+payload steps that reach the loss, and in the backward pass returns
+gradient entries, and multiplies them, only on steps 2..live(l)-1, the
+rows the sweep of the layer below reads (layer 0 returns none). Both
+sides skip the same (step, layer) work, so the ledger reads a training
+run's activity only where that activity is the network's own: the
+engine stops a layer's current after step live(l), and the spikes it
+records later come from a layer whose input stopped. Every state update
+and every superstep's sync is still charged, as the engine's LIF loops
+run every step. `every_step=True` prices every layer at every step
+instead, as the paper's schedule does; the scale-up and weak-scaling
+sweeps use it, since at T=10 their deeper nets have layers whose window
+is empty.
+
 Per-tile memory estimate for a neuron with fan-in F, batch B, T timesteps:
 16*F (weights, weight grads, two optimizer moments at 4 bytes) plus
 4*B*(4 + T) (four state arrays and a per-timestep membrane trace).
@@ -256,9 +271,10 @@ def _phase_cycles(
     """Price one direction for all T steps at once.
 
     in_counts[t, l]: incoming activations per sample for weight layer l at
-    step t. edges: (producer_layer, consumer_layer, counts) spike tensors,
-    `counts` a (T,) vector; producer -1 is the network input, which is
-    loaded host-side onto the consuming chips (always local).
+    step t. edges: (producer_layer, consumer_layer, counts, sent) spike
+    tensors, `counts` a (T,) vector and `sent` a (T,) mask of the steps
+    that move it; producer -1 is the network input, which is loaded
+    host-side onto the consuming chips (always local).
 
     Returns (T, chips) arrays: the per-chip cycles and intra-chip bytes of
     the compute superstep, then the per-chip cycles and inter-chip bytes
@@ -277,8 +293,8 @@ def _phase_cycles(
     intra_tile, inter_tile = np.zeros((T, tiles)), np.zeros((T, tiles))
     intra_chip = np.zeros((T, machine.num_chips))
     inter_chip = np.zeros((T, machine.num_chips))
-    for producer, consumer, counts in edges:
-        bytes_total = 4.0 * counts * batch + header_bytes * batch
+    for producer, consumer, counts, sent in edges:
+        bytes_total = np.where(sent, 4.0 * counts * batch + header_bytes * batch, 0.0)
         src = tile_of_neuron[producer if producer >= 0 else consumer]
         src_chips = np.unique(src // per_chip)
         dst_tiles = np.unique(tile_of_neuron[consumer])
@@ -309,15 +325,18 @@ def simulate_batch(
     activity: np.ndarray | None,
     mode: str = "sparse",
     grad_activity: np.ndarray | None = None,
+    every_step: bool = False,
 ) -> CostLedger:
-    """Model one training batch (forward and backward over all timesteps).
+    """Model one training batch, forward and backward, on the engine's
+    windows, or on every step with `every_step` (module docstring).
 
     `activity[t, k]` is the per-sample spike count of layer k (column 0 is
     the input layer) at step t; `grad_activity` the retained-entry count
-    (defaults to `activity`). Dense mode ignores both: every count is the
-    layer size and rows carry no count header. The ledger is a pure
-    function of the arguments. A mapping packed for another network or
-    another chip size raises ContractViolation.
+    (defaults to `activity`). Counts outside the windows are not read.
+    Dense mode ignores both: every count is the layer size and rows carry
+    no count header. The ledger is a pure function of the arguments. A
+    mapping packed for another network or another chip size raises
+    ContractViolation.
     """
     if mode not in ("sparse", "dense"):
         raise ConfigError(f"unknown simulate mode {mode!r}")
@@ -348,6 +367,16 @@ def simulate_batch(
             raise ContractViolation("grad_activity shape mismatch")
         header_bytes = 8.0
 
+    # reach[t, l]: weight layer l works on its payload of step t;
+    # back[t, l]: and returns dL/dS for it.
+    steps = np.arange(T)[:, None]
+    if every_step:
+        reach = back = np.ones((T, L), dtype=bool)
+    else:
+        reach = steps < [net.live_steps(l) for l in range(L)]
+        back = reach & (steps >= 2) & (np.arange(L) >= 1)
+    spikes_in = np.where(reach, activity[:, :L], 0.0)
+
     def price(in_counts, edges):
         return _phase_cycles(
             tile_of_neuron, machine, net.batch_size, header_bytes, in_counts, edges
@@ -356,12 +385,13 @@ def simulate_batch(
     phases = (
         # Forward: layer l consumes layer l-1's spikes of the same step.
         ("forward", range(T), price(
-            activity[:, :L], [(l - 1, l, activity[:, l]) for l in range(L)]
+            spikes_in, [(l - 1, l, activity[:, l], reach[:, l]) for l in range(L)]
         )),
         # Backward: weight grads read input spikes, input grads write
         # gradient entries back to the producing layer's tiles.
         ("backward", range(T - 1, -1, -1), price(
-            activity[:, :L] + grad[:, :L], [(l, l - 1, grad[:, l]) for l in range(1, L)]
+            spikes_in + np.where(back, grad[:, :L], 0.0),
+            [(l, l - 1, grad[:, l], back[:, l]) for l in range(1, L)],
         )),
     )
     records = []
@@ -434,6 +464,7 @@ def weak_scale_run(
         spec, chips = chained_spec(net_per_chip, num_chips)
         mach = replace(machine, num_chips=num_chips)
         mapping = map_neurons(spec, mach, neurons_per_tile, layer_chips=chips)
-        return simulate_batch(spec, mapping, mach, saturated_activity(spec)).total_time_cycles
+        ledger = simulate_batch(spec, mapping, mach, saturated_activity(spec), every_step=True)
+        return ledger.total_time_cycles
 
     return total(k) / total(1)

@@ -3,9 +3,11 @@
 This is the simulator that `machine.simulate_batch` replaced: a stateful
 object that prices one superstep at a time, precomputes per-layer views
 of the mapping (tile histogram, chips, tiles grouped by chip) and appends
-records as it goes. `simulate_batch` prices each direction for all steps
-at once; it must give every superstep the same index, timestep, phase,
-time and per-chip arrays, byte for byte.
+records as it goes. On the engine's windows it leaves a layer's work and
+tensors out of each step they do not reach, one (step, layer) at a time.
+`simulate_batch` prices each direction for all steps at once; it must
+give every superstep the same index, timestep, phase, time and per-chip
+arrays, byte for byte.
 """
 
 from dataclasses import replace
@@ -117,7 +119,8 @@ class _Simulator:
             )
 
 
-def simulate_batch(net, mapping, machine, activity, mode="sparse", grad_activity=None):
+def simulate_batch(net, mapping, machine, activity, mode="sparse", grad_activity=None,
+                   every_step=False):
     if mode not in ("sparse", "dense"):
         raise ConfigError(f"unknown simulate mode {mode!r}")
     L = net.num_weight_layers
@@ -137,13 +140,26 @@ def simulate_batch(net, mapping, machine, activity, mode="sparse", grad_activity
             raise ContractViolation("grad_activity shape mismatch")
         header_bytes = 8.0
 
+    def works(t, l):
+        """Weight layer l multiplies its payload of step t."""
+        return every_step or t < net.live_steps(l)
+
+    def returns(t, l):
+        """Weight layer l returns dL/dS for its payload of step t."""
+        return every_step or 1 <= l and 2 <= t < net.live_steps(l)
+
     sim = _Simulator(net, mapping, machine, header_bytes)
     for t in range(T):
-        edges = [(l - 1, l, activity[t, l]) for l in range(L)]
-        sim.step(t, "forward", activity[t, :L], edges)
+        edges = [(l - 1, l, activity[t, l]) for l in range(L) if works(t, l)]
+        counts = [activity[t, l] if works(t, l) else 0.0 for l in range(L)]
+        sim.step(t, "forward", counts, edges)
     for t in range(T - 1, -1, -1):
-        edges = [(l, l - 1, grad[t, l]) for l in range(1, L)]
-        sim.step(t, "backward", activity[t, :L] + grad[t, :L], edges)
+        edges = [(l, l - 1, grad[t, l]) for l in range(1, L) if returns(t, l)]
+        counts = [
+            (activity[t, l] if works(t, l) else 0.0) + (grad[t, l] if returns(t, l) else 0.0)
+            for l in range(L)
+        ]
+        sim.step(t, "backward", counts, edges)
     return CostLedger(supersteps=sim.records, num_chips=machine.num_chips)
 
 
@@ -156,6 +172,7 @@ def weak_scale_run(net_per_chip, machine, neurons_per_tile=2):
         spec, chips = chained_spec(net_per_chip, num_chips)
         mach = replace(machine, num_chips=num_chips)
         mapping = map_neurons(spec, mach, neurons_per_tile, layer_chips=chips)
-        return simulate_batch(spec, mapping, mach, saturated_activity(spec)).total_time_cycles
+        ledger = simulate_batch(spec, mapping, mach, saturated_activity(spec), every_step=True)
+        return ledger.total_time_cycles
 
     return total(k) / total(1)

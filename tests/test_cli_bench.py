@@ -11,10 +11,22 @@ import sys
 import numpy as np
 import pytest
 
+import encode_oracle as oracle
 from sparsnn import cli
-from sparsnn.bench import FIXED, NATURAL, BenchConfig, network_spec_for, run_benchmark
+from sparsnn.bench import (
+    FIXED,
+    NATURAL,
+    BenchConfig,
+    collect_activity,
+    network_spec_for,
+    run_benchmark,
+)
+from sparsnn.engine import SPARSE, forward_pass
 from sparsnn.errors import DataFormatError
 from sparsnn.events import EventStream, load_dataset, write_events
+from sparsnn.machine import MachineSpec, map_neurons, simulate_batch
+from sparsnn.model import init_network
+from sparsnn.rng import DropRng
 
 
 @pytest.mark.parametrize("mode", [FIXED, NATURAL])
@@ -35,6 +47,29 @@ def test_run_benchmark_tiny(mode):
     else:
         assert result.hidden_spikes == (0.0, 0.0)
         assert not result.valid
+
+
+def test_ledger_prices_the_networks_own_activity():
+    # The engine stops weight layer l's current after step live(l), so the
+    # spikes its trace records later are not those of a full forward pass.
+    # `collect_activity` reads only the earlier steps, so it and the ledger
+    # it feeds equal the full pass's, byte for byte.
+    spec = network_spec_for(BenchConfig(preset="tiny", max_activity=0.25))
+    net = init_network(spec, seed=3, weight_gain=20.0)
+    inputs = (np.random.default_rng(3).random((spec.batch_size, 10, 32)) < 0.3).astype(np.float32)
+    got, _ = forward_pass(net, inputs, mode=SPARSE, rng=DropRng(3))
+    want, _ = oracle.forward_pass(net, inputs, SPARSE, rng=DropRng(3))
+    recorded = [[b.num_spikes.tobytes() for b in sent] for sent in (got.sent[2], want.sent[2])]
+    assert recorded[0] != recorded[1]
+    machine = MachineSpec()
+    mapping = map_neurons(spec, machine, 2)
+    ledgers = []
+    for trace in (got, want):
+        act, grad = collect_activity(spec, trace)
+        assert np.all(act[:, 1:3].sum(axis=0) > 0)  # both hidden layers fire
+        ledger = simulate_batch(spec, mapping, machine, act, grad_activity=grad)
+        ledgers.append((act.tobytes(), grad.tobytes(), ledger.total_time_cycles))
+    assert ledgers[0] == ledgers[1]
 
 
 def test_sparsity_sweep_marks_silent_rows_invalid(tmp_path):

@@ -596,7 +596,7 @@ class TestLiveSteps:
                 for g, w in zip(got, want):
                     assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
             L = net.spec.num_weight_layers
-            dead_layers += sum(T - 1 - 2 * (L - 1 - l) <= 0 for l in range(L))
+            dead_layers += sum(net.spec.live_steps(l) == 0 for l in range(L))
         # Every T but 10 leaves some draw's lower layers with no live step.
         assert (dead_layers > 0) == (T < 10)
 
@@ -649,7 +649,7 @@ class TestWindows:
                     net, inputs, mode, rng=DropRng(seed), force_spikes=forced
                 )
                 L = net.spec.num_weight_layers
-                read = [max(T - 1 - 2 * (L - 1 - l), 0) + 2 for l in range(L)]
+                read = [net.spec.live_steps(l) + 2 for l in range(L)]
                 pairs = [(got, want)]
                 pairs += [(g[:r], w[:r]) for g, w, r in zip(got_trace.u, want_trace.u, read)]
                 upstream = upstream.astype(got.dtype)

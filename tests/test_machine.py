@@ -99,6 +99,9 @@ def hand_machine():
 
 
 class TestSimulate:
+    # The hand-computed cases price one or two steps on every step: on the
+    # engine's windows a net this short does no multiply-accumulate work.
+
     def test_bsp_max_not_sum_hand_computed(self):
         # Forward: tile0 holds the 8 hidden neurons, tile1 the 2 readouts.
         # compute(tile0) = 8 * 2*(3*1+2) = 80, compute(tile1) = 2*2*(4*1+2)=24
@@ -109,7 +112,7 @@ class TestSimulate:
         net = hand_net()
         mapping = map_neurons(net, hand_machine(), 8)
         act = np.array([[3.0, 4.0, 0.0]])
-        ledger = simulate_batch(net, mapping, hand_machine(), act)
+        ledger = simulate_batch(net, mapping, hand_machine(), act, every_step=True)
         assert [s.time_cycles for s in ledger.supersteps] == [95.0, 144.0]
         assert ledger.total_time_cycles == 239.0
 
@@ -117,7 +120,7 @@ class TestSimulate:
         net = hand_net()
         mapping = map_neurons(net, hand_machine(), 8)
         act = np.zeros((1, 3))
-        ledger = simulate_batch(net, mapping, hand_machine(), act)
+        ledger = simulate_batch(net, mapping, hand_machine(), act, every_step=True)
         # ids contribute nothing; only the per-row count headers move.
         fwd = ledger.supersteps[0]
         assert fwd.intra_bytes == 2 * 8 * 2  # two edges, 8 bytes/row, B=2
@@ -176,7 +179,7 @@ class TestSimulate:
         net = spec([4, 8, 6, 2], [4, 8, 6], batch=3, T=2)
         machine = small_machine(tiles=8)
         mapping = map_neurons(net, machine, 4)
-        ledger = simulate_batch(net, mapping, machine, None, mode="dense")
+        ledger = simulate_batch(net, mapping, machine, None, mode="dense", every_step=True)
         backward = [s for s in ledger.supersteps if s.phase == "backward"]
         assert len(backward) == 2
         for s in backward:
@@ -187,12 +190,55 @@ class TestSimulate:
         machine = small_machine(tiles=8)
         mapping = map_neurons(net, machine, 4)
         full = np.broadcast_to(np.asarray(net.layer_sizes, float), (2, 4))
-        dense = simulate_batch(net, mapping, machine, None, mode="dense")
-        sparse = simulate_batch(net, mapping, machine, full)
+        dense = simulate_batch(net, mapping, machine, None, mode="dense", every_step=True)
+        sparse = simulate_batch(net, mapping, machine, full, every_step=True)
         headers = [8 * 3 * (3 if s.phase == "forward" else 2) for s in sparse.supersteps]
         assert [s.intra_bytes for s in dense.supersteps] == [
             s.intra_bytes - h for s, h in zip(sparse.supersteps, headers)
         ]
+
+    # A [4, 8, 6, 2] net at T=6 has live = 1, 3, 5: weight layer l works
+    # on payload steps t < live(l) and returns dL/dS on steps 2..live(l)-1
+    # for l >= 1, so the forward steps 0..5 move 3, 2, 2, 1, 1 and 0
+    # tensors and the backward steps 5..0 move 0, 1, 1, 2, 0 and 0.
+    WINDOW_FORWARD_TENSORS = [3, 2, 2, 1, 1, 0]
+    WINDOW_BACKWARD_TENSORS = [0, 1, 1, 2, 0, 0]
+
+    def test_windows_skip_the_same_work_dense_and_sparse(self):
+        net = spec([4, 8, 6, 2], [4, 8, 6], batch=3, T=6)
+        machine = small_machine(tiles=8)
+        mapping = map_neurons(net, machine, 4)
+        full = np.broadcast_to(np.asarray(net.layer_sizes, float), (6, 4))
+        dense = simulate_batch(net, mapping, machine, None, mode="dense")
+        sparse = simulate_batch(net, mapping, machine, full)
+        sent = self.WINDOW_FORWARD_TENSORS + self.WINDOW_BACKWARD_TENSORS
+        assert [s.intra_bytes for s in dense.supersteps] == [
+            s.intra_bytes - 8 * 3 * n for s, n in zip(sparse.supersteps, sent)
+        ]
+
+    def test_windows_read_no_count_outside_them(self):
+        net = spec([4, 8, 6, 2], [4, 8, 6], batch=3, T=6)
+        machine = small_machine(tiles=8)
+        mapping = map_neurons(net, machine, 4)
+        sizes = np.asarray(net.layer_sizes, float)
+        gen = np.random.default_rng(0)
+        act, grad = sizes * gen.random((6, 4)), sizes * gen.random((6, 4))
+        t = np.arange(6)[:, None]
+        live = np.array([1, 3, 5, 0])  # the readout column is never read
+        col = np.arange(4)
+        read_act = t < live
+        read_grad = (t < live) & (t >= 2) & (col >= 1)
+        want = simulate_batch(net, mapping, machine, act, grad_activity=grad)
+        act2 = np.where(read_act, act, sizes * gen.random((6, 4)))
+        grad2 = np.where(read_grad, grad, sizes * gen.random((6, 4)))
+        got = simulate_batch(net, mapping, machine, act2, grad_activity=grad2)
+        assert [(s.phase, s.time_cycles, s.chip_intra_bytes.tobytes()) for s in got.supersteps] == [
+            (s.phase, s.time_cycles, s.chip_intra_bytes.tobytes()) for s in want.supersteps
+        ]
+        # and it does read the counts inside them
+        act2[0, 0] = act[0, 0] + 1
+        moved = simulate_batch(net, mapping, machine, act2, grad_activity=grad2)
+        assert moved.total_time_cycles > want.total_time_cycles
 
     def test_activity_bounds_checked(self):
         net = hand_net()
@@ -290,7 +336,7 @@ class TestFrozenShd2944:
         net = network_spec_for(BenchConfig())
         machine = MachineSpec()
         mapping = map_neurons(net, machine, 2)
-        ledger = simulate_batch(net, mapping, machine, saturated_activity(net))
+        ledger = simulate_batch(net, mapping, machine, saturated_activity(net), every_step=True)
         assert ledger.total_time_cycles == 145304.6406570842
         assert ledger.total_intra_bytes == 672000.0
         assert ledger.total_inter_bytes == 0.0
@@ -302,11 +348,25 @@ class TestFrozenShd2944:
         net = network_spec_for(BenchConfig())
         two = MachineSpec(tiles_per_chip=736, num_chips=2)
         mapping = map_neurons(net, two, 2)
-        ledger = simulate_batch(net, mapping, two, saturated_activity(net))
+        ledger = simulate_batch(net, mapping, two, saturated_activity(net), every_step=True)
         assert ledger.total_time_cycles == 148119.32368127975
         assert ledger.total_inter_bytes == 192000.0
         with pytest.raises(ContractViolation, match="736 tiles per chip"):
             simulate_batch(net, mapping, MachineSpec(), saturated_activity(net))
+
+    def test_windowed_ledger_totals(self):
+        # On the engine's windows weight layers 0..3 (live 3, 5, 7, 9)
+        # receive 3 + 5 + 7 + 9 = 24 forward tensors and return 3 + 5 + 7
+        # = 15 gradient tensors, each (4 * 48 + 8) * 48 = 9600 bytes on
+        # the one chip; the dense ledger skips the same work.
+        net = network_spec_for(BenchConfig())
+        machine = MachineSpec()
+        mapping = map_neurons(net, machine, 2)
+        sparse = simulate_batch(net, mapping, machine, saturated_activity(net))
+        dense = simulate_batch(net, mapping, machine, None, mode="dense")
+        assert sparse.total_intra_bytes == (24 + 15) * 9600
+        assert sparse.total_time_cycles == 122132.32032854212
+        assert dense.total_time_cycles == 2364718.4
 
     @pytest.mark.parametrize("chips, slowdown", [
         (2, 1.016477453868782),
