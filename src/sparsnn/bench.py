@@ -37,6 +37,7 @@ from .lif import NetworkSpec
 from .machine import (
     MachineSpec,
     acceleration_model,
+    chained_spec,
     map_neurons,
     saturated_activity,
     simulate_batch,
@@ -280,7 +281,10 @@ def sparsity_sweep(config: BenchConfig, activity_grid) -> list:
 def scaleup_sweep(config: BenchConfig, per_tile_grid) -> list:
     """Modeled acceleration for the published per-tile scale-up
     architectures, priced on every step (`machine` module docstring);
-    memory failures become recorded cells, not crashes."""
+    memory failures become recorded cells, not crashes. Each row states
+    how many input frames reach the priced net's loss
+    (`NetworkSpec.receptive_frames`): 0 says it prices a net that cannot
+    see its input."""
     rows = []
     for npt in per_tile_grid:
         if npt not in SCALEUP_SHD:
@@ -292,6 +296,7 @@ def scaleup_sweep(config: BenchConfig, per_tile_grid) -> list:
             "status": "ok",
             "modeled_accel": "",
             "total_neurons": sum(layers[1:]),
+            "receptive_frames": spec.receptive_frames,
         }
         try:
             mapping = map_neurons(spec, config.machine, npt)
@@ -315,12 +320,15 @@ def weak_scaling_sweep(
     config: BenchConfig, chip_grid, batch_grid, per_tile_grid
 ) -> list:
     """Modeled slowdown for every (chips, batch, neurons/tile) point; the
-    per-chip network is the configured preset."""
+    per-chip network is the configured preset. Each row states how many
+    input frames reach the loss of the k-chip chained net
+    (`chained_spec`)."""
     rows = []
     for k in chip_grid:
         machine = replace(config.machine, num_chips=int(k))
         for batch in batch_grid:
             spec = network_spec_for(replace(config, batch_size=batch))
+            receptive = chained_spec(spec, int(k))[0].receptive_frames
             for npt in per_tile_grid:
                 slowdown = weak_scale_run(spec, machine, neurons_per_tile=npt)
                 rows.append(
@@ -329,6 +337,7 @@ def weak_scaling_sweep(
                         "batch_size": batch,
                         "neurons_per_tile": npt,
                         "slowdown": slowdown,
+                        "receptive_frames": receptive,
                     }
                 )
     return rows

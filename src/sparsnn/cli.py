@@ -225,6 +225,13 @@ def _layer_sizes(opts: dict) -> tuple:
     raise ConfigError("need --layers or --preset")
 
 
+def _print_receptive_frames(spec: NetworkSpec) -> None:
+    print(
+        f"receptive frames: {spec.receptive_frames} of {spec.num_timesteps} "
+        "input frames reach the loss"
+    )
+
+
 def cmd_train(opts: dict) -> int:
     if not opts["data"]:
         raise ConfigError("train needs --data pointing at a dataset manifest")
@@ -270,7 +277,7 @@ def cmd_train(opts: dict) -> int:
         )
     out = _out_dir(opts)
     _echo_config(opts, out)
-    print(f"receptive frames: {spec.receptive_frames} of {T} input frames reach the loss")
+    _print_receptive_frames(spec)
     opt_state = make_optimizer(opts["optimizer"], opts["lr"])
     rows = []
     for epoch in range(opts["epochs"]):
@@ -358,6 +365,7 @@ def cmd_simulate(opts: dict) -> int:
     sparse_ledger = simulate_batch(spec, mapping, machine, activity)
     dense_ledger = simulate_batch(spec, mapping, machine, None, mode="dense")
     sparse_ledger.write_csv(out / "ledger.csv")
+    _print_receptive_frames(spec)
     print(
         f"modeled sparse time: {sparse_ledger.total_time_cycles:.0f} cycles, "
         f"dense: {dense_ledger.total_time_cycles:.0f}, "

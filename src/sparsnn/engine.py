@@ -37,10 +37,10 @@ hidden layer it forms the spike slopes of the steps it sweeps. Stacked
 rows are t-major; in the backward pass they are in sweep order (t
 descending, then b ascending).
 
-One window per layer. Weight layer l gets kernel work only on payload
-steps first(l)..live(l)-1, and `_window` is the one place both passes
-read them from: the forward current, the weight gradient and the input
-gradient.
+One window per layer. Weight layer l gets kernel work only inside its
+window, and `windows` is the one place both passes read it from: it gives
+every layer's (first, lo, live), and the forward current, the sweep, the
+weight gradient and the input gradient all run on steps it names.
 - The reach: each hidden layer adds two steps between a payload it reads
   and one it sends. The payload of step t drives the current of step
   t + 1, the membrane of step t + 2 integrates that current, and the
@@ -58,11 +58,11 @@ gradient.
 - The head: `first` is the first of steps 0..T-2 whose payload holds a
   spike (T - 1 if none does), read from the data, not from a rule: a
   hidden layer cannot fire before its input has, but forced spikes and
-  thresholds <= 0 fire at step 0. A silent payload drives a current of
-  signed zeros, and a +0.0 membrane updated with a signed-zero current
-  stays +0.0, so the forward pass leaves the currents of steps up to
-  `first` +0.0. A silent payload adds nothing to the weight gradient
-  either.
+  thresholds <= 0 fire at step 0. The forward pass records it per layer
+  (`ForwardTrace.first`). A silent payload drives a current of signed
+  zeros, and a +0.0 membrane updated with a signed-zero current stays
+  +0.0, so the forward pass leaves the currents of steps up to `first`
+  +0.0. A silent payload adds nothing to the weight gradient either.
 - The tail, the mirror of the reach: dL/dI is exactly zero on a tail
   of steps. Call dL/dI[t] of weight layer l live if t <= live(l): the
   readout's dL/dI is live on steps 1..T-1, and a hidden layer has
@@ -71,31 +71,41 @@ gradient.
   dL/dI[t] drives the membrane of step t + 1, so it sees only the dL/dS
   of steps after t. On the dead steps du starts at +0.0 and stays +0.0
   (a +0.0 term plus a signed zero is +0.0), so a dead row is +0.0.
-- Rows no sweep reads: the sweep of layer l - 1 stops at step 2, so it
-  reads the dL/dS of payload steps 2..live(l)-1 only, and the input
-  gradient is not formed for steps 0 and 1.
-So the sweep covers steps live..1, the weight gradient gets the first
-(live - first) * B of its rows with the payloads of steps live-1..first,
-and the input gradient the first (live - 2) * B rows with the payloads of
-steps live-1..2; the forward current gets the payloads of steps
+- The sweep's head: call the dL/dI row that pairs with the payload of
+  step p row p. Layer l's rows feed two kernels: its weight gradient
+  reads rows first(l) and later, and its input gradient turns row p into
+  the dL/dS of step p, which the sweep of layer l - 1 reads only to make
+  its own row p - 2. So, from layer 0 up, the sweep of layer l need make
+  only rows lo(l) and later, with lo(0) = first(0) and lo(l) =
+  min(first(l), need(l)), where need(l) = lo(l - 1) + 2 is the first
+  step whose dL/dS the sweep below reads; it forms spike slopes only on
+  the steps lo(l) + 2..live(l) + 1 it sweeps. With natural firing
+  first(l) >= need(l), since a layer fires two steps after its input at
+  the earliest, so lo = need; under forced spikes every first is 0, so
+  lo is 0 and need is 2.
+So the sweep covers rows live-1..lo, the weight gradient gets the first
+(live - first) * B of them with the payloads of steps live-1..first, and
+the input gradient the first (live - need) * B rows with the payloads of
+steps live-1..need; the forward current gets the payloads of steps
 first..live-1 in time order. A kernel with an empty window is not
 called. This is exact: the head and the tail leave out only zeros that
 would be added to sums that start at +0.0, which leaves them unchanged,
-and the reach and the input gradient leave out only rows that nothing
-reads. One caveat: the dense kernels are BLAS products, which may cut a
-long sum over rows into blocks at points set by the row count. A few
-hundred float32 dL/dI values sum exactly in float64 unless their
-magnitudes span more than about 2^20, so the float32 transports do not
-see the regrouping; the float64 relaxed transport can change in the last
-bit once a layer has more rows than a block (seen at 48 x 9 rows, never
-at gradient-check sizes).
+and the reach, the sweep's head and the input gradient leave out only
+rows that nothing reads. One caveat: the dense kernels are BLAS products,
+which may cut a long sum over rows into blocks at points set by the row
+count. A few hundred float32 dL/dI values sum exactly in float64 unless
+their magnitudes span more than about 2^20, so the float32 transports do
+not see the regrouping; the float64 relaxed transport can change in the
+last bit once a layer has more rows than a block (seen at 48 x 9 rows,
+never at gradient-check sizes).
 
-Weight gradients accumulate over the window in float64 and are rounded
-once at the end: one call per layer, on the stacked (dL/dI, payload) rows
-in sweep order. Every sparse element receives the same adds in the same
-order as a per-step sweep would give it; the dense gradient is one
-product over all (live - first) * B rows. They are accumulated after the
-sweep, when the weight copies are gone, one float64 accumulator at a time.
+Weight gradients are summed over the window in float64 and rounded once
+at the end: one call per layer, on the stacked (dL/dI, payload) rows in
+sweep order, which writes the whole float64 buffer it is given (the
+`kernels` module docstring). Every sparse element receives the same adds
+in the same order as a per-step sweep would give it; the dense gradient
+is one product over all (live - first) * B rows. They are formed after
+the sweep, when the weight copies are gone, one float64 buffer at a time.
 
 A transport holds one float64 copy of every weight matrix, in the layout
 its kernels read: W for dense and relaxed, the C-contiguous transpose Wᵀ
@@ -344,6 +354,10 @@ class ForwardTrace:
     sent[l][t]: the payload weight layer l read at step t; sent[0] holds
         the input frames. Dense payloads are spike matrices, so there
         sent[l] is spikes[l - 1] itself for l >= 1.
+    first[l]: the first of weight layer l's payload steps 0..T-2 that
+        holds a spike, T - 1 if none does: the head of its window
+        (`windows`), so that the backward pass need not scan the payloads
+        again.
 
     Rows of u[l] and spikes[l] after step live(l) + 1 come from a layer
     whose input current stopped at step live(l); the scores, the layer
@@ -354,6 +368,7 @@ class ForwardTrace:
     u: list
     spikes: list
     sent: list
+    first: list
     num_timesteps: int
 
 
@@ -403,7 +418,8 @@ def forward_pass(
     T = spec.num_timesteps
     L = spec.num_weight_layers
     scores = np.zeros((batch, spec.output_size), dtype=dtype)
-    trace = ForwardTrace(transport, [], [], [], T) if record_trace else None
+    trace = ForwardTrace(transport, [], [], [], [], T) if record_trace else None
+    firsts = []
 
     # What weight layer l reads at each step: the input frames for l = 0.
     payloads = [transport.send_input(t, inputs[:, t, :]) for t in range(T)]
@@ -413,7 +429,8 @@ def forward_pass(
         shape = (T, batch, spec.layer_sizes[l + 1])
         # The current of step t + 1 is driven by the payload of step t;
         # only the payloads of the layer's window reach the loss.
-        first, live = _window(transport, payloads, spec, l)
+        firsts.append(_first_spike(transport, payloads))
+        first, _, live = windows(spec, firsts)[l]
         i_syn = np.zeros(shape, dtype=dtype)
         if live > first:
             i_syn[first + 1 : live + 1] = transport.current(
@@ -443,6 +460,7 @@ def forward_pass(
             trace.u.append(u_seen)
             trace.spikes.append(spikes)
             trace.sent.append(payloads)
+            trace.first.append(first)
         payloads = sent
 
     return trace, scores
@@ -460,12 +478,14 @@ def backward_pass(
     `reset_grad` routes gradients through the (1 - S) reset factor using
     the spike slope; the relaxed transport always takes the reset path.
 
-    Only each layer's window gets work (module docstring): weight layer
-    l's dL/dI is swept on steps live..1, with live = T - 1 at the readout
-    and two fewer at each layer below it, down to 0; its kernels read the
-    rows of steps live..first+1 (weight gradient) and live..3 (input
-    gradient). A kernel with an empty window is not called; a layer with
-    no weight-gradient call has a zero gradient.
+    Only each layer's window (first, lo, live) gets work (`windows`,
+    module docstring), read from `trace.first`: weight layer l's sweep
+    makes the dL/dI rows of payload steps live-1..lo, with live = T - 1
+    at the readout and two fewer at each layer below it, down to 0; its
+    weight gradient reads rows live-1..first and its input gradient rows
+    live-1..need, need = lo(l - 1) + 2, the steps whose dL/dS the sweep
+    below reads. A kernel with an empty window is not called; a layer
+    with no weight-gradient call has a zero gradient.
     """
     spec = net.spec
     transport = trace.transport
@@ -477,59 +497,83 @@ def backward_pass(
     L = spec.num_weight_layers
 
     transport.load(net.weights)
+    wins = windows(spec, trace.first)
     dl_di = [None] * L
-    windows = [None] * L
     ds = None  # dL/dS of the layer being swept, from the layer above
     for l in range(L - 1, -1, -1):
-        windows[l] = first, live = _window(transport, trace.sent[l], spec, l)
-        if live:
-            dl_di[l] = _sweep_layer(net, trace, l, live, ds, dl_dscores, reset_grad)
+        _, lo, live = wins[l]
+        if live > lo:
+            dl_di[l] = _sweep_layer(net, trace, l, lo, live, ds, dl_dscores, reset_grad)
         ds = None  # freed before the next input-grad call allocates
-        if l > 0 and live > 2:
-            # The sweep below reads dL/dS of steps 2..live-1 only: the
-            # first (live - 2) * B rows and the payloads of steps live-1..2.
+        need = wins[l - 1][1] + 2 if l else live  # layer 0 feeds no sweep
+        if live > need:
+            # The sweep below reads dL/dS of steps need..live-1 only: the
+            # first (live - need) * B rows and the payloads of steps
+            # live-1..need.
             ds = transport.input_grad(
-                l, dl_di[l][: (live - 2) * batch], net.weights[l], trace.sent[l][2:live][::-1]
-            ).reshape(live - 2, batch, -1)[::-1]
+                l, dl_di[l][: (live - need) * batch], net.weights[l],
+                trace.sent[l][need:live][::-1],
+            ).reshape(live - need, batch, -1)[::-1]
         transport.w64[l] = None  # read by no later call
 
     transport.release()
     grads = []
     for l, w in enumerate(net.weights):
-        first, live = windows[l]
-        acc = np.zeros(w.w.shape, order=transport.acc_order)
+        first, _, live = wins[l]
         if live > first:
-            # Payload steps first..live-1 pair with the first rows of dL/dI.
+            # Payload steps first..live-1 pair with the first rows of dL/dI;
+            # the kernel writes every element of the buffer.
+            acc = np.empty(w.w.shape, order=transport.acc_order)
             transport.weight_grad(
                 dl_di[l][: (live - first) * batch], trace.sent[l][first:live][::-1], acc
             )
+            grads.append(acc.astype(dt, order="C"))
+        else:
+            grads.append(np.zeros(w.w.shape, dtype=dt))
         dl_di[l] = None
-        grads.append(acc.astype(dt, order="C"))
     return grads
 
 
-def _window(transport, sent, spec, l):
-    """Weight layer l's window (first, live) over its payloads `sent`.
+def windows(spec, firsts) -> list:
+    """The window (first, lo, live) of each weight layer whose `first`
+    `firsts` lists, from layer 0 up (module docstring).
 
-    Payload steps first..live-1 are the ones that get kernel work: `first`
-    is the first of steps 0..T-2 whose payload holds a spike (T - 1 if
-    none does), and `live` is `spec.live_steps(l)`: T - 1 at the readout
-    and two fewer at each layer below it, down to 0.
+    first: the layer's first payload step that holds a spike
+        (`ForwardTrace.first`);
+    live: `spec.live_steps(l)`, T - 1 at the readout and two fewer at each
+        layer below it, down to 0;
+    lo: the first payload step whose dL/dI row some kernel reads,
+        lo(0) = first(0) and lo(l) = min(first(l), lo(l - 1) + 2).
+
+    The forward current and the weight gradient read payload steps
+    first..live-1, the sweep makes the rows of steps live-1..lo, and the
+    input gradient of layer l >= 1 reads steps lo(l - 1) + 2..live-1.
     """
-    T = len(sent)
-    first = next((t for t in range(T - 1) if transport.holds_spike(sent[t])), T - 1)
-    return first, spec.live_steps(l)
+    out = []
+    for l, first in enumerate(firsts):
+        lo = first if l == 0 else min(first, out[-1][1] + 2)
+        out.append((first, lo, spec.live_steps(l)))
+    return out
 
 
-def _sweep_layer(net, trace, l, live, ds_in, dl_dscores, reset_grad) -> np.ndarray:
-    """Reverse-time sweep of weight layer l's neurons over its live steps.
+def _first_spike(transport, payloads) -> int:
+    """The first of steps 0..T-2 whose payload holds a spike, T - 1 if
+    none does."""
+    T = len(payloads)
+    return next((t for t in range(T - 1) if transport.holds_spike(payloads[t])), T - 1)
 
-    `ds_in[t - 2]` is dL/dS[t] from the layer above for 2 <= t < live + 2
-    (None for the readout layer): the sweep reads no other step. Returns
-    dL/dI of steps live..1 in sweep order, as one float64 (live*B, n)
-    matrix: row block k pairs with the payload of step live-1-k, which
-    drove the current of step live-k. It is cast once here because both of
-    the layer's gradient kernels read it in float64.
+
+def _sweep_layer(net, trace, l, lo, live, ds_in, dl_dscores, reset_grad) -> np.ndarray:
+    """Reverse-time sweep of weight layer l's neurons over the steps whose
+    dL/dI rows a kernel reads.
+
+    `ds_in[t - lo - 2]` is dL/dS[t] from the layer above for
+    lo + 2 <= t < live + 2 (None for the readout layer): the sweep reads
+    no other step. Returns dL/dI of steps live..lo+1 in sweep order, as
+    one float64 ((live - lo)*B, n) matrix: row block k pairs with the
+    payload of step live-1-k, which drove the current of step live-k. It
+    is cast once here because both of the layer's gradient kernels read
+    it in float64.
 
     dL/dI[t] is gain * du[t + 1]. Iteration t of the loop applies what
     step t adds to du and records one row. At the readout du is du[t + 1]
@@ -537,8 +581,8 @@ def _sweep_layer(net, trace, l, live, ds_in, dl_dscores, reset_grad) -> np.ndarr
     dL/dI[t]. At a hidden layer du is du[t], once dL/dS[t] has arrived, and
     the row is dL/dI[t - 1]; du is +0.0 until dL/dS[live + 1], the last row
     of `ds_in`, so the sweep starts there from +0.0, the exact value a
-    sweep from step T - 1 reaches, and stops at step 2, the first row of
-    `ds_in`.
+    sweep from step T - 1 reaches, and stops at step lo + 2, the first row
+    of `ds_in`: the earlier rows feed no kernel.
     """
     transport = trace.transport
     dt = transport.dtype
@@ -546,20 +590,21 @@ def _sweep_layer(net, trace, l, live, ds_in, dl_dscores, reset_grad) -> np.ndarr
     params = net.params[l]
     alpha, gain = params.step_constants(dt)
     batch, n = dl_dscores.shape[0], net.spec.layer_sizes[l + 1]
-    di = np.empty((live, batch, n))
+    di = np.empty((live - lo, batch, n))
     du = np.zeros((batch, n), dtype=dt)
     lag = int(hidden)  # steps from an update to the dL/dI it completes
     if hidden:
-        swept = slice(2, live + 2)
+        swept = slice(lo + 2, live + 2)
         slopes = transport.sent_slopes(trace.u[l][swept], params, trace.sent[l + 1][swept])
 
-    for k, t in enumerate(range(live + lag, lag, -1)):
+    for k, t in enumerate(range(live + lag, lo + lag, -1)):
         if hidden:
             u_t = trace.u[l][t]
-            ds = ds_in[t - 2]
+            j = t - lo - 2  # the row of `ds_in` and `slopes` for step t
+            ds = ds_in[j]
             if reset_grad:
                 ds = ds + (-alpha) * u_t * du
-            du = alpha * (dt(1) - trace.spikes[l][t]) * du + slopes[t - 2] * ds
+            du = alpha * (dt(1) - trace.spikes[l][t]) * du + slopes[j] * ds
         else:
             du = alpha * du + dl_dscores
         di[k] = gain * du

@@ -6,10 +6,10 @@ a row names selects one contiguous row of Wᵀ (one weight column of W):
 
 forward current  out[b] = sum of Wᵀ[ids] over the row's firing ids, added
                  in ascending-id order;
-weight grad      dL/dWᵀ[i] += dL/dI[b] for every row b that fires id i,
-                 rows in ascending order; the accumulator is (n_post,
-                 n_pre) and best allocated order="F", so that its
-                 transpose has contiguous rows;
+weight grad      dL/dWᵀ[i] = the sum of dL/dI[b] over the rows b that
+                 fire id i, added in ascending row order; the buffer is
+                 (n_post, n_pre) and best allocated order="F", so that
+                 its transpose has contiguous rows;
 input grad       dL/dS[b, k] = Wᵀ[ids[b, k]] . dL/dI[b] for every
                  retained id.
 
@@ -23,6 +23,13 @@ order. This is the outer-product accumulation of Perez-Nieves & Goodman,
 in float64 and round to float32 at the operation boundary, which keeps
 them bit-comparable: the float64 results of the same mathematical sum
 agree far below float32 resolution.
+
+The weight-gradient kernels write, they do not accumulate: the engine
+makes one call per layer, so each kernel overwrites every element of the
+float64 buffer `dl_dw_acc` it is given, whatever it held, with its sum
+started from +0.0. That is exactly what adding the sum into a buffer from
+`np.zeros` would leave: a sum started from +0.0 is never -0.0, and +0.0
+plus any other value is that value.
 """
 
 from __future__ import annotations
@@ -78,14 +85,13 @@ def sparse_forward_current(
 def sparse_weight_grad(
     dl_di: np.ndarray, s_in: SparseSpikeBatch, dl_dw_acc: np.ndarray
 ) -> None:
-    """Accumulate dL/dw += sum_b outer(dL/dI[b], spikes[b]) into a float64
-    (n_post, n_pre) buffer, touching only the columns named by firing ids.
+    """Write dL/dw = sum_b outer(dL/dI[b], spikes[b]) into a float64
+    (n_post, n_pre) buffer, whatever it held (module docstring).
 
-    Each element receives one add per row that names its column, rows in
-    ascending order, in any memory layout; order="F" makes the columns
-    contiguous. An id's accumulator row and its first dL/dI row are added
-    first (addition commutes), and the reduce starts from -0.0, the one
-    float that adds to any value, signed zeros included, without changing it.
+    Each element is written once: the columns of ids that no row fires
+    are set to +0.0, and every other element receives one add per row
+    that names its column, from +0.0, rows in ascending order, in any
+    memory layout; order="F" makes the columns contiguous.
     """
     if dl_dw_acc.dtype != np.float64:
         raise ContractViolation("weight-gradient accumulator must be float64")
@@ -101,25 +107,34 @@ def sparse_weight_grad(
     order = np.argsort(ids.astype(np.min_scalar_type(n_pre)), kind="stable")
     rows, ids = rows[order], ids[order]
     starts = np.flatnonzero(np.diff(ids, prepend=-1))
-    bounds = zip(ids[starts].tolist(), starts.tolist(), [*starts[1:].tolist(), ids.size])
+    fired = ids[starts]
+    bounds = zip(fired.tolist(), starts.tolist(), [*starts[1:].tolist(), ids.size])
     dl_di64 = np.asarray(dl_di, dtype=np.float64)
     acc_t = dl_dw_acc.T
+    silent = np.ones(n_pre, dtype=bool)
+    silent[fired] = False
+    acc_t[silent] = 0.0
     for i, lo, hi in bounds:
         g = dl_di64[rows[lo:hi]]
-        g[0] += acc_t[i]
         if n_post > 1:
-            np.add.reduce(g, axis=0, out=acc_t[i], initial=-0.0)
-        else:  # numpy would sum one column pairwise, out of row order
-            acc_t[i] = np.add.accumulate(g, axis=0)[-1]
+            np.add.reduce(g, axis=0, out=acc_t[i], initial=0.0)
+        else:
+            # numpy would sum one column pairwise, out of row order. A sum
+            # from g[0] differs from one from +0.0 only in giving -0.0
+            # where that gives +0.0, which the last +0.0 mends.
+            acc_t[i] = np.add.accumulate(g, axis=0)[-1] + 0.0
 
 
 def dense_weight_grad(
     dl_di: np.ndarray, s_in: np.ndarray, dl_dw_acc: np.ndarray
 ) -> None:
-    """Dense counterpart: dL/dw += dL/dI^T @ S."""
+    """Dense counterpart: write dL/dw = dL/dI^T @ S into the float64
+    buffer, whatever it held; the product's sums start from +0.0."""
     if dl_dw_acc.dtype != np.float64:
         raise ContractViolation("weight-gradient accumulator must be float64")
-    dl_dw_acc += np.asarray(dl_di, dtype=np.float64).T @ np.asarray(s_in, dtype=np.float64)
+    np.matmul(
+        np.asarray(dl_di, dtype=np.float64).T, np.asarray(s_in, dtype=np.float64), out=dl_dw_acc
+    )
 
 
 def sparse_input_grad(

@@ -31,8 +31,13 @@ The schedule is the engine's: weight layer l multiplies and receives its
 payload of step t only if t < live(l) (`NetworkSpec.live_steps`), the
 payload steps that reach the loss, and in the backward pass returns
 gradient entries, and multiplies them, only on steps 2..live(l)-1, the
-rows the sweep of the layer below reads (layer 0 returns none). Both
-sides skip the same (step, layer) work, so the ledger reads a training
+rows the sweep of the layer below reads when every window starts at step
+0 (layer 0 returns none). The engine's windows also have a head that
+depends on the data: a layer's kernels start at its first payload that
+holds a spike, and its input gradient two steps after the first row the
+layer below makes (`engine.windows`). The ledger ignores that head, the
+per-layer `first`, as a static schedule would. Both sides skip the same
+(step, layer) work past the reach, so the ledger reads a training
 run's activity only where that activity is the network's own: the
 engine stops a layer's current after step live(l), and the spikes it
 records later come from a layer whose input stopped. Every state update

@@ -130,7 +130,8 @@ def forward_pass(net, inputs, mode, rng=None, force_spikes=False):
     T = spec.num_timesteps
     L = spec.num_weight_layers
     scores = np.zeros((batch, spec.output_size), dtype=dtype)
-    trace = ForwardTrace(transport, [], [], [], T)
+    # The full window: every layer's kernels start at payload step 0.
+    trace = ForwardTrace(transport, [], [], [], [0] * L, T)
 
     payloads = [transport.send_input(t, inputs[:, t, :]) for t in range(T)]
     for l in range(L):

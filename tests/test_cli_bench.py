@@ -20,6 +20,8 @@ from sparsnn.bench import (
     collect_activity,
     network_spec_for,
     run_benchmark,
+    scaleup_sweep,
+    weak_scaling_sweep,
 )
 from sparsnn.engine import SPARSE, forward_pass
 from sparsnn.errors import DataFormatError
@@ -282,6 +284,28 @@ def test_closed_stdout_exits_1_at_interpreter_exit(tmp_path):
     err = done.stderr.decode()
     assert done.returncode == 1
     assert err.count("\n") == 1 and "Traceback" not in err and "Exception" not in err
+
+
+def test_simulate_reports_receptive_frames(tmp_path, capsys):
+    assert cli.main(["simulate", "--out-dir", str(tmp_path / "run")]) == 0
+    assert "receptive frames: 3 of 10 input frames reach the loss\n" in capsys.readouterr().out
+    argv = ["simulate", "--timesteps", "5", "--out-dir", str(tmp_path / "run5")]
+    assert cli.main(argv) == 0
+    assert "receptive frames: 0 of 5 input frames reach the loss\n" in capsys.readouterr().out
+
+
+def test_scaleup_rows_state_their_receptive_frames():
+    # At T = 10 only the 2-per-tile net (4 weight layers) sees its input;
+    # the 4, 8 and 16 per-tile nets have 7, 13 and 25.
+    rows = scaleup_sweep(BenchConfig(), [2, 4, 8, 16])
+    assert [r["receptive_frames"] for r in rows] == [3, 0, 0, 0]
+
+
+def test_weak_scaling_rows_state_their_receptive_frames():
+    # k chained shd-2944 stacks have 3k + 1 weight layers: only k = 1
+    # reads an input frame at T = 10.
+    rows = weak_scaling_sweep(BenchConfig(), [1, 2, 4], [48], [2])
+    assert [(r["chips"], r["receptive_frames"]) for r in rows] == [(1, 3), (2, 0), (4, 0)]
 
 
 def test_simulate_out_of_tile_memory_exits_4(tmp_path, capsys):

@@ -344,21 +344,31 @@ class TestBackward:
                 assert not head.any() and not np.signbit(head).any()
             swept.clear()
             backward_pass(net, trace, np.ones_like(scores))
-            # One input-grad call per layer above the first whose sweep
-            # reaches step 3, top layer first. The sweep below reads dL/dS
-            # of steps 2..live-1 only, so the call gets the first
-            # (live - 2) * B rows of dL/dI and the payloads of steps
-            # live-1..2.
+            # The sweep of layer l makes the dL/dI rows of payload steps
+            # live-1..lo, lo(l) = min(first(l), lo(l - 1) + 2): the weight
+            # gradient reads steps from first on, and the sweep below
+            # makes its rows from lo(l - 1) on, each from the dL/dS two
+            # steps later. So there is one input-grad call per layer
+            # above the first with live > need = lo(l - 1) + 2, top layer
+            # first, on the first (live - need) * B rows of dL/dI and the
+            # payloads of steps live-1..need.
+            lo = [first[0]]
+            for l in (1, 2):
+                lo.append(min(first[l], lo[-1] + 2))
+            assert sorted(swept) == [l for l in range(3) if live[l] > lo[l]]
+            for l, rows in swept.items():
+                assert rows.shape == ((live[l] - lo[l]) * B, net.spec.layer_sizes[l + 1])
             grads = calls["input_grad"]
-            fed = [l for l in (2, 1) if live[l] > 2]
+            fed = [l for l in (2, 1) if live[l] > lo[l - 1] + 2]
             assert len(grads) == len(fed)
             for (args, _), l in zip(grads, fed):
-                rows = (live[l] - 2) * B
+                need = lo[l - 1] + 2
+                rows = (live[l] - need) * B
                 assert args[1] is net.weights[l]
                 assert args[0].shape == (rows, net.spec.layer_sizes[l + 1])
                 assert np.array_equal(args[0], swept[l][:rows])
                 if mode == SPARSE:
-                    steps = [trace.sent[l][t] for t in range(live[l] - 1, 1, -1)]
+                    steps = [trace.sent[l][t] for t in range(live[l] - 1, need - 1, -1)]
                     assert np.array_equal(args[2].ids, np.concatenate([p.ids for p in steps]))
         assert late_starts > 0 and silent_layers > 0
 
@@ -660,10 +670,8 @@ class TestWindows:
                     )
                 for g, w in pairs:
                     assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
-                first = [
-                    engine._window(got_trace.transport, got_trace.sent[l], net.spec, l)[0]
-                    for l in range(L)
-                ]
+                first = [TestBackward._first(got_trace, inputs, l) for l in range(L)]
+                assert got_trace.first == first
                 late_starts += sum(f > 0 for f in first)
                 if threshold is not None and T > 1:
                     assert not any(first[1:])
@@ -671,11 +679,67 @@ class TestWindows:
         assert (late_starts > 0) == (T > 1)
 
     @staticmethod
-    def _deep_net(T, sparse_sizes=(6, 8, 10, 12)):
+    def _deep_net(T, sparse_sizes=(6, 8, 10, 12), weight_gain=8.0):
         """A [6, 8, 10, 12, 3] net (L = 4) and dense inputs for it."""
         spec = NetworkSpec((6, 8, 10, 12, 3), sparse_sizes, batch_size=2, num_timesteps=T)
-        net = init_network(spec, seed=0, alpha=0.85, grad_threshold=-1e6, weight_gain=8.0)
+        net = init_network(
+            spec, seed=0, alpha=0.85, grad_threshold=-1e6, weight_gain=weight_gain
+        )
         return net, random_inputs(np.random.default_rng(0), 2, T, 6, density=0.5)
+
+    @pytest.mark.parametrize(
+        "firsts, want",
+        [
+            # Natural firing: each layer two steps after its input.
+            ([0, 2, 4, 6], [(0, 0, 3), (2, 2, 5), (4, 4, 7), (6, 6, 9)]),
+            # Forced spikes: every window starts at step 0.
+            ([0, 0, 0, 0], [(0, 0, 3), (0, 0, 5), (0, 0, 7), (0, 0, 9)]),
+            # Late firing: lo follows the layer below, two steps a layer.
+            ([1, 5, 8, 9], [(1, 1, 3), (5, 3, 5), (8, 5, 7), (9, 7, 9)]),
+            # A silent input: a hidden layer at threshold <= 0 still fires.
+            ([9, 0, 3, 9], [(9, 9, 3), (0, 0, 5), (3, 2, 7), (9, 4, 9)]),
+        ],
+    )
+    def test_windows_of_hand_computed_firsts(self, firsts, want):
+        spec = NetworkSpec((6, 8, 10, 12, 3), (6, 8, 10, 12), batch_size=2, num_timesteps=10)
+        assert engine.windows(spec, firsts) == want
+        # A prefix of the firsts gives the prefix of the windows.
+        assert engine.windows(spec, firsts[:2]) == want[:2]
+
+    @pytest.mark.parametrize("mode", [DENSE, SPARSE])
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_backward_head_sweeps_and_multiplies_only_the_rows_read(
+        self, mode, forced, monkeypatch
+    ):
+        prefix = "sparse_" if mode == SPARSE else "dense_"
+        original = getattr(engine, prefix + "input_grad")
+        rows = []
+
+        def record(dl_di, *args):
+            rows.append(len(dl_di))
+            return original(dl_di, *args)
+
+        monkeypatch.setattr(engine, prefix + "input_grad", record)
+        swept = TestBackward._record_sweeps(monkeypatch)
+        net, inputs = self._deep_net(10, weight_gain=16.0)
+        B = net.spec.batch_size
+        trace, scores = forward_pass(
+            net, inputs, mode=mode, rng=DropRng(5), force_spikes=forced
+        )
+        backward_pass(net, trace, np.ones_like(scores))
+        # live = 3, 5, 7, 9. Natural firing starts layer l's window at
+        # step 2l, so every sweep runs 3 steps and every input-grad call
+        # (layers 3, 2, 1) gets 3 * B rows; forced spikes start every
+        # window at 0, so the sweeps run live steps and the input
+        # gradient gets (live - 2) * B rows.
+        if forced:
+            assert trace.first == [0, 0, 0, 0]
+            assert rows == [7 * B, 5 * B, 3 * B]
+            assert [len(swept[l]) for l in range(4)] == [3 * B, 5 * B, 7 * B, 9 * B]
+        else:
+            assert trace.first == [0, 2, 4, 6]
+            assert rows == [3 * B, 3 * B, 3 * B]
+            assert [len(swept[l]) for l in range(4)] == [3 * B] * 4
 
     @pytest.mark.parametrize("mode", [DENSE, SPARSE])
     def test_forward_current_reads_the_weight_gradients_payload_steps(self, mode, monkeypatch):

@@ -32,6 +32,15 @@ def batch_from(ids_rows, n_max, num_spikes=None):
     return b
 
 
+def stale_buffer(rng, shape, order="C"):
+    """A float64 weight-gradient buffer holding what a kernel must not read:
+    NaN and -0.0. A kernel writes every element, so its bytes must equal
+    the oracle's accumulation into `np.zeros`."""
+    buf = np.full(shape, np.nan, order=order)
+    buf[rng.random(shape) < 0.5] = -0.0
+    return buf
+
+
 def include_everything_batch(rng, b, n):
     """Random membranes encoded with capacity n and a very low secondary
     threshold: every neuron is retained."""
@@ -126,11 +135,11 @@ class TestWeightGrad:
         assert acc[:, 1].tolist() == [1.0, 1.0]
 
     def test_empty_spikes_no_update(self):
-        acc = np.zeros((2, 3), dtype=np.float64)
+        acc = stale_buffer(np.random.default_rng(0), (2, 3))
         sparse_weight_grad(
             np.ones((2, 2), dtype=np.float32), SparseSpikeBatch.empty(2, 3), acc
         )
-        assert not acc.any()
+        assert not acc.any() and not np.signbit(acc).any()
 
     def test_rows_accumulate(self):
         s = batch_from([[2], [2]], 4)
@@ -149,13 +158,16 @@ class TestWeightGrad:
         for _ in range(20):
             n_pre, n_post, b = 2 * int(rng.integers(1, 9)), int(rng.integers(2, 16)), 4
             u, p, s = include_everything_batch(rng, b, n_pre)
-            start = rng.normal(size=(n_post, n_pre))
-            acc_c, acc_f = start.copy(order="C"), start.copy(order="F")
             for _ in range(3):
                 dl_di = rng.normal(size=(b, n_post)).astype(np.float32)
+                acc_c = stale_buffer(rng, (n_post, n_pre), "C")
+                acc_f = stale_buffer(rng, (n_post, n_pre), "F")
+                want = np.zeros((n_post, n_pre))
                 sparse_weight_grad(dl_di, s, acc_c)
                 sparse_weight_grad(dl_di, s, acc_f)
-            assert np.array_equal(acc_c, acc_f)
+                oracle.sparse_weight_grad(dl_di, s, want)
+                assert acc_c.tobytes() == want.tobytes()
+                assert acc_f.tobytes(order="C") == want.tobytes()
 
     @staticmethod
     def _edge_batches(rng, b=40, n_pre=30):
@@ -178,57 +190,54 @@ class TestWeightGrad:
     @pytest.mark.parametrize("n_post", [1, 2, 7])
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_equals_row_loop_byte_for_byte(self, n_post, order):
-        # Every accumulator element must get the row loop's adds in the
-        # row loop's order; tobytes() also tells -0.0 from 0.0.
+        # Every buffer element must get the row loop's adds in the row
+        # loop's order, from the +0.0 of `np.zeros`, whatever the buffer
+        # held; tobytes() also tells -0.0 from 0.0.
         rng = np.random.default_rng(9)
         for silent, s in zip((False, True), self._edge_batches(rng)):
             b, n_pre = s.ids.shape
             fired = np.bincount(s.ids[np.arange(n_pre) < s.num_spikes[:, None]], minlength=n_pre)
             assert fired[0] == np.count_nonzero(s.num_spikes) and fired[28] == fired[29] == 1
             assert (s.num_spikes == 0).any() == silent
-            for start in ("zero", "random"):
-                acc = np.zeros((n_post, n_pre), order=order)
-                if start == "random":
-                    acc[:] = rng.normal(size=acc.shape) * 10.0 ** rng.uniform(-12, 12, acc.shape)
-                    acc[rng.random(acc.shape) < 0.2] = -0.0
-                    acc[:, 28] = -0.0
-                want = acc.copy(order="K")
-                for _ in range(3):
-                    dl_di = rng.normal(size=(b, n_post)) * 10.0 ** rng.uniform(-12, 12, (b, n_post))
-                    dl_di[rng.random(dl_di.shape) < 0.3] = -0.0
-                    dl_di[3] = -0.0  # the only row that fires id 28
-                    dl_di = dl_di.astype(np.float32)
-                    sparse_weight_grad(dl_di, s, acc)
-                    oracle.sparse_weight_grad(dl_di, s, want)
-                    assert acc.tobytes() == want.tobytes()
-                # -0.0 + -0.0 stays -0.0; a sum started from 0.0 would not.
-                assert np.signbit(acc[:, 28]).all() == (start == "random")
+            for _ in range(3):
+                acc = stale_buffer(rng, (n_post, n_pre), order)
+                acc[:, 28] = -0.0
+                want = np.zeros((n_post, n_pre), order=order)
+                dl_di = rng.normal(size=(b, n_post)) * 10.0 ** rng.uniform(-12, 12, (b, n_post))
+                dl_di[rng.random(dl_di.shape) < 0.3] = -0.0
+                dl_di[3] = -0.0  # the only row that fires id 28
+                dl_di = dl_di.astype(np.float32)
+                sparse_weight_grad(dl_di, s, acc)
+                oracle.sparse_weight_grad(dl_di, s, want)
+                assert acc.tobytes() == want.tobytes()
+                # +0.0 + -0.0 is +0.0: neither the buffer's -0.0 nor the
+                # row's survives, and no column that nothing fires keeps
+                # the buffer's NaN or -0.0.
+                assert not np.signbit(acc[:, 28]).any()
+                assert not np.signbit(acc[:, fired == 0]).any()
 
     @pytest.mark.parametrize("n_post", [1, 2, 7])
     @pytest.mark.parametrize("lead", [1, 5, 39])
     def test_leading_zero_rows_change_no_byte(self, n_post, lead):
         # The backward pass drops the dead rows at the head of a sweep:
         # all-zero dL/dI rows, of either sign, that fire ids like any other.
-        # Adding them to an accumulator that holds no -0.0 changes nothing.
+        # Adding them to a sum that starts from +0.0 changes nothing.
         rng = np.random.default_rng(lead)
         for s in self._edge_batches(rng):
             b, n_pre = s.ids.shape
             tail = SparseSpikeBatch(
                 ids=s.ids[lead:], num_spikes=s.num_spikes[lead:], num_grads=s.num_grads[lead:]
             )
-            for start in ("zero", "random"):
-                acc = np.zeros((n_post, n_pre), order="F")
-                if start == "random":
-                    acc[:] = rng.normal(size=acc.shape) * 10.0 ** rng.uniform(-12, 12, acc.shape)
-                    acc[rng.random(acc.shape) < 0.2] = 0.0
-                want = acc.copy(order="K")
+            for _ in range(2):
+                acc = stale_buffer(rng, (n_post, n_pre), "F")
+                want = np.zeros((n_post, n_pre), order="F")
                 dl_di = rng.normal(size=(b, n_post)) * 10.0 ** rng.uniform(-12, 12, (b, n_post))
                 dl_di[rng.random(dl_di.shape) < 0.3] = -0.0
                 dl_di[:lead] = np.where(rng.random((lead, n_post)) < 0.5, 0.0, -0.0)
                 dl_di[0, 0] = -0.0
                 dl_di = dl_di.astype(np.float32)
                 sparse_weight_grad(dl_di, s, acc)
-                sparse_weight_grad(dl_di[lead:], tail, want)
+                oracle.sparse_weight_grad(dl_di[lead:], tail, want)
                 assert acc.tobytes() == want.tobytes()
 
     def test_matches_dense_outer_product(self):
@@ -243,6 +252,30 @@ class TestWeightGrad:
             sparse_weight_grad(dl_di, s, acc_s)
             dense_weight_grad(dl_di, decode_to_dense(s, n_pre), acc_d)
             np.testing.assert_allclose(acc_s, acc_d, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_dense_writes_the_accumulation_from_zeros(self, order):
+        # Spike columns that never fire, and dL/dI with -0.0 entries and
+        # whole -0.0 rows: the product's sums start from +0.0, so the
+        # written buffer holds the bytes of `np.zeros` += the product, with
+        # +0.0 and never -0.0 where every term is a signed zero.
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            n_pre, n_post, b = 12, int(rng.integers(1, 9)), int(rng.integers(1, 40))
+            s = (rng.random((b, n_pre)) < 0.4).astype(np.float32)
+            s[:, :3] = 0.0
+            dl_di = rng.normal(size=(b, n_post)) * 10.0 ** rng.uniform(-12, 12, (b, n_post))
+            dl_di[rng.random(dl_di.shape) < 0.3] = -0.0
+            dl_di[0] = -0.0
+            s[:, 3] = 0.0
+            s[0, 3] = 1.0  # fired only by the -0.0 row
+            dl_di = dl_di.astype(np.float32)
+            acc = stale_buffer(rng, (n_post, n_pre), order)
+            want = np.zeros((n_post, n_pre))
+            want += dl_di.astype(np.float64).T @ s.astype(np.float64)
+            dense_weight_grad(dl_di, s, acc)
+            assert acc.tobytes(order="C") == want.tobytes()
+            assert not acc[:, :4].any() and not np.signbit(acc[:, :4]).any()
 
 
 class TestInputGrad:
@@ -343,19 +376,22 @@ class TestStackedBatches:
     @pytest.mark.parametrize("seed", range(5))
     def test_weight_grad_equals_per_step_sequence(self, seed):
         w, batches, dl_di = self._steps(seed)
-        # Sweep order: the last timestep first.
+        # Sweep order: the last timestep first. The row loop accumulates
+        # step after step into `np.zeros`; the kernel writes the whole
+        # sum in one call on the stacked batches, over NaN and -0.0.
+        rng = np.random.default_rng(seed)
         sweep = list(zip(dl_di, batches))[::-1]
         per_step = np.zeros(w.w.shape, order="F")
         for g, s in sweep:
-            sparse_weight_grad(g, s, per_step)
-        stacked = np.zeros(w.w.shape, order="F")
+            oracle.sparse_weight_grad(g, s, per_step)
+        stacked = stale_buffer(rng, w.w.shape, "F")
         sparse_weight_grad(
             np.concatenate([g for g, _ in sweep]),
             SparseTransport.stack([s for _, s in sweep]),
             stacked,
         )
-        assert np.array_equal(stacked, per_step)
+        assert stacked.tobytes() == per_step.tobytes()
         # The test can tell add orders apart: the forward order differs.
-        forward = np.zeros(w.w.shape, order="F")
+        forward = stale_buffer(rng, w.w.shape, "F")
         sparse_weight_grad(np.concatenate(dl_di), SparseTransport.stack(batches), forward)
         assert not np.array_equal(forward, per_step)
