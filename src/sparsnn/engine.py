@@ -97,7 +97,10 @@ count. A few hundred float32 dL/dI values sum exactly in float64 unless
 their magnitudes span more than about 2^20, so the float32 transports do
 not see the regrouping; the float64 relaxed transport can change in the
 last bit once a layer has more rows than a block (seen at 48 x 9 rows,
-never at gradient-check sizes).
+never at gradient-check sizes). So may the orientation the weight layout
+gives BLAS (the weight gradient is formed as S^T @ dL/dI): float32-valued
+operands round to the same float32 bytes either way, and only the relaxed
+transport keeps the float64 bits, which its FD check covers.
 
 Weight gradients are summed over the window in float64 and rounded once
 at the end: one call per layer, on the stacked (dL/dI, payload) rows in
@@ -107,14 +110,12 @@ in the same order as a per-step sweep would give it; the dense gradient
 is one product over all (live - first) * B rows. They are formed after
 the sweep, when the weight copies are gone, one float64 buffer at a time.
 
-A transport holds one float64 copy of every weight matrix, in the layout
-its kernels read: W for dense and relaxed, the C-contiguous transpose Wᵀ
-for sparse. `forward_pass` builds it, and `backward_pass` reuses it in
-the sweep, dropping each layer's copy after that layer's input-gradient
-call, so a training step casts each matrix once. The sparse transport's
-weight-gradient accumulators are column-major (order="F"), so the
-gradient of one firing id is one contiguous row of an accumulator's
-transpose.
+A transport holds one float64 copy of every weight matrix, cast in the
+column-major layout of `w.w` (`LayerWeights`): the dense kernels read it
+as W, the sparse kernels gather rows of its transpose, the C-contiguous
+Wᵀ. `forward_pass` builds it and `backward_pass` reuses it in the sweep,
+dropping each layer's copy after that layer's input-gradient call, so a
+training step casts each matrix once. Weight gradients share the layout.
 
 Transports call kernels, encoders and LIF helpers through this module's
 names at call time, so wrappers installed on `sparsnn.engine` (profilers,
@@ -138,7 +139,6 @@ from .kernels import (
     sparse_forward_current,
     sparse_input_grad,
     sparse_weight_grad,
-    transposed64,
 )
 from .lif import (
     membrane_update,
@@ -170,24 +170,19 @@ MAX_BATCHES_PER_EPOCH = 1 << 20
 class DenseTransport:
     """Binary spike matrices between layers, float32 state.
 
-    `w64[l]` is `cast(w)` of weight layer l, held from `load` until the
-    backward pass has made layer l's input-gradient call, or `release`;
-    `acc_order` is the memory layout of the weight-gradient accumulators.
+    `w64[l]` is the float64 copy of weight layer l, in the layout of `w.w`,
+    held from `load` until the backward pass has made layer l's
+    input-gradient call, or `release`.
     """
 
     dtype = np.float32
     always_reset_grad = False
-    acc_order = "C"
     w64 = None
-
-    @staticmethod
-    def cast(w):
-        return w.w.astype(np.float64)
 
     def load(self, weights):
         """Cast every weight layer, unless the copies are already held."""
         if self.w64 is None:
-            self.w64 = [self.cast(w) for w in weights]
+            self.w64 = [w.w.astype(np.float64) for w in weights]
 
     def release(self):
         self.w64 = None
@@ -263,11 +258,8 @@ class SparseTransport(DenseTransport):
     """Fixed-capacity spike batches between layers.
 
     Drop decisions for step t at boundary k (0 = input) use stream position
-    `rng.position + t * num_weight_layers + k`.
+    `rng.position + t * num_weight_layers + k`. The kernels read `w64[l].T`.
     """
-
-    acc_order = "F"
-    cast = staticmethod(transposed64)
 
     def __init__(self, spec, rng: DropRng):
         self.capacity = spec.sparse_sizes
@@ -303,7 +295,7 @@ class SparseTransport(DenseTransport):
         )
 
     def current(self, l, w, payloads):
-        return sparse_forward_current(w, self.stack(payloads), self.w64[l])
+        return sparse_forward_current(w, self.stack(payloads), self.w64[l].T)
 
     def sent_slopes(self, u, params, payloads):
         """The dense transport's slopes of the recorded membranes `u` at the
@@ -323,7 +315,7 @@ class SparseTransport(DenseTransport):
 
     def input_grad(self, l, dl_di, w, payloads):
         s = self.stack(payloads)
-        ds = sparse_input_grad(dl_di, w, s, self.w64[l])
+        ds = sparse_input_grad(dl_di, w, s, self.w64[l].T)
         return scatter_to_dense(s, ds, s.num_grads, w.fan_in)
 
 
@@ -523,13 +515,13 @@ def backward_pass(
         if live > first:
             # Payload steps first..live-1 pair with the first rows of dL/dI;
             # the kernel writes every element of the buffer.
-            acc = np.empty(w.w.shape, order=transport.acc_order)
+            acc = np.empty_like(w.w, dtype=np.float64)
             transport.weight_grad(
                 dl_di[l][: (live - first) * batch], trace.sent[l][first:live][::-1], acc
             )
-            grads.append(acc.astype(dt, order="C"))
+            grads.append(acc.astype(dt))
         else:
-            grads.append(np.zeros(w.w.shape, dtype=dt))
+            grads.append(np.zeros_like(w.w, dtype=dt))
         dl_di[l] = None
     return grads
 

@@ -1,15 +1,15 @@
 """Forward-current and gradient kernels, dense and sparse.
 
 The dense route is a plain matrix product on W. The sparse route works on
-the float64 transpose Wᵀ, a C-contiguous (n_pre, n_post) array, so each id
-a row names selects one contiguous row of Wᵀ (one weight column of W):
+the float64 Wᵀ, the C-contiguous transpose of a column-major float64 W
+(`LayerWeights`), so each id a row names selects one contiguous row of Wᵀ
+(one weight column of W):
 
 forward current  out[b] = sum of Wᵀ[ids] over the row's firing ids, added
                  in ascending-id order;
 weight grad      dL/dWᵀ[i] = the sum of dL/dI[b] over the rows b that
-                 fire id i, added in ascending row order; the buffer is
-                 (n_post, n_pre) and best allocated order="F", so that
-                 its transpose has contiguous rows;
+                 fire id i, added in ascending row order, onto row i of
+                 the transpose of an (n_post, n_pre) buffer laid out like W;
 input grad       dL/dS[b, k] = Wᵀ[ids[b, k]] . dL/dI[b] for every
                  retained id.
 
@@ -41,12 +41,6 @@ from .lif import LayerWeights
 from .sparse import SparseSpikeBatch, check_ids
 
 
-def transposed64(w: LayerWeights) -> np.ndarray:
-    """Wᵀ as the C-contiguous float64 (n_pre, n_post) array the sparse
-    kernels read."""
-    return np.ascontiguousarray(w.w.T, dtype=np.float64)
-
-
 def dense_forward_current(
     w: LayerWeights, s_in: np.ndarray, w64: np.ndarray, dtype
 ) -> np.ndarray:
@@ -71,7 +65,7 @@ def sparse_forward_current(
     """Sum of the rows of Wᵀ named by each row's firing ids.
 
     Gradient-only entries contribute nothing. Summation order is fixed
-    (ascending id). `wt64` is `transposed64(w)`.
+    (ascending id). `wt64` is the float64 Wᵀ.
     """
     check_ids(s_in, s_in.num_spikes, w.fan_in)
     out = np.zeros((s_in.batch_size, w.n_post), dtype=np.float32)
@@ -91,7 +85,7 @@ def sparse_weight_grad(
     Each element is written once: the columns of ids that no row fires
     are set to +0.0, and every other element receives one add per row
     that names its column, from +0.0, rows in ascending order, in any
-    memory layout; order="F" makes the columns contiguous.
+    memory layout.
     """
     if dl_dw_acc.dtype != np.float64:
         raise ContractViolation("weight-gradient accumulator must be float64")
@@ -129,11 +123,14 @@ def dense_weight_grad(
     dl_di: np.ndarray, s_in: np.ndarray, dl_dw_acc: np.ndarray
 ) -> None:
     """Dense counterpart: write dL/dw = dL/dI^T @ S into the float64
-    buffer, whatever it held; the product's sums start from +0.0."""
+    buffer, whatever it held, as its transpose S^T @ dL/dI, which a
+    column-major buffer takes in place; the product's sums start from
+    +0.0."""
     if dl_dw_acc.dtype != np.float64:
         raise ContractViolation("weight-gradient accumulator must be float64")
     np.matmul(
-        np.asarray(dl_di, dtype=np.float64).T, np.asarray(s_in, dtype=np.float64), out=dl_dw_acc
+        np.asarray(s_in, dtype=np.float64).T, np.asarray(dl_di, dtype=np.float64),
+        out=dl_dw_acc.T,
     )
 
 
@@ -148,8 +145,8 @@ def sparse_input_grad(
         dl_dspike[b, k] = sum_i dl_di[b, i] * w[i, ids[b, k]]
 
     i.e. the transpose product restricted to retained columns. Returns a
-    (B, n_max) float32 array aligned with `s_in.ids`. `wt64` is
-    `transposed64(w)`.
+    (B, n_max) float32 array aligned with `s_in.ids`. `wt64` is the
+    float64 Wᵀ.
     """
     if dl_di.shape != (s_in.batch_size, w.n_post):
         raise ContractViolation(

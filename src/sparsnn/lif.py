@@ -95,12 +95,15 @@ def check_capacity(n_max: int) -> None:
 
 @dataclass
 class LayerWeights:
-    """Dense weight matrix, rows = post-synaptic, cols = pre-synaptic."""
+    """Dense weight matrix, rows = post-synaptic, cols = pre-synaptic, stored
+    column-major, the one weight layout: each fan-out is contiguous, so the
+    transpose of its float64 copy is the C-contiguous Wᵀ the sparse kernels
+    gather, with no transposing copy. Write `w` by indexing, not reshape."""
 
     w: np.ndarray
 
     def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=np.float32)
+        self.w = np.asfortranarray(self.w, dtype=np.float32)
         if self.w.ndim != 2:
             raise ContractViolation(f"weights must be 2-D, got shape {self.w.shape}")
         if not np.all(np.isfinite(self.w)):

@@ -36,9 +36,15 @@ class AdamState:
         _check_lr(self.lr)
 
     def ensure_moments(self, params: list) -> None:
+        """Zero moments at first, each in its parameter's memory order for
+        `_blocks`: a restored state's moments come back C-ordered."""
         if not self.m:
             self.m = [np.zeros_like(p) for p in params]
             self.v = [np.zeros_like(p) for p in params]
+        for moments in (self.m, self.v):
+            for k, (p, a) in enumerate(zip(params, moments)):
+                if a.flags.f_contiguous != p.flags.f_contiguous:
+                    moments[k] = np.asarray(a, order="F" if p.flags.f_contiguous else "C")
 
 
 def sgd_step(params: list, grads: list, lr: float) -> None:
@@ -53,12 +59,14 @@ ADAM_BLOCK = 1 << 15
 
 
 def _blocks(p, g, m, v):
-    """(p, g, m, v) slices of ADAM_BLOCK consecutive elements. Arrays that
-    are not all C-contiguous, whose flattening would copy, form one block."""
-    if not all(a.flags.c_contiguous for a in (p, m, v)):
+    """(p, g, m, v) slices of ADAM_BLOCK elements consecutive in the memory
+    order all four share, C or Fortran. Arrays that share neither, whose
+    flattening would copy, form one block."""
+    order = "C" if p.flags.c_contiguous else "F"
+    if not all(a.flags[order + "_CONTIGUOUS"] for a in (p, g, m, v)):
         yield p, g, m, v
         return
-    flat = [a.reshape(-1) for a in (p, g, m, v)]
+    flat = [a.reshape(-1, order=order) for a in (p, g, m, v)]
     for lo in range(0, p.size, ADAM_BLOCK):
         yield [a[lo : lo + ADAM_BLOCK] for a in flat]
 

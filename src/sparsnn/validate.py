@@ -30,15 +30,14 @@ def fd_weight_gradients(
     for lw in net.weights:
         w = lw.w
         g = np.zeros(w.shape, dtype=np.float64)
-        flat = w.reshape(-1)
-        for k in range(flat.size):
-            keep = flat[k]
-            flat[k] = keep + eps
+        for k in np.ndindex(w.shape):
+            keep = w[k]
+            w[k] = keep + eps
             hi = _relaxed_loss(net, inputs, labels)
-            flat[k] = keep - eps
+            w[k] = keep - eps
             lo = _relaxed_loss(net, inputs, labels)
-            flat[k] = keep
-            g.reshape(-1)[k] = (hi - lo) / (2.0 * eps)
+            w[k] = keep
+            g[k] = (hi - lo) / (2.0 * eps)
         grads.append(g)
     return grads
 

@@ -188,10 +188,10 @@ def backward_pass(net, trace, dl_dscores, reset_grad=True):
     transport.release()
     grads = []
     for l, w in enumerate(net.weights):
-        acc = np.zeros(w.w.shape, order=transport.acc_order)
+        acc = np.zeros_like(w.w, dtype=np.float64)
         if T > 1:
             transport.weight_grad(dl_di[l], trace.sent[l][: T - 1][::-1], acc)
-        grads.append(acc.astype(dt, order="C"))
+        grads.append(acc.astype(dt))
     return grads
 
 

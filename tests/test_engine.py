@@ -190,7 +190,11 @@ class TestBackward:
         grads = backward_pass(net, trace, np.ones_like(scores))
         assert trace.transport.w64 is None
         for g, w in zip(grads, net.weights):
-            assert g.shape == w.w.shape and g.flags.c_contiguous
+            # In the weights' layout, which the optimizer flattens them in.
+            assert g.shape == w.w.shape
+            assert (g.flags.c_contiguous, g.flags.f_contiguous) == (
+                w.w.flags.c_contiguous, w.w.flags.f_contiguous
+            )
             assert g.dtype == trace.transport.dtype
 
     @pytest.mark.parametrize("mode", [DENSE, SPARSE, RELAXED])

@@ -11,7 +11,6 @@ from sparsnn.kernels import (
     sparse_forward_current,
     sparse_input_grad,
     sparse_weight_grad,
-    transposed64,
 )
 from sparsnn.lif import LayerWeights, LifParams
 from sparsnn.rng import DropRng
@@ -67,24 +66,25 @@ class TestForwardCurrent:
     def test_sparse_matches_values(self):
         w = LayerWeights(np.array([[1.0, 2.0], [3.0, 4.0]]))
         s = batch_from([[1]], 2)
-        assert sparse_forward_current(w, s, transposed64(w)).tolist() == [[2.0, 4.0]]
+        assert sparse_forward_current(w, s, w.w.T.astype(np.float64)).tolist() == [[2.0, 4.0]]
         s2 = batch_from([[0, 1]], 2)
-        assert sparse_forward_current(w, s2, transposed64(w)).tolist() == [[3.0, 7.0]]
+        assert sparse_forward_current(w, s2, w.w.T.astype(np.float64)).tolist() == [[3.0, 7.0]]
 
     def test_sparse_empty(self):
         w = LayerWeights(np.ones((3, 4)))
-        assert not sparse_forward_current(w, SparseSpikeBatch.empty(2, 4), transposed64(w)).any()
+        wt64 = w.w.T.astype(np.float64)
+        assert not sparse_forward_current(w, SparseSpikeBatch.empty(2, 4), wt64).any()
 
     def test_grad_only_entries_do_not_transmit(self):
         w = LayerWeights(np.array([[1.0, 2.0], [3.0, 4.0]]))
         s = batch_from([[0, 1]], 2, num_spikes=[1])
-        assert sparse_forward_current(w, s, transposed64(w)).tolist() == [[1.0, 3.0]]
+        assert sparse_forward_current(w, s, w.w.T.astype(np.float64)).tolist() == [[1.0, 3.0]]
 
     def test_id_out_of_range(self):
         w = LayerWeights(np.ones((2, 2)))
         s = batch_from([[3]], 4)
         with pytest.raises(CorruptionError):
-            sparse_forward_current(w, s, transposed64(w))
+            sparse_forward_current(w, s, w.w.T.astype(np.float64))
 
     def test_oracle_equivalence_random(self):
         rng = np.random.default_rng(0)
@@ -94,7 +94,7 @@ class TestForwardCurrent:
             b = int(rng.integers(1, 6))
             w = LayerWeights(rng.normal(size=(n_post, n_pre)).astype(np.float32))
             u, p, s = include_everything_batch(rng, b, n_pre)
-            got = sparse_forward_current(w, s, transposed64(w))
+            got = sparse_forward_current(w, s, w.w.T.astype(np.float64))
             want = dense_forward_current(w, decode_to_dense(s, n_pre), as64(w), np.float32)
             np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-7)
 
@@ -105,13 +105,13 @@ class TestForwardCurrent:
         rng = np.random.default_rng(1)
         w = LayerWeights(rng.normal(size=(7, 16)).astype(np.float32))
         u, p, s = include_everything_batch(rng, 4, 16)
-        clean = sparse_forward_current(w, s, transposed64(w))
+        clean = sparse_forward_current(w, s, w.w.T.astype(np.float64))
         for row in range(4):
             assert s.num_spikes[row] < s.num_grads[row]
             poisoned = LayerWeights(w.w.copy())
             unread = np.setdiff1d(np.arange(16), s.ids[row, : s.num_spikes[row]])
             poisoned.w[:, unread] = np.nan
-            got = sparse_forward_current(poisoned, s, transposed64(poisoned))
+            got = sparse_forward_current(poisoned, s, poisoned.w.T.astype(np.float64))
             assert np.array_equal(got[row], clean[row])
 
     def test_linearity_in_spikes(self):
@@ -120,7 +120,7 @@ class TestForwardCurrent:
         sa = batch_from([[0, 3, 7]], 12)
         sb = batch_from([[1, 4]], 12)
         su = batch_from([[0, 1, 3, 4, 7]], 12)
-        wt64 = transposed64(w)
+        wt64 = w.w.T.astype(np.float64)
         got = sparse_forward_current(w, su, wt64)
         parts = sparse_forward_current(w, sa, wt64) + sparse_forward_current(w, sb, wt64)
         np.testing.assert_allclose(got, parts, rtol=1e-6)
@@ -278,23 +278,57 @@ class TestWeightGrad:
             assert not acc[:, :4].any() and not np.signbit(acc[:, :4]).any()
 
 
+class TestOrientation:
+    """The weight layout sets the orientation in which the dense kernels
+    hand their products to BLAS. On float32-valued operands at the
+    engine's shapes (shd-2944 hidden layers and its 20-output readout,
+    binary spikes), either orientation rounds to the same float32 bytes."""
+
+    @pytest.mark.parametrize("rows, n_pre, n_post", [(144, 974, 974), (432, 974, 20)])
+    def test_dense_kernels_equal_for_c_and_f_order(self, rows, n_pre, n_post):
+        rng = np.random.default_rng(n_post)
+        w = LayerWeights(rng.normal(0.0, 20 / np.sqrt(n_pre), (n_post, n_pre)))
+        s = (rng.random((rows, n_pre)) < 0.05).astype(np.float32)
+        dl_di = rng.normal(size=(rows, n_post)) * 10.0 ** rng.uniform(-6, 0, (rows, n_post))
+        dl_di[: rows // 3] = 0.0  # dead rows, as at the head of a sweep
+        dl_di = dl_di.astype(np.float32)
+        got = {}
+        for order in "CF":
+            w64 = np.asarray(w.w, dtype=np.float64, order=order)
+            acc = stale_buffer(rng, (n_post, n_pre), order)
+            dense_weight_grad(dl_di, s, acc)
+            got[order] = [
+                dense_forward_current(w, s, w64, np.float32),
+                dense_input_grad(dl_di, w, w64, np.float32),
+                acc.astype(np.float32),
+            ]
+        for c, f in zip(got["C"], got["F"]):
+            assert c.dtype == np.float32 and c.tobytes() == f.tobytes()
+
+
 class TestInputGrad:
     def test_single_entry(self):
         w = LayerWeights(np.array([[1.0, 2.0], [3.0, 4.0]]))
         s = batch_from([[1]], 2)
-        out = sparse_input_grad(np.array([[1.0, 0.0]], dtype=np.float32), w, s, transposed64(w))
+        out = sparse_input_grad(
+            np.array([[1.0, 0.0]], dtype=np.float32), w, s, w.w.T.astype(np.float64)
+        )
         assert out[0, 0] == 2.0
 
     def test_zero_upstream(self):
         w = LayerWeights(np.ones((3, 4)))
         s = batch_from([[0, 2]], 4)
-        out = sparse_input_grad(np.zeros((1, 3), dtype=np.float32), w, s, transposed64(w))
+        out = sparse_input_grad(
+            np.zeros((1, 3), dtype=np.float32), w, s, w.w.T.astype(np.float64)
+        )
         assert not out.any()
 
     def test_gradient_only_entries_receive_gradients(self):
         w = LayerWeights(np.array([[1.0, 2.0], [3.0, 4.0]]))
         s = batch_from([[0, 1]], 2, num_spikes=[1])  # id 1 is gradient-only
-        out = sparse_input_grad(np.array([[1.0, 1.0]], dtype=np.float32), w, s, transposed64(w))
+        out = sparse_input_grad(
+            np.array([[1.0, 1.0]], dtype=np.float32), w, s, w.w.T.astype(np.float64)
+        )
         assert out[0].tolist() == [4.0, 6.0]
 
     def test_full_coverage_matches_transpose_product(self):
@@ -305,7 +339,7 @@ class TestInputGrad:
             w = LayerWeights(rng.normal(size=(n_post, n_pre)).astype(np.float32))
             u, p, s = include_everything_batch(rng, b, n_pre)
             dl_di = rng.normal(size=(b, n_post)).astype(np.float32)
-            got = sparse_input_grad(dl_di, w, s, transposed64(w))
+            got = sparse_input_grad(dl_di, w, s, w.w.T.astype(np.float64))
             want = dense_input_grad(dl_di, w, as64(w), np.float32)
             for row in range(b):
                 ng = int(s.num_grads[row])
@@ -319,16 +353,16 @@ class TestInputGrad:
         # input gradient does.
         w = LayerWeights(np.ones((3, 4)))
         s = batch_from([[1], [0, 2], [1, 5]], 4, num_spikes=[1, 2, 1])
-        sparse_forward_current(w, s, transposed64(w))
+        sparse_forward_current(w, s, w.w.T.astype(np.float64))
         with pytest.raises(CorruptionError, match="row 2"):
-            sparse_input_grad(np.ones((3, 3), dtype=np.float32), w, s, transposed64(w))
+            sparse_input_grad(np.ones((3, 3), dtype=np.float32), w, s, w.w.T.astype(np.float64))
 
     def test_shape_mismatch(self):
         w = LayerWeights(np.ones((3, 4)))
         with pytest.raises(ContractViolation):
             sparse_input_grad(
                 np.zeros((1, 2), dtype=np.float32), w, SparseSpikeBatch.empty(1, 4),
-                transposed64(w),
+                w.w.T.astype(np.float64),
             )
 
 
@@ -363,7 +397,7 @@ class TestStackedBatches:
         w, batches, dl_di = self._steps(seed)
         stacked = SparseTransport.stack(batches)
         assert stacked.batch_size == sum(s.batch_size for s in batches)
-        wt64 = transposed64(w)
+        wt64 = w.w.T.astype(np.float64)
         assert np.array_equal(
             sparse_forward_current(w, stacked, wt64),
             np.concatenate([sparse_forward_current(w, s, wt64) for s in batches]),

@@ -1,13 +1,16 @@
+import copy
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from sparsnn.engine import forward_pass
+from sparsnn.engine import DENSE, SPARSE, forward_pass, train_step
 from sparsnn.errors import DataFormatError
 from sparsnn.lif import NetworkSpec
 from sparsnn.model import init_network, load_checkpoint, save_checkpoint
 from sparsnn.optim import AdamState, adam_step
+from sparsnn.rng import DropRng
 
 
 def small_net(seed=0):
@@ -56,6 +59,62 @@ class TestCheckpoint:
         path.write_bytes(b"NOTACKPT" + b"\x00" * 32)
         with pytest.raises(DataFormatError):
             load_checkpoint(path)
+
+
+# sha256 of the checkpoint `trained_net` writes. A change to either value
+# means that the same training no longer writes the same file: the weights,
+# the Adam moments or the byte format moved.
+PINNED_CHECKPOINTS = {
+    DENSE: "064927ed7dd0148ea557f2fbba1aeb4d423f489bcd8faedcc2db44109635c315",
+    SPARSE: "e8441d10278c537cd3288e13d88facec898b3305b4966be2b17e88b8c47b1132",
+}
+
+
+def trained_net(mode, steps=2):
+    """A fixed-seed 12-16-16-4 net after `steps` Adam steps, with the
+    generator that made its batches."""
+    spec = NetworkSpec((12, 16, 16, 4), (8, 8, 8), batch_size=4, num_timesteps=10)
+    net = init_network(spec, seed=21, weight_gain=20.0)
+    gen = np.random.default_rng(21)
+    opt = AdamState(lr=1e-2)
+    for step in range(steps):
+        _train_once(net, opt, gen, mode, step)
+    return net, opt, gen
+
+
+def _train_once(net, opt, gen, mode, step):
+    frames = (gen.random((4, 10, 12)) < 0.5).astype(np.float32)
+    labels = gen.integers(0, 4, size=4)
+    rng = DropRng(21, step * 10 * 3) if mode == SPARSE else None
+    train_step(net, frames, labels, opt, mode, rng)
+
+
+@pytest.mark.parametrize("mode", [DENSE, SPARSE])
+def test_checkpoint_bytes_pinned(tmp_path, mode):
+    net, opt, _ = trained_net(mode)
+    fresh = init_network(net.spec, seed=21, weight_gain=20.0)
+    for a, b in zip(fresh.weights, net.weights):
+        assert not np.array_equal(a.w, b.w)  # every layer learned
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, net, opt, seed=21)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CHECKPOINTS[mode]
+
+
+@pytest.mark.parametrize("mode", [DENSE, SPARSE])
+def test_resumed_step_equals_uninterrupted_step(tmp_path, mode):
+    net, opt, gen = trained_net(mode, steps=1)
+    path = tmp_path / "ck.bin"
+    save_checkpoint(path, net, opt, seed=21)
+    resumed, resumed_opt, _ = load_checkpoint(path)
+    resumed_gen = copy.deepcopy(gen)
+    _train_once(net, opt, gen, mode, 1)
+    _train_once(resumed, resumed_opt, resumed_gen, mode, 1)
+    for a, b in zip(net.weight_arrays(), resumed.weight_arrays()):
+        assert a.tobytes() == b.tobytes()
+    for a, b, p in zip(opt.m + opt.v, resumed_opt.m + resumed_opt.v, 2 * resumed.weight_arrays()):
+        assert a.tobytes() == b.tobytes()
+        # Moments in their parameter's layout: the blocked Adam update.
+        assert b.strides == p.strides
 
 
 def _checkpoint_bytes(tmp_path):

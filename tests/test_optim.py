@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from sparsnn.errors import ConfigError
-from sparsnn.optim import ADAM_BLOCK, AdamState, SgdState, adam_step, make_optimizer, sgd_step
+from sparsnn.optim import (
+    ADAM_BLOCK,
+    AdamState,
+    SgdState,
+    _blocks,
+    adam_step,
+    make_optimizer,
+    sgd_step,
+)
 
 
 class TestSgd:
@@ -87,18 +95,35 @@ class TestAdam:
             v_hat = v / np.float32(c2)
             p -= np.float32(state.lr) * m_hat / (np.sqrt(v_hat) + np.float32(state.eps))
 
-        gen = np.random.default_rng(11)
-        p = gen.normal(size=shape).astype(np.float32)
-        want_p, want_m, want_v = p.copy(), np.zeros_like(p), np.zeros_like(p)
-        state = AdamState(lr=1e-3)
-        for step in range(1, 4):
-            g = (gen.normal(size=shape) * 10.0 ** gen.uniform(-6, 2, shape)).astype(np.float32)
-            adam_step([p], [g], state)
-            assert state.step == step
-            reference(want_p, g, want_m, want_v, state)
-            assert p.tobytes() == want_p.tobytes()
-            assert state.m[0].tobytes() == want_m.tobytes()
-            assert state.v[0].tobytes() == want_v.tobytes()
+        # Memory orders of (params, grads, moments given to the state):
+        # shared C or Fortran, mixed (the whole-array fallback), and moments
+        # restored C-ordered for column-major weights.
+        layouts = [("C", "C", None), ("F", "F", None), ("F", "C", None), ("C", "F", None),
+                   ("F", "F", "C")]
+        for p_order, g_order, m_order in layouts:
+            gen = np.random.default_rng(11)
+            p = np.asarray(gen.normal(size=shape), dtype=np.float32, order=p_order)
+            want_p, want_m, want_v = p.copy(), np.zeros_like(p), np.zeros_like(p)
+            state = AdamState(lr=1e-3)
+            if m_order:
+                state.m = [np.zeros(shape, dtype=np.float32, order=m_order)]
+                state.v = [np.zeros(shape, dtype=np.float32, order=m_order)]
+            for step in range(1, 4):
+                g = gen.normal(size=shape) * 10.0 ** gen.uniform(-6, 2, shape)
+                g = np.asarray(g, dtype=np.float32, order=g_order)
+                adam_step([p], [g], state)
+                assert state.step == step
+                reference(want_p, g, want_m, want_v, state)
+                assert p.tobytes() == want_p.tobytes()
+                assert state.m[0].tobytes() == want_m.tobytes()
+                assert state.v[0].tobytes() == want_v.tobytes()
+                # The moments take the parameter's layout; then the update is
+                # blocked unless the gradient's layout differs.
+                m, v = state.m[0], state.v[0]
+                assert m.strides == v.strides == p.strides
+                blocks = len(list(_blocks(p, g, m, v)))
+                shared = p.flags.c_contiguous == g.flags.c_contiguous
+                assert blocks == (-(-p.size // ADAM_BLOCK) if shared else 1)
 
     def test_non_contiguous_params_are_updated_in_place(self):
         # A view that no flat view can cover: flattening it would copy.
