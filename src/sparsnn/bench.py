@@ -107,9 +107,8 @@ class BenchResult:
     """One configuration's timings and model.
 
     hidden_spikes: mean spikes per batch row and timestep of each hidden
-        layer, in the probe forward pass that feeds the ledger, over the
-        steps the layer above reads (`collect_activity`); 0.0 for a layer
-        with none.
+        layer in the probe pass that feeds the ledger, over the steps
+        `collect_activity` reads; 0.0 for a layer with none.
     """
 
     config: BenchConfig
@@ -162,11 +161,8 @@ def bench_dataset(config: BenchConfig) -> SpikeDataset:
 def collect_activity(spec: NetworkSpec, trace) -> tuple:
     """(spike counts, retained-entry counts) per (t, layer) averaged over
     the batch, from a sparse-mode trace. Column 0 is the input layer.
-
-    Column k holds the payloads weight layer k reads on steps
-    0..live(k)-1 (`NetworkSpec.live_steps`), the network's own activity,
-    and 0.0 on the later steps, whose recorded spikes come from a layer
-    whose input stopped; the ledger reads none of those."""
+    Column k reads weight layer k's payloads of steps 0..live(k)-1 only,
+    the network's own activity (window rule: `engine` docstring)."""
     shape = (spec.num_timesteps, len(spec.layer_sizes))
     act, grad = np.zeros(shape), np.zeros(shape)
     for k, payloads in enumerate(trace.sent):

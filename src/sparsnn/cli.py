@@ -30,8 +30,6 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .bench import (
     ARCH_PRESETS,
     BenchConfig,
@@ -91,10 +89,6 @@ _OPTIONS = {
         "beta": (float, 10.0, "surrogate steepness"),
         "weight_gain": (float, 3.0, "init scale: gain/sqrt(fan_in)"),
         "reset_grad": (bool, True, "gradients flow through the reset"),
-        "simulate_tiles": (bool, False, "validate the tile memory budget"),
-        "neurons_per_tile": (int, 2, "tile mapping density"),
-        "chips": (int, 1, "number of chips"),
-        "machine_config": (str, None, "machine/cost key=value file"),
     },
     "bench": {
         **_COMMON,
@@ -116,7 +110,6 @@ _OPTIONS = {
         **_COMMON,
         "preset": (str, "shd-2944", "architecture preset"),
         "max_activity": (float, 0.05, "capacity fraction"),
-        "activity": (str, "fixed", "modeled activity", ("zero", "fixed")),
         "batch_size": (int, 48, "samples per batch"),
         "timesteps": (int, 10, "steps per sequence"),
         "neurons_per_tile": (int, 2, "tile mapping density"),
@@ -268,13 +261,6 @@ def cmd_train(opts: dict) -> int:
         beta=opts["beta"],
         weight_gain=opts["weight_gain"],
     )
-    if opts["simulate_tiles"]:
-        machine = _machine_from(opts)
-        mapping = map_neurons(spec, machine, opts["neurons_per_tile"])
-        print(
-            f"tile mapping ok: {mapping.tiles_used} tiles, "
-            f"max {int(mapping.per_tile_bytes.max())} bytes/tile"
-        )
     out = _out_dir(opts)
     _echo_config(opts, out)
     _print_receptive_frames(spec)
@@ -357,12 +343,7 @@ def cmd_simulate(opts: dict) -> int:
         )
     )
     mapping = map_neurons(spec, machine, opts["neurons_per_tile"])
-    activity = (
-        np.zeros((spec.num_timesteps, len(spec.layer_sizes)))
-        if opts["activity"] == "zero"
-        else saturated_activity(spec)
-    )
-    sparse_ledger = simulate_batch(spec, mapping, machine, activity)
+    sparse_ledger = simulate_batch(spec, mapping, machine, saturated_activity(spec))
     dense_ledger = simulate_batch(spec, mapping, machine, None, mode="dense")
     sparse_ledger.write_csv(out / "ledger.csv")
     _print_receptive_frames(spec)

@@ -37,70 +37,56 @@ hidden layer it forms the spike slopes of the steps it sweeps. Stacked
 rows are t-major; in the backward pass they are in sweep order (t
 descending, then b ascending).
 
-One window per layer. Weight layer l gets kernel work only inside its
-window, and `windows` is the one place both passes read it from: it gives
-every layer's (first, lo, live), and the forward current, the sweep, the
-weight gradient and the input gradient all run on steps it names.
-- The reach: each hidden layer adds two steps between a payload it reads
-  and one it sends. The payload of step t drives the current of step
-  t + 1, the membrane of step t + 2 integrates that current, and the
-  layer's payload of step t + 2 is fired from that membrane. The
-  readout's payload of step T - 2 drives the last current the scores
-  sum, so weight layer l's payload of step t reaches the loss only if
-  t <= live(l) - 1 = T - 2 - 2(L - 1 - l) (`NetworkSpec.live_steps`).
-  The forward pass therefore computes the currents of steps
-  first+1..live only and leaves the later ones +0.0. Layer l's membranes
-  and spikes of steps 0..live+1, all that the layer above and the
-  backward sweep read, are unchanged by that; the later ones are those
-  of a layer whose input stopped, and nothing downstream reads them.
-  Only input frames 0..live(0)-1 reach the loss
-  (`NetworkSpec.receptive_frames`).
-- The head: `first` is the first of steps 0..T-2 whose payload holds a
-  spike (T - 1 if none does), read from the data, not from a rule: a
-  hidden layer cannot fire before its input has, but forced spikes and
-  thresholds <= 0 fire at step 0. The forward pass records it per layer
-  (`ForwardTrace.first`). A silent payload drives a current of signed
-  zeros, and a +0.0 membrane updated with a signed-zero current stays
-  +0.0, so the forward pass leaves the currents of steps up to `first`
-  +0.0. A silent payload adds nothing to the weight gradient either.
-- The tail, the mirror of the reach: dL/dI is exactly zero on a tail
-  of steps. Call dL/dI[t] of weight layer l live if t <= live(l): the
-  readout's dL/dI is live on steps 1..T-1, and a hidden layer has
-  live(l) = max(live(l + 1) - 2, 0). One step is lost because dL/dS[t]
-  comes from the dL/dI[t + 1] of the layer above, the other because
+One window per layer, and this is the one statement of its rule. Weight
+layer l gets kernel work only inside its window (first, lo, need, live),
+which `NetworkSpec.windows` computes from the `first` of each layer:
+- live, the reach: a hidden layer adds two steps between a payload it
+  reads and one it sends (the payload of step t drives the current of
+  step t + 1, and the membrane of step t + 2 integrates it and fires),
+  and the readout's payload of step T - 2 drives the last current the scores
+  sum. So layer l's payload of step t reaches the loss only if t <
+  live(l) = T - 1 - 2(L - 1 - l), clipped at 0 (`NetworkSpec.live_steps`),
+  and only input frames 0..live(0)-1 do (`receptive_frames`). The forward
+  pass leaves the later currents +0.0: layer l's membranes and spikes of
+  steps 0..live+1, all that the layer above and the sweep read, are
+  unchanged, and the later ones, of a layer whose input stopped, reach
+  nothing.
+- first, the head: the first of steps 0..T-2 whose payload holds a spike
+  (T - 1 if none does), read from the data, as forced spikes and
+  thresholds <= 0 fire at step 0 (`ForwardTrace.first`). A silent payload
+  drives a current of signed zeros, which leaves a +0.0 membrane +0.0, and
+  adds nothing to the weight gradient.
+- The tail, the mirror of the reach: layer l's dL/dI[t] is exactly zero
+  after step live(l). The readout's is live on steps 1..T-1, and a hidden
+  layer loses two steps: dL/dS[t] comes from the dL/dI[t + 1] above, and
   dL/dI[t] drives the membrane of step t + 1, so it sees only the dL/dS
-  of steps after t. On the dead steps du starts at +0.0 and stays +0.0
-  (a +0.0 term plus a signed zero is +0.0), so a dead row is +0.0.
-- The sweep's head: call the dL/dI row that pairs with the payload of
-  step p row p. Layer l's rows feed two kernels: its weight gradient
-  reads rows first(l) and later, and its input gradient turns row p into
-  the dL/dS of step p, which the sweep of layer l - 1 reads only to make
-  its own row p - 2. So, from layer 0 up, the sweep of layer l need make
-  only rows lo(l) and later, with lo(0) = first(0) and lo(l) =
-  min(first(l), need(l)), where need(l) = lo(l - 1) + 2 is the first
-  step whose dL/dS the sweep below reads; it forms spike slopes only on
-  the steps lo(l) + 2..live(l) + 1 it sweeps. With natural firing
-  first(l) >= need(l), since a layer fires two steps after its input at
-  the earliest, so lo = need; under forced spikes every first is 0, so
-  lo is 0 and need is 2.
-So the sweep covers rows live-1..lo, the weight gradient gets the first
-(live - first) * B of them with the payloads of steps live-1..first, and
-the input gradient the first (live - need) * B rows with the payloads of
-steps live-1..need; the forward current gets the payloads of steps
-first..live-1 in time order. A kernel with an empty window is not
-called. This is exact: the head and the tail leave out only zeros that
-would be added to sums that start at +0.0, which leaves them unchanged,
-and the reach, the sweep's head and the input gradient leave out only
-rows that nothing reads. One caveat: the dense kernels are BLAS products,
-which may cut a long sum over rows into blocks at points set by the row
-count. A few hundred float32 dL/dI values sum exactly in float64 unless
-their magnitudes span more than about 2^20, so the float32 transports do
-not see the regrouping; the float64 relaxed transport can change in the
-last bit once a layer has more rows than a block (seen at 48 x 9 rows,
-never at gradient-check sizes). So may the orientation the weight layout
-gives BLAS (the weight gradient is formed as S^T @ dL/dI): float32-valued
-operands round to the same float32 bytes either way, and only the relaxed
-transport keeps the float64 bits, which its FD check covers.
+  of later steps. On the dead steps du starts at +0.0 and stays +0.0 (a
+  +0.0 term plus a signed zero is +0.0).
+- lo and need, the sweep's head: call the dL/dI row that pairs with the
+  payload of step p row p. Layer l's weight gradient reads rows first(l)
+  and later; its input gradient turns row p into the dL/dS of step p,
+  which the sweep of layer l - 1 reads only to make its row p - 2. So,
+  from layer 0 up, need(l) = lo(l - 1) + 2 is the first step whose dL/dS
+  the sweep below reads (need(0) = live(0): layer 0 feeds no sweep), and
+  the sweep of layer l makes rows lo(l) = min(first(l), need(l)) and
+  later (lo(0) = first(0)), forming spike slopes on the steps lo + 2..
+  live + 1 it sweeps. Natural firing gives first >= need, so lo = need;
+  forced spikes give every first 0, so lo is 0 and need is 2.
+So the forward current reads the payloads of steps first..live-1 in time
+order, the sweep makes rows live-1..lo, the weight gradient reads the
+first (live - first) * B of them with the payloads of steps
+live-1..first, and the input gradient the first (live - need) * B with
+those of steps live-1..need. A kernel with an empty window is not called.
+This is exact: the head and the tail leave out only zeros that would be
+added to sums that start at +0.0, and the reach, lo and need leave out
+only rows that nothing reads. One caveat: the dense kernels are BLAS
+products, which may cut a long sum over rows into blocks at points set by
+the row count, or by the orientation the weight layout gives them (the
+weight gradient is formed as S^T @ dL/dI). A few hundred float32 values
+sum exactly in float64 unless their magnitudes span more than about 2^20,
+so the float32 transports do not see the regrouping; the float64 relaxed
+transport may change in the last bit (seen at 48 x 9 rows, never at
+gradient-check sizes), which its FD check covers.
 
 Weight gradients are summed over the window in float64 and rounded once
 at the end: one call per layer, on the stacked (dL/dI, payload) rows in
@@ -346,14 +332,8 @@ class ForwardTrace:
     sent[l][t]: the payload weight layer l read at step t; sent[0] holds
         the input frames. Dense payloads are spike matrices, so there
         sent[l] is spikes[l - 1] itself for l >= 1.
-    first[l]: the first of weight layer l's payload steps 0..T-2 that
-        holds a spike, T - 1 if none does: the head of its window
-        (`windows`), so that the backward pass need not scan the payloads
-        again.
-
-    Rows of u[l] and spikes[l] after step live(l) + 1 come from a layer
-    whose input current stopped at step live(l); the scores, the layer
-    above and the backward sweep read none of them.
+    first[l]: the head of weight layer l's window (module docstring),
+        so that the backward pass need not scan the payloads again.
     """
 
     transport: DenseTransport
@@ -384,10 +364,8 @@ def forward_pass(
     Every weight layer below the top is hidden: its neurons spike and send.
     The last weight layer is a non-spiking integrator, and the scores are
     the sum over steps of its membrane after each update. Each layer's
-    current is computed on its window only (module docstring), so the
-    membranes and spikes a hidden layer records after step live(l) + 1
-    are those of a layer whose input stopped (see `ForwardTrace`). The
-    LIF loops, the sends and the encoders still run at every step.
+    current is computed on its window only (module docstring); the LIF
+    loops, the sends and the encoders run at every step.
 
     `inputs` is a (B, T, input_size) binary array. In sparse mode `rng`
     supplies drop decisions; its position is advanced internally by one
@@ -419,10 +397,9 @@ def forward_pass(
         params = net.params[l]
         hidden = l < L - 1
         shape = (T, batch, spec.layer_sizes[l + 1])
-        # The current of step t + 1 is driven by the payload of step t;
-        # only the payloads of the layer's window reach the loss.
+        # The current of step t + 1 is driven by the payload of step t.
         firsts.append(_first_spike(transport, payloads))
-        first, _, live = windows(spec, firsts)[l]
+        first, _, _, live = spec.windows(firsts)[l]
         i_syn = np.zeros(shape, dtype=dtype)
         if live > first:
             i_syn[first + 1 : live + 1] = transport.current(
@@ -470,14 +447,8 @@ def backward_pass(
     `reset_grad` routes gradients through the (1 - S) reset factor using
     the spike slope; the relaxed transport always takes the reset path.
 
-    Only each layer's window (first, lo, live) gets work (`windows`,
-    module docstring), read from `trace.first`: weight layer l's sweep
-    makes the dL/dI rows of payload steps live-1..lo, with live = T - 1
-    at the readout and two fewer at each layer below it, down to 0; its
-    weight gradient reads rows live-1..first and its input gradient rows
-    live-1..need, need = lo(l - 1) + 2, the steps whose dL/dS the sweep
-    below reads. A kernel with an empty window is not called; a layer
-    with no weight-gradient call has a zero gradient.
+    Each layer works only on its window of `trace.first` (module
+    docstring); a layer with no weight-gradient call has a zero gradient.
     """
     spec = net.spec
     transport = trace.transport
@@ -485,23 +456,18 @@ def backward_pass(
     reset_grad = reset_grad or transport.always_reset_grad
     dl_dscores = np.asarray(dl_dscores, dtype=dt)
     batch = dl_dscores.shape[0]
-    T = trace.num_timesteps
     L = spec.num_weight_layers
 
     transport.load(net.weights)
-    wins = windows(spec, trace.first)
+    wins = spec.windows(trace.first)
     dl_di = [None] * L
     ds = None  # dL/dS of the layer being swept, from the layer above
     for l in range(L - 1, -1, -1):
-        _, lo, live = wins[l]
+        _, lo, need, live = wins[l]
         if live > lo:
             dl_di[l] = _sweep_layer(net, trace, l, lo, live, ds, dl_dscores, reset_grad)
         ds = None  # freed before the next input-grad call allocates
-        need = wins[l - 1][1] + 2 if l else live  # layer 0 feeds no sweep
         if live > need:
-            # The sweep below reads dL/dS of steps need..live-1 only: the
-            # first (live - need) * B rows and the payloads of steps
-            # live-1..need.
             ds = transport.input_grad(
                 l, dl_di[l][: (live - need) * batch], net.weights[l],
                 trace.sent[l][need:live][::-1],
@@ -511,10 +477,9 @@ def backward_pass(
     transport.release()
     grads = []
     for l, w in enumerate(net.weights):
-        first, _, live = wins[l]
+        first, _, _, live = wins[l]
         if live > first:
-            # Payload steps first..live-1 pair with the first rows of dL/dI;
-            # the kernel writes every element of the buffer.
+            # The kernel writes every element of the buffer.
             acc = np.empty_like(w.w, dtype=np.float64)
             transport.weight_grad(
                 dl_di[l][: (live - first) * batch], trace.sent[l][first:live][::-1], acc
@@ -526,28 +491,6 @@ def backward_pass(
     return grads
 
 
-def windows(spec, firsts) -> list:
-    """The window (first, lo, live) of each weight layer whose `first`
-    `firsts` lists, from layer 0 up (module docstring).
-
-    first: the layer's first payload step that holds a spike
-        (`ForwardTrace.first`);
-    live: `spec.live_steps(l)`, T - 1 at the readout and two fewer at each
-        layer below it, down to 0;
-    lo: the first payload step whose dL/dI row some kernel reads,
-        lo(0) = first(0) and lo(l) = min(first(l), lo(l - 1) + 2).
-
-    The forward current and the weight gradient read payload steps
-    first..live-1, the sweep makes the rows of steps live-1..lo, and the
-    input gradient of layer l >= 1 reads steps lo(l - 1) + 2..live-1.
-    """
-    out = []
-    for l, first in enumerate(firsts):
-        lo = first if l == 0 else min(first, out[-1][1] + 2)
-        out.append((first, lo, spec.live_steps(l)))
-    return out
-
-
 def _first_spike(transport, payloads) -> int:
     """The first of steps 0..T-2 whose payload holds a spike, T - 1 if
     none does."""
@@ -556,25 +499,22 @@ def _first_spike(transport, payloads) -> int:
 
 
 def _sweep_layer(net, trace, l, lo, live, ds_in, dl_dscores, reset_grad) -> np.ndarray:
-    """Reverse-time sweep of weight layer l's neurons over the steps whose
-    dL/dI rows a kernel reads.
+    """Reverse-time sweep of weight layer l's neurons over its window's
+    rows live-1..lo (module docstring).
 
     `ds_in[t - lo - 2]` is dL/dS[t] from the layer above for
-    lo + 2 <= t < live + 2 (None for the readout layer): the sweep reads
-    no other step. Returns dL/dI of steps live..lo+1 in sweep order, as
-    one float64 ((live - lo)*B, n) matrix: row block k pairs with the
-    payload of step live-1-k, which drove the current of step live-k. It
-    is cast once here because both of the layer's gradient kernels read
-    it in float64.
+    lo + 2 <= t < live + 2 (None for the readout layer). Returns dL/dI of
+    steps live..lo+1 in sweep order, as one float64 ((live - lo)*B, n)
+    matrix, which both of the layer's gradient kernels read: row block k
+    pairs with the payload of step live-1-k.
 
     dL/dI[t] is gain * du[t + 1]. Iteration t of the loop applies what
     step t adds to du and records one row. At the readout du is du[t + 1]
     (the scores sum the membrane after the step-t update) and the row is
     dL/dI[t]. At a hidden layer du is du[t], once dL/dS[t] has arrived, and
-    the row is dL/dI[t - 1]; du is +0.0 until dL/dS[live + 1], the last row
-    of `ds_in`, so the sweep starts there from +0.0, the exact value a
-    sweep from step T - 1 reaches, and stops at step lo + 2, the first row
-    of `ds_in`: the earlier rows feed no kernel.
+    the row is dL/dI[t - 1]; du is +0.0 until dL/dS[live + 1], so the
+    sweep starts there from +0.0, the exact value a sweep from step T - 1
+    reaches.
     """
     transport = trace.transport
     dt = transport.dtype

@@ -167,12 +167,21 @@ class NetworkSpec:
         return self.layer_sizes[-1]
 
     def live_steps(self, l: int) -> int:
-        """Weight layer l's live bound: its payload of step t reaches the
-        loss only if t < live, and its dL/dI is nonzero only on steps
-        1..live. live = T - 1 at the readout and two fewer at each layer
-        below it, down to 0: a hidden layer adds two steps of delay (the
-        `engine` module docstring has the argument)."""
+        """Weight layer l's `live`: T - 1 at the readout, two fewer at each
+        layer below it, down to 0 (the window rule: `engine` docstring)."""
         return max(self.num_timesteps - 1 - 2 * (self.num_weight_layers - 1 - l), 0)
+
+    def windows(self, firsts) -> list:
+        """(first, lo, need, live) of each weight layer whose `first`
+        `firsts` lists, from layer 0 up: the window rule (`engine`
+        docstring). need is live at layer 0, which feeds no sweep."""
+        out = []
+        for l, first in enumerate(firsts):
+            live = self.live_steps(l)
+            need = out[-1][1] + 2 if l else live
+            lo = min(first, need) if l else first
+            out.append((first, lo, need, live))
+        return out
 
     @property
     def receptive_frames(self) -> int:

@@ -27,25 +27,14 @@ traffic within a chip rides the compute superstep at the intra rate.
 counts each layer's neurons per tile, and each spike tensor's bytes are
 spread evenly over the consuming layer's tiles on each chip.
 
-The schedule is the engine's: weight layer l multiplies and receives its
-payload of step t only if t < live(l) (`NetworkSpec.live_steps`), the
-payload steps that reach the loss, and in the backward pass returns
-gradient entries, and multiplies them, only on steps 2..live(l)-1, the
-rows the sweep of the layer below reads when every window starts at step
-0 (layer 0 returns none). The engine's windows also have a head that
-depends on the data: a layer's kernels start at its first payload that
-holds a spike, and its input gradient two steps after the first row the
-layer below makes (`engine.windows`). The ledger ignores that head, the
-per-layer `first`, as a static schedule would. Both sides skip the same
-(step, layer) work past the reach, so the ledger reads a training
-run's activity only where that activity is the network's own: the
-engine stops a layer's current after step live(l), and the spikes it
-records later come from a layer whose input stopped. Every state update
-and every superstep's sync is still charged, as the engine's LIF loops
-run every step. `every_step=True` prices every layer at every step
-instead, as the paper's schedule does; the scale-up and weak-scaling
-sweeps use it, since at T=10 their deeper nets have layers whose window
-is empty.
+The schedule is the engine's `net.windows([0] * L)`, the windows of a
+net whose every layer fires from step 0 (the rule: `engine` docstring):
+the ledger prices a layer's work only inside them, and so ignores the
+head that depends on the data. Every state update and every superstep's
+sync is still charged, as the engine's LIF loops run every step.
+`every_step=True` prices every layer at every step instead, as the
+paper's schedule does; the scale-up and weak-scaling sweeps use it, since
+at T=10 their deeper nets have layers whose window is empty.
 
 Per-tile memory estimate for a neuron with fan-in F, batch B, T timesteps:
 16*F (weights, weight grads, two optimizer moments at 4 bytes) plus
@@ -56,7 +45,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -103,26 +93,19 @@ class MachineSpec:
         return self.tiles_per_chip * self.num_chips
 
 
-_MACHINE_KEYS = {
-    "tiles_per_chip": int,
-    "sram_per_tile": int,
-    "num_chips": int,
-    "cycles_per_mac": float,
-    "cycles_per_state_update": float,
-    "intra_chip_cycles_per_8_bytes": float,
-    "inter_chip_cycles_per_8_bytes": float,
-    "sync_cycles_per_superstep": float,
-}
-
-
 def load_machine_config(path) -> MachineSpec:
-    """Machine/cost description as a flat key=value file."""
-    raw = load_flat_config(path, allowed_keys=set(_MACHINE_KEYS))
-    values = {k: coerce(v, _MACHINE_KEYS[k]) for k, v in raw.items()}
-    cost_kwargs = {
-        k: values.pop(k) for k in list(values) if k in CostParams.__dataclass_fields__
-    }
-    return MachineSpec(cost=CostParams(**cost_kwargs), **values)
+    """Machine/cost description as a flat key=value file: one key per
+    field of MachineSpec but `cost`, and of CostParams."""
+    schema = {}
+    for cls in (MachineSpec, CostParams):
+        hints = get_type_hints(cls)
+        schema[cls] = {f.name: hints[f.name] for f in fields(cls) if f.name != "cost"}
+    raw = load_flat_config(path, allowed_keys=schema[MachineSpec].keys() | schema[CostParams])
+
+    def values(cls):
+        return {k: coerce(v, schema[cls][k]) for k, v in raw.items() if k in schema[cls]}
+
+    return MachineSpec(cost=CostParams(**values(CostParams)), **values(MachineSpec))
 
 
 def neuron_bytes(fan_in: int, batch_size: int, num_timesteps: int) -> int:
@@ -333,7 +316,7 @@ def simulate_batch(
     every_step: bool = False,
 ) -> CostLedger:
     """Model one training batch, forward and backward, on the engine's
-    windows, or on every step with `every_step` (module docstring).
+    static windows, or on every step with `every_step` (module docstring).
 
     `activity[t, k]` is the per-sample spike count of layer k (column 0 is
     the input layer) at step t; `grad_activity` the retained-entry count
@@ -374,12 +357,13 @@ def simulate_batch(
 
     # reach[t, l]: weight layer l works on its payload of step t;
     # back[t, l]: and returns dL/dS for it.
-    steps = np.arange(T)[:, None]
     if every_step:
         reach = back = np.ones((T, L), dtype=bool)
     else:
-        reach = steps < [net.live_steps(l) for l in range(L)]
-        back = reach & (steps >= 2) & (np.arange(L) >= 1)
+        steps = np.arange(T)[:, None]
+        first, _, need, live = zip(*net.windows([0] * L))
+        reach = (steps >= first) & (steps < live)
+        back = (steps >= need) & (steps < live)
     spikes_in = np.where(reach, activity[:, :L], 0.0)
 
     def price(in_counts, edges):

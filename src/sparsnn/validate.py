@@ -25,7 +25,8 @@ def _relaxed_loss(net: Network, inputs: np.ndarray, labels: np.ndarray) -> float
 def fd_weight_gradients(
     net: Network, inputs: np.ndarray, labels: np.ndarray, eps: float = 1e-3
 ) -> list:
-    """Central differences of the relaxed loss w.r.t. every weight."""
+    """Central differences of the relaxed loss w.r.t. every weight, each
+    divided by the step the float32 weight took, not the nominal 2 * eps."""
     grads = []
     for lw in net.weights:
         w = lw.w
@@ -33,11 +34,13 @@ def fd_weight_gradients(
         for k in np.ndindex(w.shape):
             keep = w[k]
             w[k] = keep + eps
-            hi = _relaxed_loss(net, inputs, labels)
+            w_hi, hi = float(w[k]), _relaxed_loss(net, inputs, labels)
             w[k] = keep - eps
-            lo = _relaxed_loss(net, inputs, labels)
+            w_lo, lo = float(w[k]), _relaxed_loss(net, inputs, labels)
             w[k] = keep
-            g[k] = (hi - lo) / (2.0 * eps)
+            if w_hi == w_lo:
+                raise ConfigError(f"eps {eps} does not move the float32 weight {keep}")
+            g[k] = (hi - lo) / (w_hi - w_lo)
         grads.append(g)
     return grads
 

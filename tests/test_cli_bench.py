@@ -155,6 +155,25 @@ def test_bench_mode_option_is_gone(tmp_path):
     assert cli.main(["bench", "--config", str(config), "--out-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("command, key, value", [
+    # train's tile check repeated simulate's; simulate priced no activity
+    # but "fixed".
+    ("train", "simulate_tiles", "on"),
+    ("train", "chips", "2"),
+    ("simulate", "activity", "zero"),
+])
+def test_deleted_options_exit_2(tmp_path, capsys, command, key, value):
+    out = ["--out-dir", str(tmp_path / "run")]
+    assert cli.main([command, "--" + key.replace("_", "-"), value, *out]) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and "Traceback" not in err
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key}={value}\n")
+    assert cli.main([command, "--config", str(config), *out]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown key '{key}'" in err and "Traceback" not in err
+
+
 def _header_only_manifest(data):
     (data / "manifest.csv").write_text("path,label\n")
 
@@ -205,6 +224,8 @@ SIMULATE_MACHINE = ["simulate", "--machine-config", "{data}/machine.cfg"]
                  id="no_receptive_frame"),
     pytest.param(None, ["gradcheck", "--nets", "0"], 2, "at least one network",
                  id="gradcheck_no_nets"),
+    pytest.param(None, ["gradcheck", "--nets", "1", "--eps", "1e-12"], 2,
+                 "does not move the float32 weight", id="gradcheck_eps_below_float32"),
     pytest.param(_config_choice, ["bench", "--config", "{data}/run.cfg"], 2,
                  "sweep='everything' not one of", id="config_value_not_a_choice"),
     pytest.param(None, ["simulate", "--chips", "2"], 2, "fill 1 of 2 chips",

@@ -1,3 +1,5 @@
+from dataclasses import asdict, fields
+
 import numpy as np
 import pytest
 
@@ -396,6 +398,37 @@ class TestMachineConfig:
         path = tmp_path / "bad.cfg"
         path.write_text("tiles_per_chip = 64\nwarp_drive = on\n")
         with pytest.raises(ConfigError):
+            load_machine_config(path)
+
+    def test_every_field_round_trips(self, tmp_path):
+        def flat(machine):
+            values = asdict(machine)
+            values.update(values.pop("cost"))
+            return values
+
+        want = MachineSpec(
+            tiles_per_chip=64, sram_per_tile=12345, num_chips=3,
+            cost=CostParams(
+                cycles_per_mac=1.5, cycles_per_state_update=3.25,
+                intra_chip_cycles_per_8_bytes=2.0, inter_chip_cycles_per_8_bytes=16.5,
+                sync_cycles_per_superstep=7.0,
+            ),
+        )
+        values, default = flat(want), flat(MachineSpec())
+        assert len(values) == len(fields(MachineSpec)) - 1 + len(fields(CostParams))
+        assert all(values[k] != default[k] for k in values)
+        path = tmp_path / "machine.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        got = load_machine_config(path)
+        assert got == want
+        assert all(type(v) is type(values[k]) for k, v in flat(got).items())
+
+    @pytest.mark.parametrize("line", ["tiles_per_chp = 64", "cycles_per_macs = 2", "cost = 1"])
+    def test_misspelled_key_names_itself(self, tmp_path, line):
+        path = tmp_path / "machine.cfg"
+        path.write_text(f"num_chips = 2\n{line}\n")
+        key = line.split(" ")[0]
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             load_machine_config(path)
 
     def test_zero_costs_are_valid(self):
