@@ -163,6 +163,9 @@ def synth_pattern_dataset(
     """
     if min(num_classes, input_size, samples_per_class, num_timesteps) < 1:
         raise ConfigError("dataset parameters must be positive")
+    for name, value in (("noise rate", noise_rate), ("template density", template_density)):
+        if not (np.isfinite(value) and value >= 0):
+            raise ConfigError(f"{name} must be finite and >= 0, got {value}")
     rng = np.random.default_rng(seed)
     n_template = max(1, int(round(template_density * input_size * num_timesteps)))
     templates = []

@@ -28,11 +28,11 @@ class LifParams:
 
     alpha: membrane decay in [0, 1), shared by the layer.
     capacitance: divisor applied to the input current, > 0.
-    threshold: firing threshold per neuron.
-    grad_threshold: secondary threshold per neuron; neurons between it and
-        `threshold` carry gradient information without spiking. Must not
-        exceed `threshold`.
-    beta: steepness of the surrogate derivative, > 0.
+    threshold: finite firing threshold per neuron.
+    grad_threshold: finite secondary threshold per neuron; neurons between
+        it and `threshold` carry gradient information without spiking. Must
+        not exceed `threshold`.
+    beta: steepness of the surrogate derivative, finite and > 0.
     """
 
     alpha: float
@@ -46,12 +46,14 @@ class LifParams:
             raise ConfigError(f"alpha must be in [0, 1), got {self.alpha}")
         if not self.capacitance > 0.0:
             raise ConfigError(f"capacitance must be > 0, got {self.capacitance}")
-        if not self.beta > 0.0:
-            raise ConfigError(f"beta must be > 0, got {self.beta}")
+        if not (np.isfinite(self.beta) and self.beta > 0.0):
+            raise ConfigError(f"beta must be finite and > 0, got {self.beta}")
         thr = np.asarray(self.threshold, dtype=np.float32)
         gthr = np.asarray(self.grad_threshold, dtype=np.float32)
         if thr.shape != gthr.shape:
             raise ContractViolation("threshold and grad_threshold shapes differ")
+        if not (np.isfinite(thr).all() and np.isfinite(gthr).all()):
+            raise ConfigError("threshold and grad_threshold must be finite")
         if np.any(gthr > thr):
             raise ConfigError("grad_threshold must be <= threshold elementwise")
         object.__setattr__(self, "threshold", thr)

@@ -59,6 +59,8 @@ def init_network(
     dynamics; it is deliberately larger than classic ANN initializations
     because sub-threshold neurons transmit nothing.
     """
+    if not (np.isfinite(weight_gain) and weight_gain >= 0):
+        raise ConfigError(f"weight gain must be finite and >= 0, got {weight_gain}")
     rng = np.random.default_rng(seed)
     weights, params = [], []
     for k in range(spec.num_weight_layers):

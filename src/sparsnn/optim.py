@@ -10,8 +10,8 @@ from .errors import ConfigError
 
 
 def _check_lr(lr: float) -> None:
-    if not lr > 0:
-        raise ConfigError(f"learning rate must be > 0, got {lr}")
+    if not (np.isfinite(lr) and lr > 0):
+        raise ConfigError(f"learning rate must be > 0 and finite, got {lr}")
 
 
 @dataclass

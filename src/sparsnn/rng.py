@@ -82,10 +82,15 @@ class DropRng:
         array. Returns a new mask.
 
         Row b's candidates are its set columns in ascending order, and
-        candidate j gets key j of row b (`rank_keys`). The keep[b] smallest
-        keys win, ties going to the earlier candidate, which makes every
-        subset equally likely. Rows within their keep, and rows that keep
-        nothing, draw no keys.
+        candidate j gets key j of row b (`rank_keys`). A thinned row keeps
+        the candidates keyed at or below its keep[b]-th smallest key, so
+        every subset is equally likely; rows within their keep, and rows
+        that keep nothing, draw no keys. Exactly keep[b] pass, as a row's
+        keys never tie: key j is mix64(base + j * GOLDEN) with GOLDEN odd,
+        so ranks 1..c give distinct words mod 2^64, and mix64 (xor-shifts
+        and odd multiplies) is a bijection. Non-candidates get the all-ones
+        key, which at most one candidate shares, so it is not the k-th key
+        of a row with more than k candidates.
         """
         out = np.array(mask, dtype=bool)
         counts = out.sum(axis=1)
@@ -99,20 +104,9 @@ class DropRng:
         if rows.size == 0:
             return out
         k = keep[rows][:, None]
-        # Non-candidates get the largest key, so the k-th smallest key of a
-        # row is that of its candidates: a row has more than k of them.
         table = self.rank_keys(rows, np.cumsum(cands, axis=1, dtype=np.int32), salt)
         table[~cands] = _MASK64
         kth = np.partition(table, np.unique(k) - 1, axis=1)
         kth = np.take_along_axis(kth, k - 1, axis=1)
-        below, tied = table < kth, cands & (table == kth)
-        won = below | tied
-        # Only rows with more tied keys than room left need the ordered
-        # tie-break; real keys almost never tie.
-        need = k[:, 0] - below.sum(axis=1)
-        crowded = np.flatnonzero(tied.sum(axis=1) > need)
-        if crowded.size:
-            first = np.cumsum(tied[crowded], axis=1, dtype=np.int32) <= need[crowded, None]
-            won[crowded] = below[crowded] | (tied[crowded] & first)
-        out[rows] = won
+        out[rows] = cands & (table <= kth)
         return out

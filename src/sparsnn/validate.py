@@ -27,6 +27,8 @@ def fd_weight_gradients(
 ) -> list:
     """Central differences of the relaxed loss w.r.t. every weight, each
     divided by the step the float32 weight took, not the nominal 2 * eps."""
+    if not (np.isfinite(eps) and eps > 0):
+        raise ConfigError(f"eps must be finite and > 0, got {eps}")
     grads = []
     for lw in net.weights:
         w = lw.w

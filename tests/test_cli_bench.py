@@ -241,6 +241,23 @@ SIMULATE_MACHINE = ["simulate", "--machine-config", "{data}/machine.cfg"]
     pytest.param(_machine_cfg("inter_chip_cycles_per_8_bytes = inf"), SIMULATE_MACHINE, 2,
                  "inter_chip_cycles_per_8_bytes must be finite and >= 0, got inf",
                  id="machine_inf_cost"),
+] + [
+    pytest.param(None, argv, 2, message, id=f"{argv[-2][2:]}_{argv[-1]}")
+    for argv, message in [
+        (["gen-data", "--noise", "-1"], "noise rate must be finite and >= 0"),
+        (["gen-data", "--noise", "nan"], "noise rate must be finite and >= 0"),
+        (["gen-data", "--noise", "inf"], "noise rate must be finite and >= 0"),
+        (["gen-data", "--template-density", "nan"], "template density must be finite and >= 0"),
+        (["gen-data", "--template-density", "inf"], "template density must be finite and >= 0"),
+        (TRAIN + ["--weight-gain", "-1"], "weight gain must be finite and >= 0"),
+        (TRAIN + ["--weight-gain", "nan"], "weight gain must be finite and >= 0"),
+        (TRAIN + ["--threshold", "nan"], "threshold and grad_threshold must be finite"),
+        (TRAIN + ["--grad-threshold", "nan"], "threshold and grad_threshold must be finite"),
+        (TRAIN + ["--lr", "inf"], "learning rate must be > 0 and finite"),
+        (TRAIN + ["--beta", "inf"], "beta must be finite and > 0"),
+        (["gradcheck", "--nets", "1", "--eps", "inf"], "eps must be finite and > 0"),
+        (["gradcheck", "--nets", "1", "--eps", "nan"], "eps must be finite and > 0"),
+    ]
 ])
 def test_bad_input_exits_with_code(tmp_path, capsys, corrupt, argv, code, message):
     data = _gen_data(tmp_path / "data")

@@ -3,7 +3,6 @@ reference (`encode_oracle`): the same ids, counts and keys, bit for
 bit."""
 
 import numpy as np
-import pytest
 
 import encode_oracle as oracle
 from sparsnn.lif import LifParams
@@ -37,20 +36,9 @@ def test_rank_keys_equal_keys_row_by_row():
             assert np.array_equal(got[i], want[ranks[i] - 1])
 
 
-@pytest.mark.parametrize("modulus", [None, 3])
-def test_subset_equals_row_at_a_time_subset(monkeypatch, modulus):
-    # Real keys almost never tie; keys reduced modulo 3 tie all the time,
-    # which checks the tie rule against the reference's stable argsort.
-    # A thinned row whose keys tied with its keep-th smallest all fit in
-    # the room left takes them all; a row with more of them than room
-    # takes the earliest. Both kinds must occur under the modulus.
-    if modulus is not None:
-        rank_keys, keys = DropRng.rank_keys, oracle.keys
-        m = np.uint64(modulus)
-        monkeypatch.setattr(DropRng, "rank_keys", lambda *a: rank_keys(*a) % m)
-        monkeypatch.setattr(oracle, "keys", lambda *a: keys(*a) % m)
+def test_subset_equals_row_at_a_time_subset():
     gen = np.random.default_rng(1)
-    seen = {"ties_fit": 0, "ties_crowded": 0}
+    thinned = 0
     for _ in range(300):
         rng = random_rng(gen)
         b, n = int(gen.integers(1, 7)), int(gen.integers(1, 30))
@@ -62,14 +50,8 @@ def test_subset_equals_row_at_a_time_subset(monkeypatch, modulus):
             cands = np.flatnonzero(mask[row])
             want = oracle.subset(rng, row, cands, keep[row], salt)
             assert np.array_equal(np.flatnonzero(got[row]), want)
-            if 0 < keep[row] < cands.size:
-                drawn = oracle.keys(rng, row, cands.size, salt)
-                kth = np.sort(drawn)[keep[row] - 1]
-                room = keep[row] - np.count_nonzero(drawn < kth)
-                crowded = np.count_nonzero(drawn == kth) > room
-                seen["ties_crowded" if crowded else "ties_fit"] += 1
-    assert seen["ties_fit"] > 0
-    assert (seen["ties_crowded"] > 0) == (modulus is not None), seen
+            thinned += bool(0 < keep[row] < cands.size)
+    assert thinned > 0
 
 
 def test_encoders_equal_row_at_a_time_encoders():

@@ -150,11 +150,20 @@ def _first_array_bytes(raw):
     return int(np.prod(first["shape"])) * np.dtype(first["dtype"]).itemsize
 
 
+def _nan_thresholds(raw):
+    """`raw` with the second array, layer 0's float32 thresholds, all NaN."""
+    meta = json.loads(raw[12:12 + _hlen(raw)])
+    assert meta["arrays"][1]["name"] == "thr0"
+    start = 12 + _hlen(raw) + _first_array_bytes(raw)
+    end = start + 4 * int(np.prod(meta["arrays"][1]["shape"]))
+    return raw[:start] + np.full((end - start) // 4, np.nan, "<f4").tobytes() + raw[end:]
+
+
 # Each case turns a valid checkpoint's bytes into corrupt ones: cut at each
 # region boundary (magic, length field, header, first array, last array),
 # one byte added, the header length off by one either way or far too
-# large, headers that are not UTF-8, not JSON or lack a key, and a spec
-# that still names the deleted readout option.
+# large, headers that are not UTF-8, not JSON or lack a key, a spec
+# that still names the deleted readout option, and NaN thresholds.
 CORRUPTIONS = {
     "empty": lambda raw: b"",
     "half_magic": lambda raw: raw[:4],
@@ -178,6 +187,7 @@ CORRUPTIONS = {
     "no_optimizer": lambda raw: _drop_meta_key(raw, "optimizer"),
     "no_seed": lambda raw: _drop_meta_key(raw, "seed"),
     "spec_output_mode": lambda raw: _with_spec_key(raw, "output_mode", "membrane-sum-readout"),
+    "threshold_nan": _nan_thresholds,
 }
 
 

@@ -27,6 +27,17 @@ def test_keys_deterministic_and_distinct():
     assert not np.array_equal(a, keys(rng, row=2, count=16, salt=1))
 
 
+def test_keys_of_a_row_never_tie():
+    # `DropRng.subset` keeps every candidate at or below the k-th key, so it
+    # keeps exactly k only because a row's keys 1..n are pairwise distinct.
+    gen = np.random.default_rng(3)
+    for _ in range(200):
+        rng = DropRng(int(gen.integers(-(2**62), 2**63)), int(gen.integers(0, 2**40)))
+        row, salt = int(gen.integers(0, 2**16)), int(gen.integers(0, 4))
+        n = int(gen.integers(1, 2**16 + 1))
+        assert len(np.unique(keys(rng, row, n, salt))) == n
+
+
 def candidate_mask(rows, n, cands):
     mask = np.zeros((rows, n), dtype=bool)
     mask[:, cands] = True
