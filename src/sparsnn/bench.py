@@ -257,8 +257,6 @@ def sparsity_sweep(config: BenchConfig, activity_grid) -> list:
     rows = []
     for mode in (FIXED, NATURAL):
         for a in activity_grid:
-            if not 0.0 < a <= 1.0:
-                raise ConfigError(f"activity {a} outside (0, 1]")
             result = run_benchmark(replace(config, mode=mode, max_activity=float(a)))
             rows.append(
                 {

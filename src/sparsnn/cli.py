@@ -2,7 +2,10 @@
 
 Options resolve in three layers: built-in defaults, then a flat key=value
 --config file (keys are the long option names with underscores), then
-explicit command-line flags. Unknown config keys are rejected.
+explicit command-line flags. Unknown config keys are rejected. A value
+given either way is typed and checked against its choices in one place,
+`_resolve`, and a command makes its output directory only once every
+value it checks has passed (`_out_dir`).
 
 Exit codes: 0 success, 1 failed check, diverged training (a non-finite
 loss or gradient) or unexpected error, 2 configuration error, 3 data
@@ -44,6 +47,7 @@ from .config import coerce, load_flat_config
 from .engine import train_epoch
 from .errors import ConfigError, DataFormatError, NonFiniteStep, OutOfTileMemory
 from .events import (
+    BIN_WIDTH_US,
     SpikeDataset,
     load_dataset,
     sparse_hidden_size,
@@ -63,24 +67,24 @@ from .model import init_network, save_checkpoint
 from .optim import make_optimizer
 from .validate import run_gradcheck_suite
 
-_COMMON = {
-    "config": (str, None, "flat key=value config file"),
-    "seed": (int, 42, "random seed"),
-    "out_dir": (str, None, "output directory (default runs/<timestamp>)"),
-}
+# Each option is (type, default, help) or (type, default, help, choices).
+_CONFIG = {"config": (str, None, "flat key=value config file")}
+_SEED = {"seed": (int, 42, "random seed")}
+_OUT_DIR = {"out_dir": (str, None, "output directory (default runs/<timestamp>)")}
+_PRESETS = tuple(sorted(ARCH_PRESETS))
 
 _OPTIONS = {
     "train": {
-        **_COMMON,
+        **_CONFIG, **_SEED, **_OUT_DIR,
         "data": (str, None, "dataset manifest.csv (or its directory)"),
         "layers": (str, None, "comma-separated layer sizes, input first"),
-        "preset": (str, None, f"architecture preset {sorted(ARCH_PRESETS)}"),
+        "preset": (str, None, "architecture preset", _PRESETS),
         "mode": (str, "dense", "execution path", ("dense", "sparse")),
         "max_activity": (float, 0.1, "spike-tensor capacity fraction"),
         "epochs": (int, 1, "training epochs"),
         "batch_size": (int, 48, "samples per batch"),
         "timesteps": (int, 50, "simulation steps per sequence"),
-        "bin_width": (int, 1000, "event bin width in microseconds"),
+        "bin_width": (int, BIN_WIDTH_US, "event bin width in microseconds"),
         "optimizer": (str, "adam", "weight update rule", ("sgd", "adam")),
         "lr": (float, 1e-3, "learning rate"),
         "alpha": (float, 0.9, "membrane decay"),
@@ -88,12 +92,12 @@ _OPTIONS = {
         "grad_threshold": (float, 0.75, "secondary (gradient) threshold"),
         "beta": (float, 10.0, "surrogate steepness"),
         "weight_gain": (float, 3.0, "init scale: gain/sqrt(fan_in)"),
-        "reset_grad": (bool, True, "gradients flow through the reset"),
+        "reset_grad": (bool, True, "gradients flow through the reset (on or off)"),
     },
     "bench": {
-        **_COMMON,
+        **_CONFIG, **_SEED, **_OUT_DIR,
         "sweep": (str, "sparsity", "which sweep", ("sparsity", "scaleup", "weak")),
-        "preset": (str, "shd-2944", "architecture preset"),
+        "preset": (str, "shd-2944", "architecture preset", _PRESETS),
         "max_activity": (float, 0.05, "capacity fraction for scaleup/weak"),
         "activity_grid": (str, "1.0,0.5,0.2,0.1,0.05,0.02", "sparsity grid"),
         "per_tile_grid": (str, "2,4,8,16", "neurons-per-tile grid"),
@@ -103,27 +107,27 @@ _OPTIONS = {
         "timesteps": (int, 10, "steps per sequence"),
         "repetitions": (int, 2, "timing repetitions (first discarded)"),
         "neurons_per_tile": (int, 2, "tile mapping density"),
-        "chips": (int, 1, "number of chips"),
+        "chips": (int, None, "number of chips (default: the machine's)"),
         "machine_config": (str, None, "machine/cost key=value file"),
     },
     "simulate": {
-        **_COMMON,
-        "preset": (str, "shd-2944", "architecture preset"),
+        **_CONFIG, **_OUT_DIR,
+        "preset": (str, "shd-2944", "architecture preset", _PRESETS),
         "max_activity": (float, 0.05, "capacity fraction"),
         "batch_size": (int, 48, "samples per batch"),
         "timesteps": (int, 10, "steps per sequence"),
         "neurons_per_tile": (int, 2, "tile mapping density"),
-        "chips": (int, 1, "number of chips"),
+        "chips": (int, None, "number of chips (default: the machine's)"),
         "machine_config": (str, None, "machine/cost key=value file"),
     },
     "gradcheck": {
-        **_COMMON,
+        **_CONFIG, **_SEED,
         "nets": (int, 20, "number of random tiny networks"),
         "eps": (float, 1e-3, "finite-difference step"),
         "tolerance": (float, 1e-3, "pass threshold on relative error"),
     },
     "gen-data": {
-        **_COMMON,
+        **_CONFIG, **_SEED, **_OUT_DIR,
         "classes": (int, 10, "number of classes"),
         "input_size": (int, 128, "input channels"),
         "samples_per_class": (int, 20, "samples per class"),
@@ -142,64 +146,57 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, options in _OPTIONS.items():
         p = sub.add_parser(command)
-        for name, spec in options.items():
-            kind, default, help_text = spec[0], spec[1], spec[2]
-            choices = spec[3] if len(spec) > 3 else None
-            flag = "--" + name.replace("_", "-")
-            if kind is bool:
-                p.add_argument(flag, type=str, choices=("on", "off"),
-                               default=None, help=help_text)
-            else:
-                p.add_argument(flag, type=str, choices=choices, default=None,
-                               help=help_text)
+        for name, (_, _, help_text, *choices) in options.items():
+            if choices:
+                help_text += f" (one of: {', '.join(choices[0])})"
+            p.add_argument("--" + name.replace("_", "-"), help=help_text)
     return parser
 
 
 def _resolve(command: str, args: argparse.Namespace) -> dict:
-    """Defaults < config file < explicit flags, with type coercion."""
+    """Defaults < config file < explicit flags. Every value given, as a
+    flag or a config key, gets its type and is checked against its choices
+    here; argparse hands over strings only."""
     options = _OPTIONS[command]
     from_file = {}
     if args.config is not None:
         from_file = load_flat_config(args.config, allowed_keys=set(options))
     resolved = {}
-    for name, spec in options.items():
-        kind, default = spec[0], spec[1]
-        cli_value = getattr(args, name)
-        if cli_value is not None:
-            resolved[name] = coerce(cli_value, kind)
-        elif name in from_file:
-            resolved[name] = coerce(from_file[name], kind)
-            # argparse checks the choices of flags only
-            if len(spec) > 3 and resolved[name] not in spec[3]:
-                raise ConfigError(f"{name}={resolved[name]!r} not one of {spec[3]}")
-        else:
+    for name, (kind, default, _, *choices) in options.items():
+        text = getattr(args, name)
+        if text is None:
+            text = from_file.get(name)
+        if text is None:
             resolved[name] = default
+            continue
+        value = resolved[name] = coerce(text, kind)
+        if choices and value not in choices[0]:
+            raise ConfigError(f"{name}={value!r} not one of {choices[0]}")
     return resolved
 
 
 def _out_dir(opts: dict) -> Path:
+    """Make the output directory and record the resolved options in its
+    config.txt; called once per command, after every check."""
     path = opts["out_dir"]
     if path is None:
         path = Path("runs") / time.strftime("%Y%m%d-%H%M%S")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
+    lines = [f"{key}={opts[key]}" for key in sorted(opts)]
+    (path / "config.txt").write_text("\n".join(lines) + "\n")
     return path
 
 
-def _echo_config(opts: dict, out: Path) -> None:
-    lines = [f"{key}={opts[key]}" for key in sorted(opts)]
-    (out / "config.txt").write_text("\n".join(lines) + "\n")
-
-
 def _machine_from(opts: dict) -> MachineSpec:
-    """The --machine-config machine (default: MachineSpec()); a --chips
-    other than its default 1 overrides the chip count."""
+    """The --machine-config machine (default: MachineSpec()), with the
+    chip count of --chips when it is given."""
     machine = (
         load_machine_config(opts["machine_config"])
         if opts["machine_config"]
         else MachineSpec()
     )
-    if opts["chips"] != 1:
+    if opts["chips"] is not None:
         machine = replace(machine, num_chips=opts["chips"])
     return machine
 
@@ -211,10 +208,7 @@ def _layer_sizes(opts: dict) -> tuple:
         except ValueError as exc:
             raise ConfigError(f"bad --layers value {opts['layers']!r}") from exc
     if opts.get("preset"):
-        preset = opts["preset"]
-        if preset not in ARCH_PRESETS:
-            raise ConfigError(f"unknown preset {preset!r}")
-        return tuple(ARCH_PRESETS[preset].layer_sizes)
+        return tuple(ARCH_PRESETS[opts["preset"]].layer_sizes)
     raise ConfigError("need --layers or --preset")
 
 
@@ -261,10 +255,9 @@ def cmd_train(opts: dict) -> int:
         beta=opts["beta"],
         weight_gain=opts["weight_gain"],
     )
-    out = _out_dir(opts)
-    _echo_config(opts, out)
-    _print_receptive_frames(spec)
     opt_state = make_optimizer(opts["optimizer"], opts["lr"])
+    out = _out_dir(opts)
+    _print_receptive_frames(spec)
     rows = []
     for epoch in range(opts["epochs"]):
         metrics = train_epoch(
@@ -297,8 +290,6 @@ def _grid(text: str, kind) -> list:
 
 
 def cmd_bench(opts: dict) -> int:
-    out = _out_dir(opts)
-    _echo_config(opts, out)
     config = BenchConfig(
         max_activity=opts["max_activity"],
         preset=opts["preset"],
@@ -309,14 +300,13 @@ def cmd_bench(opts: dict) -> int:
         neurons_per_tile=opts["neurons_per_tile"],
         machine=_machine_from(opts),
     )
+    columns = None
     if opts["sweep"] == "sparsity":
         rows = sparsity_sweep(config, _grid(opts["activity_grid"], float))
-        path = out / "sparsity.csv"
-        write_rows_csv(rows, path, SPARSITY_COLUMNS)
+        name, columns = "sparsity.csv", SPARSITY_COLUMNS
     elif opts["sweep"] == "scaleup":
         rows = scaleup_sweep(config, _grid(opts["per_tile_grid"], int))
-        path = out / "scaleup.csv"
-        write_rows_csv(rows, path)
+        name = "scaleup.csv"
     else:
         rows = weak_scaling_sweep(
             config,
@@ -324,15 +314,14 @@ def cmd_bench(opts: dict) -> int:
             _grid(opts["batch_grid"], int),
             _grid(opts["per_tile_grid"], int),
         )
-        path = out / "weak_scaling.csv"
-        write_rows_csv(rows, path)
+        name = "weak_scaling.csv"
+    path = _out_dir(opts) / name
+    write_rows_csv(rows, path, columns)
     print(f"wrote {path} ({len(rows)} rows)")
     return 0
 
 
 def cmd_simulate(opts: dict) -> int:
-    out = _out_dir(opts)
-    _echo_config(opts, out)
     machine = _machine_from(opts)
     spec = network_spec_for(
         BenchConfig(
@@ -345,6 +334,7 @@ def cmd_simulate(opts: dict) -> int:
     mapping = map_neurons(spec, machine, opts["neurons_per_tile"])
     sparse_ledger = simulate_batch(spec, mapping, machine, saturated_activity(spec))
     dense_ledger = simulate_batch(spec, mapping, machine, None, mode="dense")
+    out = _out_dir(opts)
     sparse_ledger.write_csv(out / "ledger.csv")
     _print_receptive_frames(spec)
     print(
@@ -371,7 +361,6 @@ def cmd_gradcheck(opts: dict) -> int:
 
 
 def cmd_gen_data(opts: dict) -> int:
-    out = _out_dir(opts)
     streams = synth_pattern_dataset(
         opts["classes"],
         opts["input_size"],
@@ -381,8 +370,7 @@ def cmd_gen_data(opts: dict) -> int:
         seed=opts["seed"],
         template_density=opts["template_density"],
     )
-    manifest = write_dataset(streams, out)
-    _echo_config(opts, out)
+    manifest = write_dataset(streams, _out_dir(opts))
     print(f"wrote {len(streams)} samples, manifest {manifest}")
     return 0
 

@@ -1,16 +1,8 @@
 """Training engine: forward through time, backward through time, loss.
 
 Spikes move between layers through a transport, chosen once per call from
-`mode`:
-
-dense    binary spike matrices; the reference path.
-sparse   fixed-capacity SparseSpikeBatch payloads; gradients reach a neuron
-         only through a retained entry. With capacities equal to the layer
-         sizes and a very low secondary threshold this reproduces dense.
-relaxed  dense with a smooth spike in float64; only used to validate the
-         backward pass against finite differences (its forward is
-         differentiable, so central differences of its loss are a ground
-         truth).
+`mode`: dense, sparse or relaxed (`DenseTransport`, `SparseTransport`,
+`RelaxedTransport`; each class docstring says what it sends).
 
 Transports return spike slopes and input gradients dense, zero outside
 the sent entries, so the backward pass, the literal adjoint of the forward
@@ -26,16 +18,15 @@ with h the spike slope and dS the gradient from the layer above plus, with
 
 Both passes run one layer at a time ("multi-step" propagation). This is
 exact because the network is feedforward across layers, and drop
-decisions are a pure function of (seed, position, row, salt), so they do
-not depend on the order of the calls. The forward pass encodes all T input
-payloads, then for each layer makes one current call on the stacked
-payloads of its window (the current of step t + 1 is driven by the
-payload of step t), then runs the layer's LIF loop over t. The backward
-pass sweeps the top layer first, each layer in reverse time, and then
-makes one input-gradient call for the layer below; before it sweeps a
-hidden layer it forms the spike slopes of the steps it sweeps. Stacked
-rows are t-major; in the backward pass they are in sweep order (t
-descending, then b ascending).
+decisions do not depend on the order of the calls (`rng` docstring). The
+forward pass encodes all T input payloads, then for each layer makes one
+current call on the stacked payloads of its window (the current of step
+t + 1 is driven by the payload of step t), then runs the layer's LIF
+loop over t. The backward pass sweeps the top layer first, each layer in
+reverse time, and then makes one input-gradient call for the layer below;
+before it sweeps a hidden layer it forms the spike slopes of the steps it
+sweeps. Stacked rows are t-major; in the backward pass they are in sweep
+order (t descending, then b ascending).
 
 One window per layer, and this is the one statement of its rule. Weight
 layer l gets kernel work only inside its window (first, lo, need, live),
@@ -90,18 +81,17 @@ gradient-check sizes), which its FD check covers.
 
 Weight gradients are summed over the window in float64 and rounded once
 at the end: one call per layer, on the stacked (dL/dI, payload) rows in
-sweep order, which writes the whole float64 buffer it is given (the
-`kernels` module docstring). Every sparse element receives the same adds
-in the same order as a per-step sweep would give it; the dense gradient
-is one product over all (live - first) * B rows. They are formed after
-the sweep, when the weight copies are gone, one float64 buffer at a time.
+sweep order, which writes its whole float64 buffer (`kernels` docstring).
+Every sparse element receives the same adds in the same order as a
+per-step sweep would give it; the dense gradient is one product over all
+(live - first) * B rows. They are formed after the sweep, when the weight
+copies are gone, one float64 buffer at a time.
 
-A transport holds one float64 copy of every weight matrix, cast in the
-column-major layout of `w.w` (`LayerWeights`): the dense kernels read it
-as W, the sparse kernels gather rows of its transpose, the C-contiguous
-Wᵀ. `forward_pass` builds it and `backward_pass` reuses it in the sweep,
-dropping each layer's copy after that layer's input-gradient call, so a
-training step casts each matrix once. Weight gradients share the layout.
+A transport holds one float64 copy of every weight matrix, `w64`, in the
+layout of `w.w` (`LayerWeights`), as do the weight gradients. `load` casts
+it in `forward_pass`, and `backward_pass` reuses it in the sweep, dropping
+each layer's copy after that layer's input-gradient call, so a training
+step casts each matrix once.
 
 Transports call kernels, encoders and LIF helpers through this module's
 names at call time, so wrappers installed on `sparsnn.engine` (profilers,
@@ -154,12 +144,9 @@ MAX_BATCHES_PER_EPOCH = 1 << 20
 
 
 class DenseTransport:
-    """Binary spike matrices between layers, float32 state.
-
-    `w64[l]` is the float64 copy of weight layer l, in the layout of `w.w`,
-    held from `load` until the backward pass has made layer l's
-    input-gradient call, or `release`.
-    """
+    """Binary spike matrices between layers, float32 state: the
+    reference path. `w64[l]` is weight layer l's float64 copy (module
+    docstring), which the kernels read as W."""
 
     dtype = np.float32
     always_reset_grad = False
@@ -227,8 +214,10 @@ class DenseTransport:
 
 
 class RelaxedTransport(DenseTransport):
-    """Dense transport with a smooth spike, float64 state. The reset path
-    is part of the true derivative, so gradients always take it."""
+    """Dense transport with a smooth spike, float64 state, used only to
+    validate the backward pass: its forward is differentiable, so central
+    differences of its loss are a ground truth. The reset path is part of
+    the true derivative, so gradients always take it."""
 
     dtype = np.float64
     always_reset_grad = True
@@ -241,10 +230,13 @@ class RelaxedTransport(DenseTransport):
 
 
 class SparseTransport(DenseTransport):
-    """Fixed-capacity spike batches between layers.
+    """Fixed-capacity SparseSpikeBatch payloads between layers; gradients
+    reach a neuron only through a retained entry. With capacities equal to
+    the layer sizes and a very low secondary threshold this reproduces
+    dense. The kernels read `w64[l].T`, Wᵀ.
 
     Drop decisions for step t at boundary k (0 = input) use stream position
-    `rng.position + t * num_weight_layers + k`. The kernels read `w64[l].T`.
+    `rng.position + t * num_weight_layers + k`.
     """
 
     def __init__(self, spec, rng: DropRng):
@@ -341,7 +333,6 @@ class ForwardTrace:
     spikes: list
     sent: list
     first: list
-    num_timesteps: int
 
 
 @dataclass
@@ -357,7 +348,6 @@ def forward_pass(
     mode: str = DENSE,
     rng: DropRng | None = None,
     force_spikes: bool = False,
-    record_trace: bool = True,
 ):
     """Run the network over all timesteps; returns (trace, scores).
 
@@ -371,8 +361,7 @@ def forward_pass(
     supplies drop decisions; its position is advanced internally by one
     slot per (timestep, layer boundary). `force_spikes` drives every
     hidden neuron above threshold each step, saturating spike batches at
-    capacity (throughput lower-bound mode). With `record_trace=False` only
-    the scores are computed (evaluation).
+    capacity (throughput lower-bound mode).
     """
     spec = net.spec
     inputs = np.asarray(inputs)
@@ -388,8 +377,7 @@ def forward_pass(
     T = spec.num_timesteps
     L = spec.num_weight_layers
     scores = np.zeros((batch, spec.output_size), dtype=dtype)
-    trace = ForwardTrace(transport, [], [], [], [], T) if record_trace else None
-    firsts = []
+    trace = ForwardTrace(transport, [], [], [], [])
 
     # What weight layer l reads at each step: the input frames for l = 0.
     payloads = [transport.send_input(t, inputs[:, t, :]) for t in range(T)]
@@ -398,14 +386,14 @@ def forward_pass(
         hidden = l < L - 1
         shape = (T, batch, spec.layer_sizes[l + 1])
         # The current of step t + 1 is driven by the payload of step t.
-        firsts.append(_first_spike(transport, payloads))
-        first, _, _, live = spec.windows(firsts)[l]
+        trace.first.append(_first_spike(transport, payloads))
+        first, _, _, live = spec.windows(trace.first)[l]
         i_syn = np.zeros(shape, dtype=dtype)
         if live > first:
             i_syn[first + 1 : live + 1] = transport.current(
                 l, net.weights[l], payloads[first:live]
             ).reshape((live - first,) + shape[1:])
-        u_seen = np.empty(shape, dtype=dtype) if record_trace else None
+        u_seen = np.empty(shape, dtype=dtype)
         spikes = np.empty(shape, dtype=dtype) if hidden else None
         sent = transport.payloads(spikes) if hidden else None
 
@@ -415,8 +403,7 @@ def forward_pass(
                 u = np.broadcast_to(
                     params.threshold + np.float32(1.0), u.shape
                 ).astype(dtype)
-            if record_trace:
-                u_seen[t] = u
+            u_seen[t] = u
             if hidden:
                 s, sent[t] = transport.send(l, t, u, params)
                 spikes[t] = s
@@ -425,11 +412,9 @@ def forward_pass(
                 u = membrane_update(u, np.zeros_like(u), i_syn[t], params)
                 scores += u
 
-        if record_trace:
-            trace.u.append(u_seen)
-            trace.spikes.append(spikes)
-            trace.sent.append(payloads)
-            trace.first.append(first)
+        trace.u.append(u_seen)
+        trace.spikes.append(spikes)
+        trace.sent.append(payloads)
         payloads = sent
 
     return trace, scores
@@ -479,7 +464,7 @@ def backward_pass(
     for l, w in enumerate(net.weights):
         first, _, _, live = wins[l]
         if live > first:
-            # The kernel writes every element of the buffer.
+            # Written whole by the kernel (`kernels` docstring).
             acc = np.empty_like(w.w, dtype=np.float64)
             transport.weight_grad(
                 dl_di[l][: (live - first) * batch], trace.sent[l][first:live][::-1], acc
@@ -665,7 +650,7 @@ def evaluate(
     for bi, (frames, labels) in enumerate(dataset.minibatches(spec.batch_size, None)):
         base = (1 << 40) + bi * stride
         rng = DropRng(drop_seed, base) if mode == SPARSE else None
-        _, scores = forward_pass(net, frames, mode=mode, rng=rng, record_trace=False)
+        _, scores = forward_pass(net, frames, mode=mode, rng=rng)
         correct += int((scores.argmax(axis=1) == labels).sum())
         seen += len(labels)
     if seen == 0:

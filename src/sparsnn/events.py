@@ -30,6 +30,7 @@ from .lif import check_capacity
 
 ESF_MAGIC = b"ESFv0001"
 MAX_CHANNELS = 1 << 16
+BIN_WIDTH_US = 1000  # default bin width; synthetic events sit mid-bin
 
 
 @dataclass
@@ -151,7 +152,6 @@ def synth_pattern_dataset(
     num_timesteps: int,
     noise_rate: float,
     seed: int,
-    bin_width_us: int = 1000,
     template_density: float = 0.05,
 ) -> list:
     """Class-templated event streams with Poisson noise.
@@ -174,7 +174,6 @@ def synth_pattern_dataset(
         chans = rng.integers(0, input_size, size=n_template)
         templates.append((steps, chans))
     streams = []
-    mid = bin_width_us // 2
     for label in range(num_classes):
         t_steps, t_chans = templates[label]
         for _ in range(samples_per_class):
@@ -187,7 +186,7 @@ def synth_pattern_dataset(
             )
             streams.append(
                 EventStream(
-                    times_us=(steps * bin_width_us + mid).astype(np.uint32),
+                    times_us=(steps * BIN_WIDTH_US + BIN_WIDTH_US // 2).astype(np.uint32),
                     channels=chans.astype(np.uint32),
                     num_channels=input_size,
                     label=label,
@@ -264,7 +263,7 @@ class SpikeDataset:
 
     @classmethod
     def from_streams(
-        cls, streams: list, num_timesteps: int, bin_width_us: int = 1000
+        cls, streams: list, num_timesteps: int, bin_width_us: int = BIN_WIDTH_US
     ) -> "SpikeDataset":
         frames = np.stack(
             [bin_events(s, num_timesteps, bin_width_us) for s in streams]

@@ -1,9 +1,10 @@
 """Forward-current and gradient kernels, dense and sparse.
 
-The dense route is a plain matrix product on W. The sparse route works on
-the float64 Wᵀ, the C-contiguous transpose of a column-major float64 W
-(`LayerWeights`), so each id a row names selects one contiguous row of Wᵀ
-(one weight column of W):
+Every kernel reads the transport's float64 weight copy (`engine`
+docstring). The dense route is a plain matrix product on it, W (`w64`).
+The sparse route works on its transpose Wᵀ (`wt64`), whose rows are
+contiguous (`LayerWeights`), so each id a row names selects one row of Wᵀ,
+one weight column of W:
 
 forward current  out[b] = sum of Wᵀ[ids] over the row's firing ids, added
                  in ascending-id order;
@@ -46,9 +47,8 @@ def dense_forward_current(
 ) -> np.ndarray:
     """I = S @ W^T for a batch of dense spike rows.
 
-    `w64` is the float64 copy of `w.w`. `dtype` is the boundary precision;
-    the float64 gradient-check pipeline passes float64 to avoid rounding
-    between timesteps.
+    `dtype` is the boundary precision; the float64 gradient-check pipeline
+    passes float64 to avoid rounding between timesteps.
     """
     s_in = np.asarray(s_in)
     if s_in.ndim != 2 or s_in.shape[1] != w.fan_in:
@@ -65,7 +65,7 @@ def sparse_forward_current(
     """Sum of the rows of Wᵀ named by each row's firing ids.
 
     Gradient-only entries contribute nothing. Summation order is fixed
-    (ascending id). `wt64` is the float64 Wᵀ.
+    (ascending id).
     """
     check_ids(s_in, s_in.num_spikes, w.fan_in)
     out = np.zeros((s_in.batch_size, w.n_post), dtype=np.float32)
@@ -79,13 +79,11 @@ def sparse_forward_current(
 def sparse_weight_grad(
     dl_di: np.ndarray, s_in: SparseSpikeBatch, dl_dw_acc: np.ndarray
 ) -> None:
-    """Write dL/dw = sum_b outer(dL/dI[b], spikes[b]) into a float64
-    (n_post, n_pre) buffer, whatever it held (module docstring).
-
-    Each element is written once: the columns of ids that no row fires
-    are set to +0.0, and every other element receives one add per row
-    that names its column, from +0.0, rows in ascending order, in any
-    memory layout.
+    """Write dL/dw = sum_b outer(dL/dI[b], spikes[b]) into the float64
+    (n_post, n_pre) buffer (module docstring): the columns of ids that no
+    row fires are set to +0.0, and every other element receives one add
+    per row that names its column, from +0.0, rows in ascending order, in
+    any memory layout.
     """
     if dl_dw_acc.dtype != np.float64:
         raise ContractViolation("weight-gradient accumulator must be float64")
@@ -122,10 +120,9 @@ def sparse_weight_grad(
 def dense_weight_grad(
     dl_di: np.ndarray, s_in: np.ndarray, dl_dw_acc: np.ndarray
 ) -> None:
-    """Dense counterpart: write dL/dw = dL/dI^T @ S into the float64
-    buffer, whatever it held, as its transpose S^T @ dL/dI, which a
-    column-major buffer takes in place; the product's sums start from
-    +0.0."""
+    """Dense counterpart: write dL/dw = dL/dI^T @ S as its transpose
+    S^T @ dL/dI, which a column-major buffer takes in place; the product's
+    sums start from +0.0."""
     if dl_dw_acc.dtype != np.float64:
         raise ContractViolation("weight-gradient accumulator must be float64")
     np.matmul(
@@ -145,8 +142,7 @@ def sparse_input_grad(
         dl_dspike[b, k] = sum_i dl_di[b, i] * w[i, ids[b, k]]
 
     i.e. the transpose product restricted to retained columns. Returns a
-    (B, n_max) float32 array aligned with `s_in.ids`. `wt64` is the
-    float64 Wᵀ.
+    (B, n_max) float32 array aligned with `s_in.ids`.
     """
     if dl_di.shape != (s_in.batch_size, w.n_post):
         raise ContractViolation(
@@ -165,6 +161,5 @@ def sparse_input_grad(
 def dense_input_grad(
     dl_di: np.ndarray, w: LayerWeights, w64: np.ndarray, dtype
 ) -> np.ndarray:
-    """Dense counterpart: dL/dS = dL/dI @ W, float64 inside; `w64` is the
-    float64 copy of `w.w`."""
+    """Dense counterpart: dL/dS = dL/dI @ W, float64 inside."""
     return (np.asarray(dl_di, dtype=np.float64) @ w64).astype(dtype)

@@ -119,7 +119,6 @@ class TileMapping:
     packed for chips of `tiles_per_chip` tiles."""
 
     tile_of_neuron: list  # per weight layer: global tile id per neuron
-    per_tile_bytes: np.ndarray
     tiles_per_chip: int
 
     @property
@@ -193,7 +192,7 @@ def map_neurons(
     if over.size:
         tile = int(over[0])
         raise OutOfTileMemory(tile, int(per_tile[tile]), machine.sram_per_tile)
-    return TileMapping(tile_of_neuron, per_tile, machine.tiles_per_chip)
+    return TileMapping(tile_of_neuron, machine.tiles_per_chip)
 
 
 @dataclass

@@ -4,9 +4,10 @@ Drop decisions must not depend on execution order: two runs with the same
 seed, or the same run partitioned differently across threads, have to drop
 exactly the same spikes. Instead of a stateful generator we derive every
 random draw from a pure integer hash of (seed, stream position, batch row,
-draw index), so any (layer, timestep, row) can be evaluated independently
-and in any order. The hash is the splitmix64 finalizer, which is cheap and
-passes the statistical bar needed here (uniform subset selection).
+salt, draw index), so any (layer, timestep, row) can be evaluated
+independently, in any order, with the same result on every platform. The
+hash is the splitmix64 finalizer, which is cheap and passes the
+statistical bar needed here (uniform subset selection).
 """
 
 from __future__ import annotations
@@ -48,14 +49,12 @@ def _combine_array(h: np.ndarray, words) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DropRng:
-    """Keyed source of drop decisions.
+    """Keyed source of drop decisions (module docstring).
 
     `seed` identifies the experiment, `position` the stream position (the
     caller encodes layer/timestep/batch counters into it). The batch row is
     mixed in at draw time, plus a small `salt` to separate independent
     decisions at the same position (e.g. spike drops vs gradient drops).
-    Identical (seed, position, row, salt) give identical draws on every
-    platform: the implementation is integer-only.
     """
 
     seed: int

@@ -131,7 +131,7 @@ def forward_pass(net, inputs, mode, rng=None, force_spikes=False):
     L = spec.num_weight_layers
     scores = np.zeros((batch, spec.output_size), dtype=dtype)
     # The full window: every layer's kernels start at payload step 0.
-    trace = ForwardTrace(transport, [], [], [], [0] * L, T)
+    trace = ForwardTrace(transport, [], [], [], [0] * L)
 
     payloads = [transport.send_input(t, inputs[:, t, :]) for t in range(T)]
     for l in range(L):
@@ -172,7 +172,7 @@ def backward_pass(net, trace, dl_dscores, reset_grad=True):
     reset_grad = reset_grad or transport.always_reset_grad
     dl_dscores = np.asarray(dl_dscores, dtype=dt)
     batch = dl_dscores.shape[0]
-    T = trace.num_timesteps
+    T = net.spec.num_timesteps
     L = spec.num_weight_layers
 
     transport.load(net.weights)
@@ -198,7 +198,7 @@ def backward_pass(net, trace, dl_dscores, reset_grad=True):
 def _sweep_layer(net, trace, l, ds_in, dl_dscores, reset_grad):
     transport = trace.transport
     dt = transport.dtype
-    T = trace.num_timesteps
+    T = net.spec.num_timesteps
     hidden = l < net.spec.num_weight_layers - 1
     params = net.params[l]
     alpha, gain = params.step_constants(dt)

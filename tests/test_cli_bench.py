@@ -157,13 +157,15 @@ def test_bench_mode_option_is_gone(tmp_path):
 
 @pytest.mark.parametrize("command, key, value", [
     # train's tile check repeated simulate's; simulate priced no activity
-    # but "fixed".
+    # but "fixed", and is deterministic; gradcheck writes nothing.
     ("train", "simulate_tiles", "on"),
     ("train", "chips", "2"),
     ("simulate", "activity", "zero"),
+    ("simulate", "seed", "1"),
+    ("gradcheck", "out_dir", "run"),
 ])
 def test_deleted_options_exit_2(tmp_path, capsys, command, key, value):
-    out = ["--out-dir", str(tmp_path / "run")]
+    out = [] if command == "gradcheck" else ["--out-dir", str(tmp_path / "run")]
     assert cli.main([command, "--" + key.replace("_", "-"), value, *out]) == 2
     err = capsys.readouterr().err
     assert "unrecognized arguments" in err and "Traceback" not in err
@@ -172,6 +174,42 @@ def test_deleted_options_exit_2(tmp_path, capsys, command, key, value):
     assert cli.main([command, "--config", str(config), *out]) == 2
     err = capsys.readouterr().err
     assert f"unknown key '{key}'" in err and "Traceback" not in err
+
+
+def _resolved(argv):
+    args = cli._build_parser().parse_args(argv)
+    return cli._resolve(args.command, args)
+
+
+@pytest.mark.parametrize("text, value", [("true", True), ("on", True), ("no", False)])
+def test_boolean_spellings_are_one_rule(tmp_path, capsys, text, value):
+    # A flag and a config key take the same spellings.
+    config = tmp_path / "run.cfg"
+    config.write_text(f"reset_grad = {text}\n")
+    assert _resolved(["train", "--reset-grad", text])["reset_grad"] is value
+    assert _resolved(["train", "--config", str(config)])["reset_grad"] is value
+    assert cli.main(["train", "--reset-grad", "maybe"]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: expected a boolean, got 'maybe'\n"
+
+
+def test_flag_not_a_choice_exits_2(tmp_path, capsys):
+    assert cli.main(["train", "--mode", "bogus", "--out-dir", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: mode='bogus' not one of ('dense', 'sparse')\n"
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", sorted(cli._OPTIONS))
+def test_help_names_every_choice(monkeypatch, capsys, command):
+    # argparse checks no choice, so the help text is where they show.
+    monkeypatch.setenv("COLUMNS", "400")  # no wrap inside a hyphenated name
+    assert cli.main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    for name, (_, _, _, *choices) in cli._OPTIONS[command].items():
+        assert "--" + name.replace("_", "-") in out
+        for choice in choices[0] if choices else ():
+            assert choice in out
 
 
 def _header_only_manifest(data):
@@ -264,11 +302,15 @@ def test_bad_input_exits_with_code(tmp_path, capsys, corrupt, argv, code, messag
     if corrupt is not None:
         corrupt(data)
     argv = [arg.format(data=data) for arg in argv]
+    if argv[0] != "gradcheck":
+        argv += ["--out-dir", str(tmp_path / "run")]
     capsys.readouterr()
-    assert cli.main(argv + ["--out-dir", str(tmp_path / "run")]) == code
+    assert cli.main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith(("config error:", "data error:")) and message in err
     assert err.count("\n") == 1 and "Traceback" not in err
+    # Every value is checked before a command makes its output directory.
+    assert not (tmp_path / "run").exists()
 
 
 def test_failed_gradcheck_exits_1(capsys):
@@ -346,6 +388,17 @@ def test_weak_scaling_rows_state_their_receptive_frames():
     assert [(r["chips"], r["receptive_frames"]) for r in rows] == [(1, 3), (2, 0), (4, 0)]
 
 
+def test_simulate_chips_overrides_machine_config(tmp_path):
+    # --chips 1 is an override like any other chip count.
+    config = tmp_path / "machine.cfg"
+    config.write_text("num_chips = 2\n")
+    argv = ["simulate", "--machine-config", str(config), "--chips", "1"]
+    assert cli.main([*argv, "--out-dir", str(tmp_path / "one")]) == 0
+    assert cli.main(["simulate", "--out-dir", str(tmp_path / "plain")]) == 0
+    ledger = (tmp_path / "one" / "ledger.csv").read_bytes()
+    assert ledger == (tmp_path / "plain" / "ledger.csv").read_bytes()
+
+
 def test_simulate_out_of_tile_memory_exits_4(tmp_path, capsys):
     # One neuron of the first hidden layer needs far more than 64 bytes.
     config = tmp_path / "machine.cfg"
@@ -356,6 +409,7 @@ def test_simulate_out_of_tile_memory_exits_4(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("out of tile memory: tile 0 needs ") and "only 64 are available" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_nan_weight_mid_run_exits_1(tmp_path, monkeypatch, capsys):
