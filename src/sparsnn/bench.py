@@ -111,7 +111,6 @@ class BenchResult:
         `collect_activity` reads; 0.0 for a layer with none.
     """
 
-    config: BenchConfig
     measured_accel: float
     modeled_accel: float
     frames_per_sec: float
@@ -124,21 +123,16 @@ class BenchResult:
         return all(s > 0 for s in self.hidden_spikes)
 
 
-def network_spec_for(config: BenchConfig, arch: ArchPreset | None = None) -> NetworkSpec:
-    """The network of `arch` (default: the configured preset) with its
-    dataset's input capacity and every hidden capacity at
-    `config.max_activity`."""
-    arch = arch or ARCH_PRESETS[config.preset]
-    layers = arch.layer_sizes
-    sparse = [arch.dataset.sparse_input_size] + [
-        sparse_hidden_size(config.max_activity, n) for n in layers[1:-1]
-    ]
-    return NetworkSpec(
-        layer_sizes=layers,
-        sparse_sizes=sparse,
-        batch_size=config.batch_size,
-        num_timesteps=config.num_timesteps,
-    )
+def network_spec_for(
+    arch: ArchPreset, max_activity: float, batch_size: int, num_timesteps: int
+) -> NetworkSpec:
+    """The network of `arch`, the one home of every command's spike
+    capacities: the input boundary keeps `arch.dataset.sparse_input_size`
+    ids a row, and each hidden boundary `sparse_hidden_size(max_activity,
+    n)` of its n neurons."""
+    hidden = [sparse_hidden_size(max_activity, n) for n in arch.layer_sizes[1:-1]]
+    sparse = [arch.dataset.sparse_input_size] + hidden
+    return NetworkSpec(arch.layer_sizes, sparse, batch_size, num_timesteps)
 
 
 def bench_dataset(config: BenchConfig) -> SpikeDataset:
@@ -193,7 +187,10 @@ def _timed_steps(net, frames, labels, opt, mode, config, force) -> list:
 
 def run_benchmark(config: BenchConfig) -> BenchResult:
     """Time and model one configuration; see the module docstring."""
-    spec = network_spec_for(config)
+    arch = ARCH_PRESETS[config.preset]
+    spec = network_spec_for(
+        arch, config.max_activity, config.batch_size, config.num_timesteps
+    )
     dataset = bench_dataset(config)
     frames, labels = next(dataset.minibatches(config.batch_size, None))
     force = config.mode == FIXED
@@ -204,19 +201,14 @@ def run_benchmark(config: BenchConfig) -> BenchResult:
     opt_s = make_optimizer(OPTIMIZER, LR)
 
     dense_times = _timed_steps(dense_net, frames, labels, opt_d, DENSE, config, force)
+    # The probe that feeds the ledger sees the initial weights: forward_pass
+    # writes no weight, so it runs on sparse_net before its timed steps.
+    rng = DropRng(config.seed, 0)
+    trace, _ = forward_pass(sparse_net, frames, SPARSE, rng, force_spikes=force)
+    act, grad = collect_activity(spec, trace)
     sparse_times = _timed_steps(
         sparse_net, frames, labels, opt_s, SPARSE, config, force
     )
-
-    probe_net = init_network(spec, seed=config.seed)
-    trace, _ = forward_pass(
-        probe_net,
-        frames,
-        mode=SPARSE,
-        rng=DropRng(config.seed, 0),
-        force_spikes=force,
-    )
-    act, grad = collect_activity(spec, trace)
 
     mapping = map_neurons(spec, config.machine, config.neurons_per_tile)
     sparse_ledger = simulate_batch(
@@ -228,7 +220,6 @@ def run_benchmark(config: BenchConfig) -> BenchResult:
     dense_mean = float(np.mean(dense_times))
     sparse_mean = float(np.mean(sparse_times))
     return BenchResult(
-        config=config,
         measured_accel=dense_mean / sparse_mean,
         modeled_accel=modeled,
         frames_per_sec=config.batch_size * config.num_timesteps / sparse_mean,
@@ -283,13 +274,15 @@ def scaleup_sweep(config: BenchConfig, per_tile_grid) -> list:
     for npt in per_tile_grid:
         if npt not in SCALEUP_SHD:
             raise ConfigError(f"no scale-up architecture for {npt} neurons/tile")
-        layers = SCALEUP_SHD[npt]
-        spec = network_spec_for(config, ArchPreset(DATASET_PRESETS["shd"], layers))
+        arch = ArchPreset(DATASET_PRESETS["shd"], SCALEUP_SHD[npt])
+        spec = network_spec_for(
+            arch, config.max_activity, config.batch_size, config.num_timesteps
+        )
         row = {
             "neurons_per_tile": npt,
             "status": "ok",
             "modeled_accel": "",
-            "total_neurons": sum(layers[1:]),
+            "total_neurons": sum(arch.layer_sizes[1:]),
             "receptive_frames": spec.receptive_frames,
         }
         try:
@@ -317,11 +310,14 @@ def weak_scaling_sweep(
     per-chip network is the configured preset. Each row states how many
     input frames reach the loss of the k-chip chained net
     (`chained_spec`)."""
+    arch = ARCH_PRESETS[config.preset]
     rows = []
     for k in chip_grid:
         machine = replace(config.machine, num_chips=int(k))
         for batch in batch_grid:
-            spec = network_spec_for(replace(config, batch_size=batch))
+            spec = network_spec_for(
+                arch, config.max_activity, batch, config.num_timesteps
+            )
             receptive = chained_spec(spec, int(k))[0].receptive_frames
             for npt in per_tile_grid:
                 slowdown = weak_scale_run(spec, machine, neurons_per_tile=npt)
@@ -338,13 +334,9 @@ def weak_scaling_sweep(
 
 
 def write_rows_csv(rows: list, path, columns=None) -> None:
-    """One CSV line per row dict, floats as repr. With explicit `columns`
-    an empty `rows` writes the header alone."""
-    if columns is None:
-        if not rows:
-            raise ConfigError("no rows to write")
-        columns = rows[0].keys()
-    columns = list(columns)
+    """One CSV line per row dict, floats as repr. `rows` may be empty only
+    with explicit `columns`, and then the header is written alone."""
+    columns = list(rows[0] if columns is None else columns)
     with open(path, "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=columns)
         writer.writeheader()

@@ -35,6 +35,7 @@ from pathlib import Path
 
 from .bench import (
     ARCH_PRESETS,
+    ArchPreset,
     BenchConfig,
     SPARSITY_COLUMNS,
     network_spec_for,
@@ -48,6 +49,7 @@ from .engine import train_epoch
 from .errors import ConfigError, DataFormatError, NonFiniteStep, OutOfTileMemory
 from .events import (
     BIN_WIDTH_US,
+    DatasetSpec,
     SpikeDataset,
     load_dataset,
     sparse_hidden_size,
@@ -80,7 +82,8 @@ _OPTIONS = {
         "layers": (str, None, "comma-separated layer sizes, input first"),
         "preset": (str, None, "architecture preset", _PRESETS),
         "mode": (str, "dense", "execution path", ("dense", "sparse")),
-        "max_activity": (float, 0.1, "spike-tensor capacity fraction"),
+        "max_activity": (float, 0.1, "spike capacity fraction of the hidden "
+                         "layers, and of a --layers net's input"),
         "epochs": (int, 1, "training epochs"),
         "batch_size": (int, 48, "samples per batch"),
         "timesteps": (int, 50, "simulation steps per sequence"),
@@ -201,14 +204,17 @@ def _machine_from(opts: dict) -> MachineSpec:
     return machine
 
 
-def _layer_sizes(opts: dict) -> tuple:
-    if opts.get("layers"):
+def _arch(opts: dict) -> ArchPreset:
+    """The --layers net (input capacity as a hidden layer's), else --preset's."""
+    if opts["layers"]:
         try:
-            return tuple(int(x) for x in opts["layers"].split(","))
+            layers = tuple(int(x) for x in opts["layers"].split(","))
         except ValueError as exc:
             raise ConfigError(f"bad --layers value {opts['layers']!r}") from exc
-    if opts.get("preset"):
-        return tuple(ARCH_PRESETS[opts["preset"]].layer_sizes)
+        capacity = sparse_hidden_size(opts["max_activity"], layers[0])
+        return ArchPreset(DatasetSpec(layers[0], capacity, layers[-1]), layers)
+    if opts["preset"]:
+        return ARCH_PRESETS[opts["preset"]]
     raise ConfigError("need --layers or --preset")
 
 
@@ -226,7 +232,8 @@ def cmd_train(opts: dict) -> int:
     if manifest.is_dir():
         manifest = manifest / "manifest.csv"
     streams = load_dataset(manifest)
-    layers = _layer_sizes(opts)
+    arch = _arch(opts)
+    layers = arch.layer_sizes
     if streams[0].num_channels != layers[0]:
         raise DataFormatError(
             f"dataset has {streams[0].num_channels} channels but the input "
@@ -234,13 +241,12 @@ def cmd_train(opts: dict) -> int:
         )
     T = opts["timesteps"]
     dataset = SpikeDataset.from_streams(streams, T, opts["bin_width"])
-    sparse_sizes = [sparse_hidden_size(opts["max_activity"], n) for n in layers[:-1]]
-    spec = NetworkSpec(
-        layer_sizes=layers,
-        sparse_sizes=sparse_sizes,
-        batch_size=opts["batch_size"],
-        num_timesteps=T,
-    )
+    label, samples = dataset.labels.max(), len(dataset.labels)
+    if label >= layers[-1]:
+        raise DataFormatError(f"label {label} needs more than {layers[-1]} outputs")
+    spec = network_spec_for(arch, opts["max_activity"], opts["batch_size"], T)
+    if spec.batch_size > samples:
+        raise ConfigError(f"batch size {spec.batch_size} exceeds the {samples} samples")
     if spec.receptive_frames == 0:
         raise ConfigError(
             f"no input frame reaches the loss in {T} timesteps through "
@@ -315,6 +321,8 @@ def cmd_bench(opts: dict) -> int:
             _grid(opts["per_tile_grid"], int),
         )
         name = "weak_scaling.csv"
+    if not rows and columns is None:
+        raise ConfigError(f"the {opts['sweep']} sweep has an empty grid")
     path = _out_dir(opts) / name
     write_rows_csv(rows, path, columns)
     print(f"wrote {path} ({len(rows)} rows)")
@@ -323,13 +331,9 @@ def cmd_bench(opts: dict) -> int:
 
 def cmd_simulate(opts: dict) -> int:
     machine = _machine_from(opts)
+    arch = ARCH_PRESETS[opts["preset"]]
     spec = network_spec_for(
-        BenchConfig(
-            preset=opts["preset"],
-            max_activity=opts["max_activity"],
-            batch_size=opts["batch_size"],
-            num_timesteps=opts["timesteps"],
-        )
+        arch, opts["max_activity"], opts["batch_size"], opts["timesteps"]
     )
     mapping = map_neurons(spec, machine, opts["neurons_per_tile"])
     sparse_ledger = simulate_batch(spec, mapping, machine, saturated_activity(spec))

@@ -14,8 +14,10 @@ import pytest
 import encode_oracle as oracle
 from sparsnn import cli
 from sparsnn.bench import (
+    ARCH_PRESETS,
     FIXED,
     NATURAL,
+    SPARSITY_COLUMNS,
     BenchConfig,
     collect_activity,
     network_spec_for,
@@ -27,7 +29,7 @@ from sparsnn.engine import SPARSE, forward_pass
 from sparsnn.errors import DataFormatError
 from sparsnn.events import EventStream, load_dataset, write_events
 from sparsnn.machine import MachineSpec, map_neurons, simulate_batch
-from sparsnn.model import init_network
+from sparsnn.model import init_network, load_checkpoint
 from sparsnn.rng import DropRng
 
 
@@ -41,7 +43,7 @@ def test_run_benchmark_tiny(mode):
         assert math.isfinite(value) and value > 0
     # Forced spikes fill every hidden capacity; free dynamics stay at or
     # below it, and on this preset leave every hidden layer silent.
-    capacities = tuple(network_spec_for(config).sparse_sizes[1:])
+    capacities = network_spec_for(ARCH_PRESETS["tiny"], 0.25, 48, 10).sparse_sizes[1:]
     assert all(0.0 <= s <= c for s, c in zip(result.hidden_spikes, capacities))
     if mode == FIXED:
         assert result.hidden_spikes == capacities
@@ -56,7 +58,7 @@ def test_ledger_prices_the_networks_own_activity():
     # spikes its trace records later are not those of a full forward pass.
     # `collect_activity` reads only the earlier steps, so it and the ledger
     # it feeds equal the full pass's, byte for byte.
-    spec = network_spec_for(BenchConfig(preset="tiny", max_activity=0.25))
+    spec = network_spec_for(ARCH_PRESETS["tiny"], 0.25, 48, 10)
     net = init_network(spec, seed=3, weight_gain=20.0)
     inputs = (np.random.default_rng(3).random((spec.batch_size, 10, 32)) < 0.3).astype(np.float32)
     got, _ = forward_pass(net, inputs, mode=SPARSE, rng=DropRng(3))
@@ -106,6 +108,35 @@ def test_gen_data_then_sparse_train(tmp_path, capsys):
     rows = (run / "metrics.csv").read_text().splitlines()
     assert rows[0] == "epoch,loss,accuracy" and len(rows) == 3
     assert all(np.isfinite(float(r.split(",")[1])) for r in rows[1:])
+
+
+@pytest.mark.parametrize("preset, classes, sizes", [
+    ("tiny", 4, (8, 6, 6)),
+    ("shd-2944", 20, (48, 96, 96, 96)),
+])
+def test_train_preset_has_benchs_capacities(tmp_path, preset, classes, sizes):
+    # One capacity rule for every command: a preset's input boundary keeps
+    # its dataset's capacity, and only the hidden ones follow the default
+    # --max-activity 0.1, as in `bench` and `simulate`.
+    arch = ARCH_PRESETS[preset]
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert cli.main([
+        "gen-data", "--out-dir", str(data), "--classes", str(classes), "--input-size",
+        str(arch.layer_sizes[0]), "--samples-per-class", "1", "--timesteps", "10",
+    ]) == 0
+    assert cli.main([
+        "train", "--data", str(data), "--preset", preset, "--mode", "sparse",
+        "--batch-size", "2", "--timesteps", "10", "--out-dir", str(run),
+    ]) == 0
+    net, _, _ = load_checkpoint(run / "checkpoint.bin")
+    assert net.spec.sparse_sizes == sizes
+    assert network_spec_for(arch, 0.1, 2, 10).sparse_sizes == sizes
+
+
+def test_empty_sparsity_grid_writes_the_header(tmp_path):
+    argv = ["bench", "--sweep", "sparsity", "--activity-grid", ",", "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert (tmp_path / "sparsity.csv").read_text().splitlines() == [",".join(SPARSITY_COLUMNS)]
 
 
 def _gen_data(path):
@@ -257,6 +288,14 @@ SIMULATE_MACHINE = ["simulate", "--machine-config", "{data}/machine.cfg"]
                  id="negative_timesteps"),
     pytest.param(None, TRAIN + ["--optimizer", "adam", "--lr", "-1"], 2,
                  "learning rate must be > 0", id="adam_negative_lr"),
+    pytest.param(None, TRAIN + ["--layers", "16,8,1"], 3, "label 1 needs more than 1 outputs",
+                 id="label_exceeds_outputs"),
+    pytest.param(None, TRAIN + ["--batch-size", "5"], 2, "batch size 5 exceeds the 4 samples",
+                 id="batch_above_samples"),
+    pytest.param(None, ["bench", "--sweep", "scaleup", "--per-tile-grid", ","], 2,
+                 "the scaleup sweep has an empty grid", id="scaleup_empty_grid"),
+    pytest.param(None, ["bench", "--sweep", "weak", "--chip-grid", ","], 2,
+                 "the weak sweep has an empty grid", id="weak_empty_grid"),
     pytest.param(None, TRAIN + ["--layers", "16,8,8,8,8,8,2"], 2,
                  "no input frame reaches the loss in 10 timesteps through 6 weight layers",
                  id="no_receptive_frame"),

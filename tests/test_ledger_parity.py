@@ -9,7 +9,7 @@ import pytest
 
 import ledger_oracle as oracle
 from sparsnn import machine
-from sparsnn.bench import BenchConfig, network_spec_for
+from sparsnn.bench import ARCH_PRESETS, network_spec_for
 from sparsnn.errors import ConfigError, OutOfTileMemory
 from sparsnn.machine import CostParams, MachineSpec, map_neurons, saturated_activity
 
@@ -59,7 +59,7 @@ def activities(spec, gen):
 @pytest.mark.parametrize("preset", ["tiny", "shd-2944"])
 def test_ledger_equals_step_at_a_time_reference(preset):
     gen = np.random.default_rng(0)
-    spec = network_spec_for(BenchConfig(preset=preset, max_activity=0.2, batch_size=4))
+    spec = network_spec_for(ARCH_PRESETS[preset], 0.2, 4, 10)
     kinds = set()
     for (chips, tiles, sram), npt in itertools.product(MACHINES, (1, 2, 4)):
         mach = MachineSpec(tiles_per_chip=tiles, sram_per_tile=sram, num_chips=chips,
@@ -85,6 +85,6 @@ def test_ledger_equals_step_at_a_time_reference(preset):
 
 @pytest.mark.parametrize("chips", [2, 4, 8])
 def test_weak_scaling_equals_reference(chips):
-    net = network_spec_for(BenchConfig(preset="tiny"))
+    net = network_spec_for(ARCH_PRESETS["tiny"], 0.05, 48, 10)
     mach = MachineSpec(num_chips=chips, cost=COST)
     assert machine.weak_scale_run(net, mach, 2) == oracle.weak_scale_run(net, mach, 2)

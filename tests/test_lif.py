@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sparsnn.bench import BenchConfig, network_spec_for
+from sparsnn.bench import ARCH_PRESETS, network_spec_for
 from sparsnn.engine import forward_pass
 from sparsnn.errors import ConfigError, ContractViolation
 from sparsnn.lif import (
@@ -149,7 +149,7 @@ class TestNetworkSpec:
     @pytest.mark.parametrize("preset, frames", [("tiny", 5), ("shd-2944", 3)])
     def test_receptive_frames_of_the_presets(self, preset, frames):
         # T = 10; each of the L - 1 hidden layers costs two steps of reach.
-        spec = network_spec_for(BenchConfig(preset=preset))
+        spec = network_spec_for(ARCH_PRESETS[preset], 0.05, 48, 10)
         assert spec.num_timesteps == 10
         assert spec.receptive_frames == frames == spec.live_steps(0)
 

@@ -3,7 +3,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
-from sparsnn.bench import BenchConfig, network_spec_for
+from sparsnn.bench import ARCH_PRESETS, network_spec_for
 from sparsnn.errors import ConfigError, ContractViolation, OutOfTileMemory
 from sparsnn.lif import NetworkSpec
 from sparsnn.machine import (
@@ -335,7 +335,7 @@ class TestFrozenShd2944:
     moves them."""
 
     def test_sparse_ledger_totals(self):
-        net = network_spec_for(BenchConfig())
+        net = network_spec_for(ARCH_PRESETS["shd-2944"], 0.05, 48, 10)
         machine = MachineSpec()
         mapping = map_neurons(net, machine, 2)
         ledger = simulate_batch(net, mapping, machine, saturated_activity(net), every_step=True)
@@ -347,7 +347,7 @@ class TestFrozenShd2944:
         # Packed on 2 x 736 tiles, the network spans both chips and pays
         # for inter-chip traffic; priced on 1 x 1472 the same tile ids
         # would all sit on one chip and give the one-chip totals above.
-        net = network_spec_for(BenchConfig())
+        net = network_spec_for(ARCH_PRESETS["shd-2944"], 0.05, 48, 10)
         two = MachineSpec(tiles_per_chip=736, num_chips=2)
         mapping = map_neurons(net, two, 2)
         ledger = simulate_batch(net, mapping, two, saturated_activity(net), every_step=True)
@@ -361,7 +361,7 @@ class TestFrozenShd2944:
         # receive 3 + 5 + 7 + 9 = 24 forward tensors and return 3 + 5 + 7
         # = 15 gradient tensors, each (4 * 48 + 8) * 48 = 9600 bytes on
         # the one chip; the dense ledger skips the same work.
-        net = network_spec_for(BenchConfig())
+        net = network_spec_for(ARCH_PRESETS["shd-2944"], 0.05, 48, 10)
         machine = MachineSpec()
         mapping = map_neurons(net, machine, 2)
         sparse = simulate_batch(net, mapping, machine, saturated_activity(net))
@@ -375,7 +375,7 @@ class TestFrozenShd2944:
         (4, 1.0191907224303651),
     ])
     def test_weak_scaling_slowdown(self, chips, slowdown):
-        net = network_spec_for(BenchConfig())
+        net = network_spec_for(ARCH_PRESETS["shd-2944"], 0.05, 48, 10)
         assert weak_scale_run(net, MachineSpec(num_chips=chips), 2) == slowdown
 
 
