@@ -265,11 +265,10 @@ def sparsity_sweep(config: BenchConfig, activity_grid) -> list:
 
 def scaleup_sweep(config: BenchConfig, per_tile_grid) -> list:
     """Modeled acceleration for the published per-tile scale-up
-    architectures, priced on every step (`machine` module docstring);
+    architectures, each priced at T = max(`num_timesteps`, 2L), the least
+    T at which its input reaches the loss (`NetworkSpec.made_receptive`);
     memory failures become recorded cells, not crashes. Each row states
-    how many input frames reach the priced net's loss
-    (`NetworkSpec.receptive_frames`): 0 says it prices a net that cannot
-    see its input."""
+    that T and how many input frames reach the loss."""
     rows = []
     for npt in per_tile_grid:
         if npt not in SCALEUP_SHD:
@@ -277,12 +276,13 @@ def scaleup_sweep(config: BenchConfig, per_tile_grid) -> list:
         arch = ArchPreset(DATASET_PRESETS["shd"], SCALEUP_SHD[npt])
         spec = network_spec_for(
             arch, config.max_activity, config.batch_size, config.num_timesteps
-        )
+        ).made_receptive()
         row = {
             "neurons_per_tile": npt,
             "status": "ok",
             "modeled_accel": "",
             "total_neurons": sum(arch.layer_sizes[1:]),
+            "timesteps": spec.num_timesteps,
             "receptive_frames": spec.receptive_frames,
         }
         try:
@@ -291,13 +291,8 @@ def scaleup_sweep(config: BenchConfig, per_tile_grid) -> list:
             row["status"] = f"out-of-tile-memory:{err.needed}"
             rows.append(row)
             continue
-        act = saturated_activity(spec)
-        sparse_ledger = simulate_batch(
-            spec, mapping, config.machine, act, every_step=True
-        )
-        dense_ledger = simulate_batch(
-            spec, mapping, config.machine, None, mode="dense", every_step=True
-        )
+        sparse_ledger = simulate_batch(spec, mapping, config.machine, saturated_activity(spec))
+        dense_ledger = simulate_batch(spec, mapping, config.machine, None, mode="dense")
         row["modeled_accel"] = acceleration_model(dense_ledger, sparse_ledger)
         rows.append(row)
     return rows
@@ -307,9 +302,11 @@ def weak_scaling_sweep(
     config: BenchConfig, chip_grid, batch_grid, per_tile_grid
 ) -> list:
     """Modeled slowdown for every (chips, batch, neurons/tile) point; the
-    per-chip network is the configured preset. Each row states how many
-    input frames reach the loss of the k-chip chained net
-    (`chained_spec`)."""
+    per-chip network is the configured preset. A k-chip point prices the
+    chained net (`chained_spec`) and its 1-chip baseline at T =
+    max(`num_timesteps`, 2L) of the chained net (`weak_scale_run`); its
+    row states that T and that net's receptive frames. Memory failures
+    become recorded cells, as in `scaleup_sweep`."""
     arch = ARCH_PRESETS[config.preset]
     rows = []
     for k in chip_grid:
@@ -318,18 +315,22 @@ def weak_scaling_sweep(
             spec = network_spec_for(
                 arch, config.max_activity, batch, config.num_timesteps
             )
-            receptive = chained_spec(spec, int(k))[0].receptive_frames
+            chained = chained_spec(spec, int(k))[0].made_receptive()
             for npt in per_tile_grid:
-                slowdown = weak_scale_run(spec, machine, neurons_per_tile=npt)
-                rows.append(
-                    {
-                        "chips": int(k),
-                        "batch_size": batch,
-                        "neurons_per_tile": npt,
-                        "slowdown": slowdown,
-                        "receptive_frames": receptive,
-                    }
-                )
+                row = {
+                    "chips": int(k),
+                    "batch_size": batch,
+                    "neurons_per_tile": npt,
+                    "status": "ok",
+                    "slowdown": "",
+                    "timesteps": chained.num_timesteps,
+                    "receptive_frames": chained.receptive_frames,
+                }
+                try:
+                    row["slowdown"] = weak_scale_run(spec, machine, neurons_per_tile=npt)
+                except OutOfTileMemory as err:
+                    row["status"] = f"out-of-tile-memory:{err.needed}"
+                rows.append(row)
     return rows
 
 

@@ -107,7 +107,7 @@ _OPTIONS = {
         "chip_grid": (str, "1,2,4,8,16", "weak-scaling chip counts"),
         "batch_grid": (str, "48,96,192", "weak-scaling batch sizes"),
         "batch_size": (int, 48, "samples per batch"),
-        "timesteps": (int, 10, "steps per sequence"),
+        "timesteps": (int, 10, "steps per sequence (scaleup/weak: at least 2L)"),
         "repetitions": (int, 2, "timing repetitions (first discarded)"),
         "neurons_per_tile": (int, 2, "tile mapping density"),
         "chips": (int, None, "number of chips (default: the machine's)"),
@@ -218,11 +218,16 @@ def _arch(opts: dict) -> ArchPreset:
     raise ConfigError("need --layers or --preset")
 
 
-def _print_receptive_frames(spec: NetworkSpec) -> None:
-    print(
-        f"receptive frames: {spec.receptive_frames} of {spec.num_timesteps} "
-        "input frames reach the loss"
-    )
+def _receptive_frames(spec: NetworkSpec) -> str:
+    """The report line of the input frames that reach the loss. A net that
+    none reaches can neither learn nor be priced, and is rejected."""
+    frames, T = spec.receptive_frames, spec.num_timesteps
+    if frames == 0:
+        raise ConfigError(
+            f"no input frame reaches the loss in {T} timesteps through "
+            f"{spec.num_weight_layers} weight layers (two steps of delay per hidden layer)"
+        )
+    return f"receptive frames: {frames} of {T} input frames reach the loss"
 
 
 def cmd_train(opts: dict) -> int:
@@ -247,11 +252,7 @@ def cmd_train(opts: dict) -> int:
     spec = network_spec_for(arch, opts["max_activity"], opts["batch_size"], T)
     if spec.batch_size > samples:
         raise ConfigError(f"batch size {spec.batch_size} exceeds the {samples} samples")
-    if spec.receptive_frames == 0:
-        raise ConfigError(
-            f"no input frame reaches the loss in {T} timesteps through "
-            f"{spec.num_weight_layers} weight layers (two steps of delay per hidden layer)"
-        )
+    receptive = _receptive_frames(spec)
     net = init_network(
         spec,
         seed=opts["seed"],
@@ -263,7 +264,7 @@ def cmd_train(opts: dict) -> int:
     )
     opt_state = make_optimizer(opts["optimizer"], opts["lr"])
     out = _out_dir(opts)
-    _print_receptive_frames(spec)
+    print(receptive)
     rows = []
     for epoch in range(opts["epochs"]):
         metrics = train_epoch(
@@ -335,12 +336,13 @@ def cmd_simulate(opts: dict) -> int:
     spec = network_spec_for(
         arch, opts["max_activity"], opts["batch_size"], opts["timesteps"]
     )
+    receptive = _receptive_frames(spec)
     mapping = map_neurons(spec, machine, opts["neurons_per_tile"])
     sparse_ledger = simulate_batch(spec, mapping, machine, saturated_activity(spec))
     dense_ledger = simulate_batch(spec, mapping, machine, None, mode="dense")
     out = _out_dir(opts)
     sparse_ledger.write_csv(out / "ledger.csv")
-    _print_receptive_frames(spec)
+    print(receptive)
     print(
         f"modeled sparse time: {sparse_ledger.total_time_cycles:.0f} cycles, "
         f"dense: {dense_ledger.total_time_cycles:.0f}, "

@@ -15,7 +15,7 @@ results are rounded back to float32 at the boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -190,6 +190,13 @@ class NetworkSpec:
         """How many input frames reach the loss: frames 0..receptive_frames-1
         do, later ones change no score and no gradient."""
         return self.live_steps(0)
+
+    def made_receptive(self) -> NetworkSpec:
+        """This net at T = max(num_timesteps, 2L): 2L is the least T at
+        which an input frame reaches the loss (`receptive_frames` 1). The
+        scale-up and weak-scaling sweeps price their nets at it."""
+        T = max(self.num_timesteps, 2 * self.num_weight_layers)
+        return replace(self, num_timesteps=T)
 
 
 def threshold_spikes_dense(u: np.ndarray, threshold: np.ndarray) -> np.ndarray:

@@ -27,14 +27,11 @@ traffic within a chip rides the compute superstep at the intra rate.
 counts each layer's neurons per tile, and each spike tensor's bytes are
 spread evenly over the consuming layer's tiles on each chip.
 
-The schedule is the engine's `net.windows([0] * L)`, the windows of a
-net whose every layer fires from step 0 (the rule: `engine` docstring):
+The one schedule is the engine's `net.windows([0] * L)`, the windows of
+a net whose every layer fires from step 0 (the rule: `engine` docstring):
 the ledger prices a layer's work only inside them, and so ignores the
 head that depends on the data. Every state update and every superstep's
 sync is still charged, as the engine's LIF loops run every step.
-`every_step=True` prices every layer at every step instead, as the
-paper's schedule does; the scale-up and weak-scaling sweeps use it, since
-at T=10 their deeper nets have layers whose window is empty.
 
 Per-tile memory estimate for a neuron with fan-in F, batch B, T timesteps:
 16*F (weights, weight grads, two optimizer moments at 4 bytes) plus
@@ -276,7 +273,8 @@ def _phase_cycles(
         per_neuron = batch * (
             in_counts[:, l] * cost.cycles_per_mac + cost.cycles_per_state_update
         )
-        compute += np.bincount(ids, minlength=tiles) * per_neuron[:, None]
+        used = np.unique(ids)  # other tiles' compute gains exactly 0
+        compute[:, used] += np.bincount(ids, minlength=tiles)[used] * per_neuron[:, None]
     intra_tile, inter_tile = np.zeros((T, tiles)), np.zeros((T, tiles))
     intra_chip = np.zeros((T, machine.num_chips))
     inter_chip = np.zeros((T, machine.num_chips))
@@ -312,10 +310,9 @@ def simulate_batch(
     activity: np.ndarray | None,
     mode: str = "sparse",
     grad_activity: np.ndarray | None = None,
-    every_step: bool = False,
 ) -> CostLedger:
     """Model one training batch, forward and backward, on the engine's
-    static windows, or on every step with `every_step` (module docstring).
+    static windows (module docstring).
 
     `activity[t, k]` is the per-sample spike count of layer k (column 0 is
     the input layer) at step t; `grad_activity` the retained-entry count
@@ -356,13 +353,10 @@ def simulate_batch(
 
     # reach[t, l]: weight layer l works on its payload of step t;
     # back[t, l]: and returns dL/dS for it.
-    if every_step:
-        reach = back = np.ones((T, L), dtype=bool)
-    else:
-        steps = np.arange(T)[:, None]
-        first, _, need, live = zip(*net.windows([0] * L))
-        reach = (steps >= first) & (steps < live)
-        back = (steps >= need) & (steps < live)
+    steps = np.arange(T)[:, None]
+    first, _, need, live = zip(*net.windows([0] * L))
+    reach = (steps >= first) & (steps < live)
+    back = (steps >= need) & (steps < live)
     spikes_in = np.where(reach, activity[:, :L], 0.0)
 
     def price(in_counts, edges):
@@ -443,16 +437,19 @@ def weak_scale_run(
     neurons_per_tile: int = 2,
 ) -> float:
     """Modeled slowdown of running k chained replicas on k chips versus
-    one replica on one chip; 1.0 for k = 1 by construction."""
+    one replica on one chip; 1.0 for k = 1 by construction. Both are
+    priced at the T = max(T, 2L) of the k-chip chained net."""
     k = machine.num_chips
     if k not in WEAK_SCALE_CHIPS:
         raise ConfigError(f"unsupported chip count {k}; pick from {WEAK_SCALE_CHIPS}")
+    T = chained_spec(net_per_chip, k)[0].made_receptive().num_timesteps
+    net_per_chip = replace(net_per_chip, num_timesteps=T)
 
     def total(num_chips: int) -> float:
         spec, chips = chained_spec(net_per_chip, num_chips)
         mach = replace(machine, num_chips=num_chips)
         mapping = map_neurons(spec, mach, neurons_per_tile, layer_chips=chips)
-        ledger = simulate_batch(spec, mapping, mach, saturated_activity(spec), every_step=True)
+        ledger = simulate_batch(spec, mapping, mach, saturated_activity(spec))
         return ledger.total_time_cycles
 
     return total(k) / total(1)

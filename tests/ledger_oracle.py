@@ -119,8 +119,7 @@ class _Simulator:
             )
 
 
-def simulate_batch(net, mapping, machine, activity, mode="sparse", grad_activity=None,
-                   every_step=False):
+def simulate_batch(net, mapping, machine, activity, mode="sparse", grad_activity=None):
     if mode not in ("sparse", "dense"):
         raise ConfigError(f"unknown simulate mode {mode!r}")
     L = net.num_weight_layers
@@ -142,11 +141,11 @@ def simulate_batch(net, mapping, machine, activity, mode="sparse", grad_activity
 
     def works(t, l):
         """Weight layer l multiplies its payload of step t."""
-        return every_step or t < net.live_steps(l)
+        return t < net.live_steps(l)
 
     def returns(t, l):
         """Weight layer l returns dL/dS for its payload of step t."""
-        return every_step or 1 <= l and 2 <= t < net.live_steps(l)
+        return 1 <= l and 2 <= t < net.live_steps(l)
 
     sim = _Simulator(net, mapping, machine, header_bytes)
     for t in range(T):
@@ -167,12 +166,18 @@ def weak_scale_run(net_per_chip, machine, neurons_per_tile=2):
     k = machine.num_chips
     if k not in WEAK_SCALE_CHIPS:
         raise ConfigError(f"unsupported chip count {k}; pick from {WEAK_SCALE_CHIPS}")
+    # Both nets at the least T at which the k-chip chain's input reaches
+    # the loss: two steps per weight layer.
+    layers = chained_spec(net_per_chip, k)[0].num_weight_layers
+    net_per_chip = replace(
+        net_per_chip, num_timesteps=max(net_per_chip.num_timesteps, 2 * layers)
+    )
 
     def total(num_chips):
         spec, chips = chained_spec(net_per_chip, num_chips)
         mach = replace(machine, num_chips=num_chips)
         mapping = map_neurons(spec, mach, neurons_per_tile, layer_chips=chips)
-        ledger = simulate_batch(spec, mapping, mach, saturated_activity(spec), every_step=True)
+        ledger = simulate_batch(spec, mapping, mach, saturated_activity(spec))
         return ledger.total_time_cycles
 
     return total(k) / total(1)

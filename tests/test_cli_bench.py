@@ -299,6 +299,9 @@ SIMULATE_MACHINE = ["simulate", "--machine-config", "{data}/machine.cfg"]
     pytest.param(None, TRAIN + ["--layers", "16,8,8,8,8,8,2"], 2,
                  "no input frame reaches the loss in 10 timesteps through 6 weight layers",
                  id="no_receptive_frame"),
+    pytest.param(None, ["simulate", "--timesteps", "6"], 2,
+                 "no input frame reaches the loss in 6 timesteps through 4 weight layers",
+                 id="simulate_no_receptive_frame"),
     pytest.param(None, ["gradcheck", "--nets", "0"], 2, "at least one network",
                  id="gradcheck_no_nets"),
     pytest.param(None, ["gradcheck", "--nets", "1", "--eps", "1e-12"], 2,
@@ -408,23 +411,51 @@ def test_closed_stdout_exits_1_at_interpreter_exit(tmp_path):
 def test_simulate_reports_receptive_frames(tmp_path, capsys):
     assert cli.main(["simulate", "--out-dir", str(tmp_path / "run")]) == 0
     assert "receptive frames: 3 of 10 input frames reach the loss\n" in capsys.readouterr().out
-    argv = ["simulate", "--timesteps", "5", "--out-dir", str(tmp_path / "run5")]
+    # T = 8 = 2L is the least T at which shd-2944's input reaches the loss.
+    argv = ["simulate", "--timesteps", "8", "--out-dir", str(tmp_path / "run8")]
     assert cli.main(argv) == 0
-    assert "receptive frames: 0 of 5 input frames reach the loss\n" in capsys.readouterr().out
+    assert "receptive frames: 1 of 8 input frames reach the loss\n" in capsys.readouterr().out
 
 
 def test_scaleup_rows_state_their_receptive_frames():
-    # At T = 10 only the 2-per-tile net (4 weight layers) sees its input;
-    # the 4, 8 and 16 per-tile nets have 7, 13 and 25.
+    # The 2, 4, 8 and 16 per-tile nets have 4, 7, 13 and 25 weight layers;
+    # each is priced at T = max(10, 2L), where its input reaches the loss.
     rows = scaleup_sweep(BenchConfig(), [2, 4, 8, 16])
-    assert [r["receptive_frames"] for r in rows] == [3, 0, 0, 0]
+    assert [r["timesteps"] for r in rows] == [10, 14, 26, 50]
+    assert [r["receptive_frames"] for r in rows] == [3, 1, 1, 1]
+    assert [r["modeled_accel"] for r in rows] == [
+        19.361937885391743, 19.61085929352448, 19.739578319890867, 19.80416044223744,
+    ]
 
 
 def test_weak_scaling_rows_state_their_receptive_frames():
-    # k chained shd-2944 stacks have 3k + 1 weight layers: only k = 1
-    # reads an input frame at T = 10.
+    # k chained shd-2944 stacks have 3k + 1 weight layers, priced at
+    # T = max(10, 6k + 2).
     rows = weak_scaling_sweep(BenchConfig(), [1, 2, 4], [48], [2])
-    assert [(r["chips"], r["receptive_frames"]) for r in rows] == [(1, 3), (2, 0), (4, 0)]
+    assert [(r["chips"], r["timesteps"]) for r in rows] == [(1, 10), (2, 14), (4, 26)]
+    assert [(r["chips"], r["receptive_frames"]) for r in rows] == [(1, 3), (2, 1), (4, 1)]
+
+
+def test_default_weak_sweep_records_memory_cells(tmp_path, capsys):
+    # 5 chip counts x 3 batches x 4 densities. At T = 6k + 2 the state of
+    # the densest, largest-batch points outgrows a tile: those cells say
+    # so and the sweep goes on.
+    assert cli.main(["bench", "--sweep", "weak", "--out-dir", str(tmp_path)]) == 0
+    assert "(60 rows)" in capsys.readouterr().out
+    with open(tmp_path / "weak_scaling.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 60
+    timesteps = {"1": "10", "2": "14", "4": "26", "8": "50", "16": "98"}
+    for r in rows:
+        assert r["timesteps"] == timesteps[r["chips"]]
+        assert r["receptive_frames"] == ("3" if r["chips"] == "1" else "1")
+    full = [(r["chips"], r["batch_size"], r["neurons_per_tile"]) for r in rows
+            if r["status"] != "ok"]
+    assert full == [("8", "192", "16"), ("16", "96", "16"), ("16", "192", "8"),
+                    ("16", "192", "16")]
+    assert all(r["status"].startswith("out-of-tile-memory:") and r["slowdown"] == ""
+               for r in rows if r["status"] != "ok")
+    assert all(float(r["slowdown"]) >= 1.0 for r in rows if r["status"] == "ok")
 
 
 def test_simulate_chips_overrides_machine_config(tmp_path):

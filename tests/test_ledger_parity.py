@@ -1,6 +1,6 @@
 """The all-steps-at-once ledger against its step-at-a-time reference
-(`ledger_oracle`), on the engine's windows and on every step: the same
-supersteps, field for field and byte for byte, or the same error."""
+(`ledger_oracle`), on the engine's windows: the same supersteps, field for
+field and byte for byte, or the same error."""
 
 import itertools
 
@@ -64,16 +64,16 @@ def test_ledger_equals_step_at_a_time_reference(preset):
     for (chips, tiles, sram), npt in itertools.product(MACHINES, (1, 2, 4)):
         mach = MachineSpec(tiles_per_chip=tiles, sram_per_tile=sram, num_chips=chips,
                            cost=COST)
-        for layer_chips, (mode, act, grad), every_step in itertools.product(
-            layouts(spec.num_weight_layers, chips), activities(spec, gen), (False, True)
+        for layer_chips, (mode, act, grad) in itertools.product(
+            layouts(spec.num_weight_layers, chips), activities(spec, gen)
         ):
             def run(simulate):
                 mapping = map_neurons(spec, mach, npt, layer_chips=layer_chips)
-                return simulate(spec, mapping, mach, act, mode, grad, every_step=every_step)
+                return simulate(spec, mapping, mach, act, mode, grad)
 
             want = outcome(lambda: run(oracle.simulate_batch))
             assert outcome(lambda: run(machine.simulate_batch)) == want, (
-                chips, tiles, sram, npt, layer_chips, mode, every_step,
+                chips, tiles, sram, npt, layer_chips, mode,
             )
             kinds.add(want[0] if isinstance(want, tuple) else
                       any(s[2].endswith("-exchange") for s in want))

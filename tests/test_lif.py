@@ -159,6 +159,15 @@ class TestNetworkSpec:
         assert spec.receptive_frames == 0
         assert replace(spec, num_timesteps=12).receptive_frames == 1
 
+    @pytest.mark.parametrize("T, want", [(1, 12), (11, 12), (12, 12), (13, 13)])
+    def test_made_receptive_raises_t_to_2l(self, T, want):
+        # 6 weight layers: T = 12 = 2L is the least at which a frame
+        # reaches the loss (T = 10 reaches none, above).
+        spec = NetworkSpec((4,) * 7, (4,) * 6, batch_size=1, num_timesteps=T)
+        made = spec.made_receptive()
+        assert made == replace(spec, num_timesteps=want)
+        assert made.receptive_frames == want - 11
+
     def test_current_linearity(self):
         # Eq-level property: current from a union of disjoint spike sets is
         # the sum of the separate currents.

@@ -88,8 +88,14 @@ class TestMapping:
 
 
 def hand_net():
-    """Two weight layers on two tiles with a deliberate imbalance."""
-    return spec([4, 8, 2], [4, 4], batch=2, T=1)
+    """Two weight layers on two tiles with a deliberate imbalance. At T=4
+    (live 1 and 3) weight layer 0 works on step 0, layer 1 on steps 0..2,
+    and layer 1 returns dL/dS on step 2 (`NetworkSpec.windows`)."""
+    return spec([4, 8, 2], [4, 4], batch=2, T=4)
+
+
+# Per step: 3 input spikes, 4 hidden spikes, a silent readout.
+HAND_ACT = np.array([[3.0, 4.0, 0.0]] * 4)
 
 
 def hand_machine():
@@ -101,42 +107,48 @@ def hand_machine():
 
 
 class TestSimulate:
-    # The hand-computed cases price one or two steps on every step: on the
-    # engine's windows a net this short does no multiply-accumulate work.
+    # The hand-computed cases price nets at a T at which every weight
+    # layer works on some step; the ledger prices only the engine's
+    # windows (`machine` module docstring).
 
     def test_bsp_max_not_sum_hand_computed(self):
-        # Forward: tile0 holds the 8 hidden neurons, tile1 the 2 readouts.
-        # compute(tile0) = 8 * 2*(3*1+2) = 80, compute(tile1) = 2*2*(4*1+2)=24
-        # exchange to tile0: (4*3*2+16)/8 = 5; to tile1: (4*4*2+16)/8 = 6
-        # superstep = max(85, 30) + 10 = 95       (sum would give 125)
-        # Backward: compute(tile0) = 8*2*(6+2) = 128, tile1 = 2*2*(8+2) = 40
-        # gradient bytes to tile0: 6 cycles -> superstep = max(134,40)+10=144
+        # tile0 holds the 8 hidden neurons, tile1 the 2 readouts. Every
+        # step updates state: 8*2*2 = 32 cycles on tile0, 2*2*2 = 8 on tile1.
+        # Forward t=0: compute(tile0) = 8*2*(3*1+2) = 80, tile1 = 2*2*(4+2)
+        #   = 24; exchange to tile0 (4*3*2+16)/8 = 5, to tile1 (4*4*2+16)/8
+        #   = 6: superstep = max(85, 30) + 10 = 95    (sum would give 125)
+        # Forward t=1, 2: max(32, 24 + 6) + 10 = 42; t=3: max(32, 8) + 10 = 42
+        # Backward t=3: 42; t=2: tile1 = 2*2*(4+4+2) = 40, gradient bytes
+        #   to tile0 6 cycles: max(32 + 6, 40) + 10 = 50   (sum would give 88)
+        # Backward t=1: max(32, 24) + 10 = 42; t=0: max(80, 24) + 10 = 90
         net = hand_net()
         mapping = map_neurons(net, hand_machine(), 8)
-        act = np.array([[3.0, 4.0, 0.0]])
-        ledger = simulate_batch(net, mapping, hand_machine(), act, every_step=True)
-        assert [s.time_cycles for s in ledger.supersteps] == [95.0, 144.0]
-        assert ledger.total_time_cycles == 239.0
+        ledger = simulate_batch(net, mapping, hand_machine(), HAND_ACT)
+        assert [s.time_cycles for s in ledger.supersteps] == [
+            95.0, 42.0, 42.0, 42.0, 42.0, 50.0, 42.0, 90.0,
+        ]
+        assert ledger.total_time_cycles == 445.0
 
     def test_zero_activity_header_floor(self):
         net = hand_net()
         mapping = map_neurons(net, hand_machine(), 8)
-        act = np.zeros((1, 3))
-        ledger = simulate_batch(net, mapping, hand_machine(), act, every_step=True)
+        ledger = simulate_batch(net, mapping, hand_machine(), np.zeros((4, 3)))
         # ids contribute nothing; only the per-row count headers move.
         fwd = ledger.supersteps[0]
         assert fwd.intra_bytes == 2 * 8 * 2  # two edges, 8 bytes/row, B=2
         # the slowest tile holds the 8 hidden neurons: their state-update
         # floor, the 16 header bytes of the input edge, then the sync
         assert fwd.time_cycles == 8 * 2 * 2.0 + 16 / 8 + 10.0
+        # on step 1 only weight layer 1 works: one edge's headers
+        assert ledger.supersteps[1].intra_bytes == 8 * 2
 
     def test_exchange_bytes_exactly_linear_in_counts(self):
-        net = spec([8, 8, 2], [8, 8], batch=3, T=1)
+        net = spec([8, 8, 2], [8, 8], batch=3, T=4)
         mapping = map_neurons(net, hand_machine(), 8)
         xs = np.array([1.0, 2.0, 3.0, 4.0])
         ys = []
         for k in xs:
-            act = np.array([[k, k, 0.0]])
+            act = np.array([[k, k, 0.0]] * 4)
             led = simulate_batch(net, mapping, hand_machine(), act)
             ys.append(led.total_intra_bytes)
         ys = np.array(ys)
@@ -147,7 +159,7 @@ class TestSimulate:
         assert ys[1] - header == pytest.approx(2 * (ys[0] - header))
 
     def test_saturation_maximizes_ledger(self):
-        net = spec([8, 8, 2], [8, 8], batch=2, T=2)
+        net = spec([8, 8, 2], [8, 8], batch=2, T=4)
         mapping = map_neurons(net, hand_machine(), 8)
         sat = saturated_activity(net)
         t_sat = simulate_batch(net, mapping, hand_machine(), sat).total_time_cycles
@@ -160,9 +172,8 @@ class TestSimulate:
     def test_pure_function_of_inputs(self):
         net = hand_net()
         mapping = map_neurons(net, hand_machine(), 8)
-        act = np.array([[3.0, 4.0, 0.0]])
-        a = simulate_batch(net, mapping, hand_machine(), act)
-        b = simulate_batch(net, mapping, hand_machine(), act)
+        a = simulate_batch(net, mapping, hand_machine(), HAND_ACT)
+        b = simulate_batch(net, mapping, hand_machine(), HAND_ACT)
         assert [s.time_cycles for s in a.supersteps] == [
             s.time_cycles for s in b.supersteps
         ]
@@ -177,26 +188,37 @@ class TestSimulate:
     def test_dense_backward_moves_full_gradient_tensors(self):
         # Backward, weight layer l sends dL/dS of its input layer (size
         # layer_sizes[l]) to layer l-1: 4 bytes per neuron per row, no
-        # count header, for every l >= 1.
-        net = spec([4, 8, 6, 2], [4, 8, 6], batch=3, T=2)
+        # count header. At T=6 (windows below) layer 2 returns its 6 on
+        # steps 2..4 and layer 1 its 8 on step 2.
+        net = spec([4, 8, 6, 2], [4, 8, 6], batch=3, T=6)
         machine = small_machine(tiles=8)
         mapping = map_neurons(net, machine, 4)
-        ledger = simulate_batch(net, mapping, machine, None, mode="dense", every_step=True)
-        backward = [s for s in ledger.supersteps if s.phase == "backward"]
-        assert len(backward) == 2
-        for s in backward:
-            assert s.intra_bytes == 4 * 3 * (8 + 6)
+        ledger = simulate_batch(net, mapping, machine, None, mode="dense")
+        backward = [s.intra_bytes for s in ledger.supersteps if s.phase == "backward"]
+        assert backward == [4 * 3 * n for n in (0, 6, 6, 8 + 6, 0, 0)]  # steps 5..0
 
     def test_dense_is_sparse_at_full_counts_without_headers(self):
-        net = spec([4, 8, 6, 2], [4, 8, 6], batch=3, T=2)
-        machine = small_machine(tiles=8)
-        mapping = map_neurons(net, machine, 4)
-        full = np.broadcast_to(np.asarray(net.layer_sizes, float), (2, 4))
-        dense = simulate_batch(net, mapping, machine, None, mode="dense", every_step=True)
-        sparse = simulate_batch(net, mapping, machine, full, every_step=True)
-        headers = [8 * 3 * (3 if s.phase == "forward" else 2) for s in sparse.supersteps]
-        assert [s.intra_bytes for s in dense.supersteps] == [
-            s.intra_bytes - h for s, h in zip(sparse.supersteps, headers)
+        # On two chips, weight layer 0 on chip 0 and layers 1 and 2 on
+        # chip 1: layer 0's spikes (forward steps 0..2) and layer 1's
+        # gradients (backward step 2) cross chips in their own exchange
+        # supersteps, the other tensors stay on a chip. Each sparse tensor
+        # carries an 8-byte count header per row on either tier.
+        net = spec([4, 8, 6, 2], [4, 8, 6], batch=3, T=6)
+        machine = small_machine(tiles=8, chips=2)
+        mapping = map_neurons(net, machine, 4, layer_chips=[0, 1, 1])
+        full = np.broadcast_to(np.asarray(net.layer_sizes, float), (6, 4))
+        dense = simulate_batch(net, mapping, machine, None, mode="dense")
+        sparse = simulate_batch(net, mapping, machine, full)
+        phases = ["forward", "forward-exchange"] * 3 + ["forward"] * 3 + (
+            ["backward"] * 4 + ["backward-exchange"] + ["backward"] * 2
+        )
+        intra = [2, 0, 1, 0, 1, 0, 1, 1, 0] + [0, 1, 1, 1, 0, 0, 0]
+        inter = [0, 1, 0, 1, 0, 1, 0, 0, 0] + [0, 0, 0, 0, 1, 0, 0]
+        assert [s.phase for s in sparse.supersteps] == phases
+        assert [s.phase for s in dense.supersteps] == phases
+        assert [(s.intra_bytes, s.inter_bytes) for s in dense.supersteps] == [
+            (s.intra_bytes - 8 * 3 * a, s.inter_bytes - 8 * 3 * b)
+            for s, a, b in zip(sparse.supersteps, intra, inter)
         ]
 
     # A [4, 8, 6, 2] net at T=6 has live = 1, 3, 5: weight layer l works
@@ -245,13 +267,13 @@ class TestSimulate:
     def test_activity_bounds_checked(self):
         net = hand_net()
         mapping = map_neurons(net, hand_machine(), 8)
-        with pytest.raises(ContractViolation):
-            simulate_batch(net, mapping, hand_machine(), np.array([[99.0, 0, 0]]))
+        with pytest.raises(ContractViolation, match=r"\[0, layer size\]"):
+            simulate_batch(net, mapping, hand_machine(), np.array([[99.0, 0, 0]] * 4))
 
     def test_csv_export(self, tmp_path):
         net = hand_net()
         mapping = map_neurons(net, hand_machine(), 8)
-        led = simulate_batch(net, mapping, hand_machine(), np.array([[3.0, 4.0, 0]]))
+        led = simulate_batch(net, mapping, hand_machine(), HAND_ACT)
         path = tmp_path / "ledger.csv"
         led.write_csv(path)
         lines = path.read_text().strip().splitlines()
@@ -261,7 +283,7 @@ class TestSimulate:
 
 class TestAcceleration:
     def _ledgers(self, fraction):
-        net = spec([64, 64, 8], [64, 64], batch=4, T=2)
+        net = spec([64, 64, 8], [64, 64], batch=4, T=4)
         machine = small_machine(tiles=40)
         mapping = map_neurons(net, machine, 2)
         act = saturated_activity(net) * fraction
@@ -331,48 +353,45 @@ class TestWeakScaling:
 class TestFrozenShd2944:
     """Modeled figures of the shd-2944 benchmark network (B=48, T=10,
     capacities at max_activity 0.05) on the default machine at 2 neurons
-    per tile, every tensor saturated. Any change to the sparse cost model
-    moves them."""
-
-    def test_sparse_ledger_totals(self):
-        net = network_spec_for(ARCH_PRESETS["shd-2944"], 0.05, 48, 10)
-        machine = MachineSpec()
-        mapping = map_neurons(net, machine, 2)
-        ledger = simulate_batch(net, mapping, machine, saturated_activity(net), every_step=True)
-        assert ledger.total_time_cycles == 145304.6406570842
-        assert ledger.total_intra_bytes == 672000.0
-        assert ledger.total_inter_bytes == 0.0
-
-    def test_two_chip_mapping_prices_only_on_its_geometry(self):
-        # Packed on 2 x 736 tiles, the network spans both chips and pays
-        # for inter-chip traffic; priced on 1 x 1472 the same tile ids
-        # would all sit on one chip and give the one-chip totals above.
-        net = network_spec_for(ARCH_PRESETS["shd-2944"], 0.05, 48, 10)
-        two = MachineSpec(tiles_per_chip=736, num_chips=2)
-        mapping = map_neurons(net, two, 2)
-        ledger = simulate_batch(net, mapping, two, saturated_activity(net), every_step=True)
-        assert ledger.total_time_cycles == 148119.32368127975
-        assert ledger.total_inter_bytes == 192000.0
-        with pytest.raises(ContractViolation, match="736 tiles per chip"):
-            simulate_batch(net, mapping, MachineSpec(), saturated_activity(net))
+    per tile, every tensor saturated, on the engine's windows. Any change
+    to the sparse cost model moves them."""
 
     def test_windowed_ledger_totals(self):
-        # On the engine's windows weight layers 0..3 (live 3, 5, 7, 9)
-        # receive 3 + 5 + 7 + 9 = 24 forward tensors and return 3 + 5 + 7
-        # = 15 gradient tensors, each (4 * 48 + 8) * 48 = 9600 bytes on
-        # the one chip; the dense ledger skips the same work.
+        # Weight layers 0..3 (live 3, 5, 7, 9) receive 3 + 5 + 7 + 9 = 24
+        # forward tensors and return 3 + 5 + 7 = 15 gradient tensors, each
+        # (4 * 48 + 8) * 48 = 9600 bytes on the one chip; the dense ledger
+        # skips the same work.
         net = network_spec_for(ARCH_PRESETS["shd-2944"], 0.05, 48, 10)
         machine = MachineSpec()
         mapping = map_neurons(net, machine, 2)
         sparse = simulate_batch(net, mapping, machine, saturated_activity(net))
         dense = simulate_batch(net, mapping, machine, None, mode="dense")
-        assert sparse.total_intra_bytes == (24 + 15) * 9600
+        assert sparse.total_intra_bytes == (24 + 15) * 9600 == 374400.0
+        assert sparse.total_inter_bytes == 0.0
         assert sparse.total_time_cycles == 122132.32032854212
         assert dense.total_time_cycles == 2364718.4
 
+    def test_two_chip_mapping_prices_only_on_its_geometry(self):
+        # Packed on 2 x 736 tiles, weight layer 1 (tiles 487..973) spans
+        # both chips: the input spikes of its 5 forward steps cross to its
+        # chip-1 part, and weight layer 2's gradients of its 5 backward
+        # steps to its chip-0 part, 10 * 9600 bytes. Priced on 1 x 1472
+        # the same tile ids would all sit on one chip and give the
+        # one-chip totals above.
+        net = network_spec_for(ARCH_PRESETS["shd-2944"], 0.05, 48, 10)
+        two = MachineSpec(tiles_per_chip=736, num_chips=2)
+        mapping = map_neurons(net, two, 2)
+        ledger = simulate_batch(net, mapping, two, saturated_activity(net))
+        assert ledger.total_time_cycles == 123534.50593844328
+        assert ledger.total_inter_bytes == 10 * 9600 == 96000.0
+        with pytest.raises(ContractViolation, match="736 tiles per chip"):
+            simulate_batch(net, mapping, MachineSpec(), saturated_activity(net))
+
     @pytest.mark.parametrize("chips, slowdown", [
-        (2, 1.016477453868782),
-        (4, 1.0191907224303651),
+        # priced at T = 14 and 26, the least T at which the 7- and
+        # 13-layer chained nets see their input
+        (2, 1.0079695812611589),
+        (4, 1.0134869859965576),
     ])
     def test_weak_scaling_slowdown(self, chips, slowdown):
         net = network_spec_for(ARCH_PRESETS["shd-2944"], 0.05, 48, 10)
