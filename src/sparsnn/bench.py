@@ -101,6 +101,12 @@ class BenchConfig:
                 f"unknown preset {self.preset!r}; have {sorted(ARCH_PRESETS)}"
             )
 
+    @property
+    def spec(self) -> NetworkSpec:
+        """The network of the configured preset (`network_spec_for`)."""
+        arch = ARCH_PRESETS[self.preset]
+        return network_spec_for(arch, self.max_activity, self.batch_size, self.num_timesteps)
+
 
 @dataclass
 class BenchResult:
@@ -187,10 +193,7 @@ def _timed_steps(net, frames, labels, opt, mode, config, force) -> list:
 
 def run_benchmark(config: BenchConfig) -> BenchResult:
     """Time and model one configuration; see the module docstring."""
-    arch = ARCH_PRESETS[config.preset]
-    spec = network_spec_for(
-        arch, config.max_activity, config.batch_size, config.num_timesteps
-    )
+    spec = config.spec
     dataset = bench_dataset(config)
     frames, labels = next(dataset.minibatches(config.batch_size, None))
     force = config.mode == FIXED
@@ -238,13 +241,17 @@ SPARSITY_COLUMNS = (
     "modeled_accel",
     "frames_per_sec",
     "valid",
+    "timesteps",
+    "receptive_frames",
 )
 
 
 def sparsity_sweep(config: BenchConfig, activity_grid) -> list:
     """One row per (mode, max_activity); communication sparsity is
     1 - max_activity by definition. A row whose hidden layers include a
-    silent one has `valid` False and measures no sparse speedup."""
+    silent one has `valid` False and measures no sparse speedup. Each row
+    states T and how many input frames reach the loss."""
+    spec = config.spec
     rows = []
     for mode in (FIXED, NATURAL):
         for a in activity_grid:
@@ -258,6 +265,8 @@ def sparsity_sweep(config: BenchConfig, activity_grid) -> list:
                     "modeled_accel": result.modeled_accel,
                     "frames_per_sec": result.frames_per_sec,
                     "valid": result.valid,
+                    "timesteps": spec.num_timesteps,
+                    "receptive_frames": spec.receptive_frames,
                 }
             )
     return rows

@@ -309,6 +309,7 @@ def cmd_bench(opts: dict) -> int:
     )
     columns = None
     if opts["sweep"] == "sparsity":
+        _receptive_frames(config.spec)
         rows = sparsity_sweep(config, _grid(opts["activity_grid"], float))
         name, columns = "sparsity.csv", SPARSITY_COLUMNS
     elif opts["sweep"] == "scaleup":

@@ -2,7 +2,10 @@
 
 Spikes move between layers through a transport, chosen once per call from
 `mode`: dense, sparse or relaxed (`DenseTransport`, `SparseTransport`,
-`RelaxedTransport`; each class docstring says what it sends).
+`RelaxedTransport`; each class docstring says what it sends). A transport
+`load`s and `release`s the float64 weight copies; `send_input` and `send`
+make each step's payload, `send` with the spike matrix that resets the
+membranes; the kernel calls read sequences of payloads, joined by `stack`.
 
 Transports return spike slopes and input gradients dense, zero outside
 the sent entries, so the backward pass, the literal adjoint of the forward
@@ -42,11 +45,11 @@ which `NetworkSpec.windows` computes from the `first` of each layer:
   steps 0..live+1, all that the layer above and the sweep read, are
   unchanged, and the later ones, of a layer whose input stopped, reach
   nothing.
-- first, the head: the first of steps 0..T-2 whose payload holds a spike
-  (T - 1 if none does), read from the data, as forced spikes and
-  thresholds <= 0 fire at step 0 (`ForwardTrace.first`). A silent payload
-  drives a current of signed zeros, which leaves a +0.0 membrane +0.0, and
-  adds nothing to the weight gradient.
+- first, the head: the first of steps 0..T-2 whose spike matrix, and so
+  whose payload, holds a spike (T - 1 if none does), read from the data,
+  as forced spikes and thresholds <= 0 fire at step 0 (`_first_spike`). A
+  silent payload drives a current of signed zeros, which leaves a +0.0
+  membrane +0.0, and adds nothing to the weight gradient.
 - The tail, the mirror of the reach: layer l's dL/dI[t] is exactly zero
   after step live(l). The readout's is live on steps 1..T-1, and a hidden
   layer loses two steps: dL/dS[t] comes from the dL/dI[t + 1] above, and
@@ -145,8 +148,8 @@ MAX_BATCHES_PER_EPOCH = 1 << 20
 
 class DenseTransport:
     """Binary spike matrices between layers, float32 state: the
-    reference path. `w64[l]` is weight layer l's float64 copy (module
-    docstring), which the kernels read as W."""
+    reference path. The payload `send` returns is its spike matrix. `w64[l]`
+    is weight layer l's float64 copy (module docstring), read as W."""
 
     dtype = np.float32
     always_reset_grad = False
@@ -160,27 +163,13 @@ class DenseTransport:
     def release(self):
         self.w64 = None
 
-    def fire(self, u, params):
-        """Spikes of a layer's neurons at membrane `u`."""
-        return threshold_spikes_dense(u, params.threshold)
-
     def send_input(self, t, frame):
         return frame.astype(self.dtype)
 
     def send(self, l, t, u, params):
-        """Hidden layer l's spikes at step t: (dense spikes, payload)."""
-        s = self.fire(u, params)
+        """Hidden layer l's (spike matrix, payload) at step t."""
+        s = threshold_spikes_dense(u, params.threshold)
         return s, s
-
-    def payloads(self, spikes):
-        """Where a trace keeps the payloads of the layer whose (T, B, n)
-        spike matrices are `spikes`: a dense payload is the matrix."""
-        return spikes
-
-    @staticmethod
-    def holds_spike(payload):
-        """Whether a payload drives a current that is not all zero."""
-        return np.any(payload)
 
     @staticmethod
     def stack(payloads):
@@ -222,8 +211,9 @@ class RelaxedTransport(DenseTransport):
     dtype = np.float64
     always_reset_grad = True
 
-    def fire(self, u, params):
-        return relaxed_spike(u - params.threshold, params.beta)
+    def send(self, l, t, u, params):
+        s = relaxed_spike(u - params.threshold, params.beta)
+        return s, s
 
     def sent_slopes(self, u, params, payloads):
         return relaxed_spike_grad(u - params.threshold, params.beta)
@@ -231,9 +221,11 @@ class RelaxedTransport(DenseTransport):
 
 class SparseTransport(DenseTransport):
     """Fixed-capacity SparseSpikeBatch payloads between layers; gradients
-    reach a neuron only through a retained entry. With capacities equal to
-    the layer sizes and a very low secondary threshold this reproduces
-    dense. The kernels read `w64[l].T`, Wᵀ.
+    reach a neuron only through a retained entry. The spike matrix `send`
+    returns is the batch's decoded firing segment, so it holds a spike
+    exactly when the batch does (every capacity is at least 2). With
+    capacities equal to the layer sizes and a very low secondary threshold
+    this reproduces dense. The kernels read `w64[l].T`, Wᵀ.
 
     Drop decisions for step t at boundary k (0 = input) use stream position
     `rng.position + t * num_weight_layers + k`.
@@ -255,13 +247,6 @@ class SparseTransport(DenseTransport):
             u, params, self.capacity[l + 1], self._rng_at(t, l + 1), with_grads=True
         )
         return decode_to_dense(batch, u.shape[1]), batch
-
-    def payloads(self, spikes):
-        return [None] * len(spikes)
-
-    @staticmethod
-    def holds_spike(payload):
-        return payload.num_spikes.any()
 
     @staticmethod
     def stack(payloads):
@@ -319,13 +304,14 @@ class ForwardTrace:
     transport: the transport the forward pass ran.
     u[l][t]: membrane at the start of step t. The synaptic currents are
         not kept: the backward sweep never reads them.
-    spikes[l]: (T, B, n) spike matrices of a hidden layer, None for the
-        readout layer.
-    sent[l][t]: the payload weight layer l read at step t; sent[0] holds
-        the input frames. Dense payloads are spike matrices, so there
-        sent[l] is spikes[l - 1] itself for l >= 1.
-    first[l]: the head of weight layer l's window (module docstring),
-        so that the backward pass need not scan the payloads again.
+    spikes[l][t]: the (B, n) spike matrix hidden layer l sent at step t,
+        one per step; spikes[l] is None for the readout layer.
+    sent[l][t]: the payload weight layer l read at step t, one per step;
+        sent[0] holds the input frames. A dense payload is the spike
+        matrix itself: sent[l][t] is spikes[l - 1][t] for l >= 1.
+    first[l]: the head of weight layer l's window (module docstring), read
+        from the spike matrices that drive its current: the input frames
+        for l = 0, spikes[l - 1] above.
     """
 
     transport: DenseTransport
@@ -379,14 +365,16 @@ def forward_pass(
     scores = np.zeros((batch, spec.output_size), dtype=dtype)
     trace = ForwardTrace(transport, [], [], [], [])
 
-    # What weight layer l reads at each step: the input frames for l = 0.
+    # What weight layer l reads at each step, and the spike matrices of
+    # those payloads: the input frames for l = 0.
     payloads = [transport.send_input(t, inputs[:, t, :]) for t in range(T)]
+    spikes = inputs.transpose(1, 0, 2)
     for l in range(L):
         params = net.params[l]
         hidden = l < L - 1
         shape = (T, batch, spec.layer_sizes[l + 1])
         # The current of step t + 1 is driven by the payload of step t.
-        trace.first.append(_first_spike(transport, payloads))
+        trace.first.append(_first_spike(spikes))
         first, _, _, live = spec.windows(trace.first)[l]
         i_syn = np.zeros(shape, dtype=dtype)
         if live > first:
@@ -394,8 +382,7 @@ def forward_pass(
                 l, net.weights[l], payloads[first:live]
             ).reshape((live - first,) + shape[1:])
         u_seen = np.empty(shape, dtype=dtype)
-        spikes = np.empty(shape, dtype=dtype) if hidden else None
-        sent = transport.payloads(spikes) if hidden else None
+        spikes, sent = ([], []) if hidden else (None, None)
 
         u = np.zeros(shape[1:], dtype=dtype)
         for t in range(T):
@@ -405,8 +392,9 @@ def forward_pass(
                 ).astype(dtype)
             u_seen[t] = u
             if hidden:
-                s, sent[t] = transport.send(l, t, u, params)
-                spikes[t] = s
+                s, payload = transport.send(l, t, u, params)
+                spikes.append(s)
+                sent.append(payload)
                 u = membrane_update(u, s, i_syn[t], params)
             else:
                 u = membrane_update(u, np.zeros_like(u), i_syn[t], params)
@@ -476,11 +464,11 @@ def backward_pass(
     return grads
 
 
-def _first_spike(transport, payloads) -> int:
-    """The first of steps 0..T-2 whose payload holds a spike, T - 1 if
-    none does."""
-    T = len(payloads)
-    return next((t for t in range(T - 1) if transport.holds_spike(payloads[t])), T - 1)
+def _first_spike(spikes) -> int:
+    """The first of steps 0..T-2 whose spike matrix holds a spike, T - 1
+    if none does."""
+    T = len(spikes)
+    return next((t for t in range(T - 1) if spikes[t].any()), T - 1)
 
 
 def _sweep_layer(net, trace, l, lo, live, ds_in, dl_dscores, reset_grad) -> np.ndarray:

@@ -23,7 +23,7 @@ and gradients of its replay byte for byte.
 
 import numpy as np
 
-from sparsnn.engine import DenseTransport, ForwardTrace, SparseTransport, _transport
+from sparsnn.engine import DenseTransport, ForwardTrace, _transport
 from sparsnn.errors import CorruptionError
 from sparsnn.kernels import dense_forward_current, dense_weight_grad
 from sparsnn.lif import check_capacity, membrane_update
@@ -144,16 +144,16 @@ def forward_pass(net, inputs, mode, rng=None, force_spikes=False):
                 (T - 1,) + shape[1:]
             )
         u_seen = np.empty(shape, dtype=dtype)
-        spikes = np.empty(shape, dtype=dtype) if hidden else None
-        sent = transport.payloads(spikes) if hidden else None
+        spikes, sent = ([], []) if hidden else (None, None)
         u = np.zeros(shape[1:], dtype=dtype)
         for t in range(T):
             if hidden and force_spikes:
                 u = np.broadcast_to(params.threshold + np.float32(1.0), u.shape).astype(dtype)
             u_seen[t] = u
             if hidden:
-                s, sent[t] = transport.send(l, t, u, params)
-                spikes[t] = s
+                s, payload = transport.send(l, t, u, params)
+                spikes.append(s)
+                sent.append(payload)
                 u = membrane_update(u, s, i_syn[t], params)
             else:
                 u = membrane_update(u, np.zeros_like(u), i_syn[t], params)
@@ -246,11 +246,6 @@ class ReplayTransport(DenseTransport):
     def send(self, l, t, u, params):
         batch = self.sent[l + 1][t]
         return decode_to_dense(batch, u.shape[1]), batch
-
-    def payloads(self, spikes):
-        return [None] * len(spikes)
-
-    holds_spike = staticmethod(SparseTransport.holds_spike)
 
     @staticmethod
     def decoded(payloads, n):

@@ -86,6 +86,17 @@ def test_sparsity_sweep_marks_silent_rows_invalid(tmp_path):
     assert rows == [(FIXED, "True")] * 2 + [(NATURAL, "False")] * 2
 
 
+def test_sparsity_rows_state_timesteps_and_receptive_frames(tmp_path):
+    assert cli.main([
+        "bench", "--preset", "tiny", "--sweep", "sparsity", "--activity-grid", "0.5",
+        "--batch-size", "8", "--timesteps", "8", "--out-dir", str(tmp_path),
+    ]) == 0
+    with open(tmp_path / "sparsity.csv", newline="") as f:
+        rows = [(row["timesteps"], row["receptive_frames"]) for row in csv.DictReader(f)]
+    # Three weight layers at 8 steps: frames 0..2 reach the loss.
+    assert rows == [("8", "3")] * 2
+
+
 def test_gen_data_then_sparse_train(tmp_path, capsys):
     data = tmp_path / "data"
     assert cli.main([
@@ -302,6 +313,9 @@ SIMULATE_MACHINE = ["simulate", "--machine-config", "{data}/machine.cfg"]
     pytest.param(None, ["simulate", "--timesteps", "6"], 2,
                  "no input frame reaches the loss in 6 timesteps through 4 weight layers",
                  id="simulate_no_receptive_frame"),
+    pytest.param(None, ["bench", "--activity-grid", "0.05", "--timesteps", "6"], 2,
+                 "no input frame reaches the loss in 6 timesteps through 4 weight layers",
+                 id="bench_sparsity_no_receptive_frame"),
     pytest.param(None, ["gradcheck", "--nets", "0"], 2, "at least one network",
                  id="gradcheck_no_nets"),
     pytest.param(None, ["gradcheck", "--nets", "1", "--eps", "1e-12"], 2,

@@ -75,6 +75,18 @@ class TestForward:
         for t in range(4):
             assert np.all(trace.sent[1][t].num_spikes == 6)
 
+    @pytest.mark.parametrize("mode", [DENSE, RELAXED])
+    def test_each_send_is_recorded_once(self, mode):
+        # A dense payload is the spike matrix `send` returned, not a copy.
+        net = exactness_net(2, [6, 8, 10, 3], T=6, batch=2)
+        inputs = random_inputs(np.random.default_rng(2), 2, 6, 6, density=0.6)
+        trace, _ = forward_pass(net, inputs, mode=mode)
+        assert trace.spikes[2] is None
+        for l in range(2):
+            assert len(trace.spikes[l]) == len(trace.sent[l + 1]) == 6
+            for t in range(6):
+                assert trace.sent[l + 1][t] is trace.spikes[l][t]
+
     def test_input_shape_validated(self):
         net = exactness_net(0, [4, 6, 3], T=5, batch=2)
         with pytest.raises(Exception):
@@ -233,6 +245,27 @@ class TestBackward:
         spikes = inputs.transpose(1, 0, 2) if l == 0 else trace.spikes[l - 1]
         T = len(spikes)
         return next((t for t in range(T - 1) if spikes[t].any()), T - 1)
+
+    def test_first_is_read_from_the_spike_matrices(self):
+        # One net, dense and sparse at full and capped capacity: each
+        # layer's head is the first step whose spike matrix holds a spike
+        # (the frames for layer 0), and so the first whose payload does.
+        late_starts = 0
+        for T in self.LIVE:
+            net, inputs = self._spiking_net(T, 2)
+            capped = Network(replace(net.spec, sparse_sizes=(2, 2, 2)), net.weights, net.params)
+            for run, mode in ((net, DENSE), (net, SPARSE), (capped, SPARSE)):
+                trace, _ = forward_pass(run, inputs, mode=mode, rng=DropRng(5))
+                first = [self._first(trace, inputs, l) for l in range(3)]
+                holds = [
+                    [p.num_spikes.any() if mode == SPARSE else p.any() for p in sent]
+                    for sent in trace.sent
+                ]
+                assert trace.first == first == [
+                    next((t for t in range(T - 1) if h[t]), T - 1) for h in holds
+                ]
+                late_starts += sum(f > 0 for f in first)
+        assert late_starts > 0
 
     @staticmethod
     def _record_sweeps(monkeypatch):
