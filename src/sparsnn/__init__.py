@@ -26,8 +26,6 @@ from .errors import (
     OutOfTileMemory,
 )
 from .events import (
-    DATASET_PRESETS,
-    DatasetSpec,
     EventStream,
     SpikeDataset,
     bin_events,

@@ -26,13 +26,7 @@ import numpy as np
 
 from .engine import DENSE, SPARSE, forward_pass, train_step
 from .errors import ConfigError, OutOfTileMemory
-from .events import (
-    DATASET_PRESETS,
-    DatasetSpec,
-    SpikeDataset,
-    sparse_hidden_size,
-    synth_pattern_dataset,
-)
+from .events import SpikeDataset, sparse_hidden_size, synth_pattern_dataset
 from .lif import NetworkSpec
 from .machine import (
     MachineSpec,
@@ -57,15 +51,22 @@ NOISE_RATE = 0.01
 
 @dataclass(frozen=True)
 class ArchPreset:
-    dataset: DatasetSpec
+    """A network and its input's spike capacity.
+
+    layer_sizes: neuron counts, input width first, class count last.
+    input_capacity: the spike ids a batch row of the input boundary keeps;
+        `NetworkSpec` checks it as every capacity.
+    """
+
     layer_sizes: tuple
+    input_capacity: int
 
 
 ARCH_PRESETS = {
     # 2 neurons/tile network used throughout the sparsity experiments.
-    "shd-2944": ArchPreset(DATASET_PRESETS["shd"], (700, 974, 974, 974, 20)),
+    "shd-2944": ArchPreset((700, 974, 974, 974, 20), 48),
     # desk-scale preset for smoke tests and examples
-    "tiny": ArchPreset(DatasetSpec(32, 8, 4), (32, 64, 64, 4)),
+    "tiny": ArchPreset((32, 64, 64, 4), 8),
 }
 
 # Single-chip scale-up table: neurons per tile -> layer sizes.
@@ -92,8 +93,6 @@ class BenchConfig:
     def __post_init__(self):
         if self.mode not in (FIXED, NATURAL):
             raise ConfigError(f"unknown bench mode {self.mode!r}")
-        if not 0.0 < self.max_activity <= 1.0:
-            raise ConfigError("max_activity must be in (0, 1]")
         if self.repetitions <= WARMUP_DISCARD:
             raise ConfigError("need at least one repetition after warmup")
         if self.preset not in ARCH_PRESETS:
@@ -108,54 +107,32 @@ class BenchConfig:
         return network_spec_for(arch, self.max_activity, self.batch_size, self.num_timesteps)
 
 
-@dataclass
-class BenchResult:
-    """One configuration's timings and model.
-
-    hidden_spikes: mean spikes per batch row and timestep of each hidden
-        layer in the probe pass that feeds the ledger, over the steps
-        `collect_activity` reads; 0.0 for a layer with none.
-    """
-
-    measured_accel: float
-    modeled_accel: float
-    frames_per_sec: float
-    hidden_spikes: tuple
-
-    @property
-    def valid(self) -> bool:
-        """False when a hidden layer stayed silent: the run then prices a
-        network that moves no spikes, not the configured activity."""
-        return all(s > 0 for s in self.hidden_spikes)
-
-
 def network_spec_for(
     arch: ArchPreset, max_activity: float, batch_size: int, num_timesteps: int
 ) -> NetworkSpec:
     """The network of `arch`, the one home of every command's spike
-    capacities: the input boundary keeps `arch.dataset.sparse_input_size`
-    ids a row, and each hidden boundary `sparse_hidden_size(max_activity,
-    n)` of its n neurons."""
+    capacities: the input boundary keeps `arch.input_capacity` ids a
+    row, and each hidden boundary `sparse_hidden_size(max_activity, n)`
+    of its n neurons."""
     hidden = [sparse_hidden_size(max_activity, n) for n in arch.layer_sizes[1:-1]]
-    sparse = [arch.dataset.sparse_input_size] + hidden
+    sparse = [arch.input_capacity] + hidden
     return NetworkSpec(arch.layer_sizes, sparse, batch_size, num_timesteps)
 
 
-def bench_dataset(config: BenchConfig) -> SpikeDataset:
-    preset = ARCH_PRESETS[config.preset]
-    per_class = -(-config.batch_size // preset.dataset.num_classes)
+def bench_dataset(config: BenchConfig) -> tuple:
+    """The one (frames, labels) batch of the configured preset: its input
+    width is `layer_sizes[0]`, its class count `layer_sizes[-1]`."""
+    layers = ARCH_PRESETS[config.preset].layer_sizes
     streams = synth_pattern_dataset(
-        preset.dataset.num_classes,
-        preset.dataset.input_size,
-        per_class,
+        layers[-1],
+        layers[0],
+        -(-config.batch_size // layers[-1]),
         config.num_timesteps,
         noise_rate=NOISE_RATE,
         seed=config.seed + 1,
     )
     ds = SpikeDataset.from_streams(streams, config.num_timesteps)
-    return SpikeDataset(
-        frames=ds.frames[: config.batch_size], labels=ds.labels[: config.batch_size]
-    )
+    return ds.frames[: config.batch_size], ds.labels[: config.batch_size]
 
 
 def collect_activity(spec: NetworkSpec, trace) -> tuple:
@@ -178,24 +155,20 @@ def _timed_steps(net, frames, labels, opt, mode, config, force) -> list:
     for rep in range(config.repetitions):
         rng = DropRng(config.seed, (2 + rep) * (1 << 21) * stride)
         start = time.perf_counter()
-        train_step(
-            net,
-            frames,
-            labels,
-            opt,
-            mode,
-            rng if mode == SPARSE else None,
-            force_spikes=force,
-        )
+        train_step(net, frames, labels, opt, mode, rng, force_spikes=force)
         times.append(time.perf_counter() - start)
     return times[WARMUP_DISCARD:]
 
 
-def run_benchmark(config: BenchConfig) -> BenchResult:
-    """Time and model one configuration; see the module docstring."""
+def run_benchmark(config: BenchConfig) -> dict:
+    """Time and model one configuration (see the module docstring): its
+    row of the sparsity sweep, keyed by `SPARSITY_COLUMNS`. `valid` is
+    False when a hidden layer stayed silent in the probe that feeds the
+    ledger: the row then prices a network that moves no spikes, not the
+    configured activity. Communication sparsity is 1 - max_activity by
+    definition; T and how many input frames reach the loss are stated."""
     spec = config.spec
-    dataset = bench_dataset(config)
-    frames, labels = next(dataset.minibatches(config.batch_size, None))
+    frames, labels = bench_dataset(config)
     force = config.mode == FIXED
 
     dense_net = init_network(spec, seed=config.seed)
@@ -218,19 +191,18 @@ def run_benchmark(config: BenchConfig) -> BenchResult:
         spec, mapping, config.machine, act, mode="sparse", grad_activity=grad
     )
     dense_ledger = simulate_batch(spec, mapping, config.machine, None, mode="dense")
-    modeled = acceleration_model(dense_ledger, sparse_ledger)
-
-    dense_mean = float(np.mean(dense_times))
     sparse_mean = float(np.mean(sparse_times))
-    return BenchResult(
-        measured_accel=dense_mean / sparse_mean,
-        modeled_accel=modeled,
-        frames_per_sec=config.batch_size * config.num_timesteps / sparse_mean,
-        hidden_spikes=tuple(
-            float(act[:, k].sum() / max(spec.live_steps(k), 1))
-            for k in range(1, spec.num_weight_layers)
-        ),
-    )
+    return {
+        "mode": config.mode,
+        "max_activity": config.max_activity,
+        "communication_sparsity": 1.0 - config.max_activity,
+        "measured_accel": float(np.mean(dense_times)) / sparse_mean,
+        "modeled_accel": acceleration_model(dense_ledger, sparse_ledger),
+        "frames_per_sec": config.batch_size * config.num_timesteps / sparse_mean,
+        "valid": bool(act[:, 1 : spec.num_weight_layers].sum(axis=0).all()),
+        "timesteps": spec.num_timesteps,
+        "receptive_frames": spec.receptive_frames,
+    }
 
 
 SPARSITY_COLUMNS = (
@@ -247,29 +219,12 @@ SPARSITY_COLUMNS = (
 
 
 def sparsity_sweep(config: BenchConfig, activity_grid) -> list:
-    """One row per (mode, max_activity); communication sparsity is
-    1 - max_activity by definition. A row whose hidden layers include a
-    silent one has `valid` False and measures no sparse speedup. Each row
-    states T and how many input frames reach the loss."""
-    spec = config.spec
-    rows = []
-    for mode in (FIXED, NATURAL):
-        for a in activity_grid:
-            result = run_benchmark(replace(config, mode=mode, max_activity=float(a)))
-            rows.append(
-                {
-                    "mode": mode,
-                    "max_activity": a,
-                    "communication_sparsity": 1.0 - a,
-                    "measured_accel": result.measured_accel,
-                    "modeled_accel": result.modeled_accel,
-                    "frames_per_sec": result.frames_per_sec,
-                    "valid": result.valid,
-                    "timesteps": spec.num_timesteps,
-                    "receptive_frames": spec.receptive_frames,
-                }
-            )
-    return rows
+    """The `run_benchmark` row of each (mode, max_activity)."""
+    return [
+        run_benchmark(replace(config, mode=mode, max_activity=float(a)))
+        for mode in (FIXED, NATURAL)
+        for a in activity_grid
+    ]
 
 
 def scaleup_sweep(config: BenchConfig, per_tile_grid) -> list:
@@ -277,12 +232,16 @@ def scaleup_sweep(config: BenchConfig, per_tile_grid) -> list:
     architectures, each priced at T = max(`num_timesteps`, 2L), the least
     T at which its input reaches the loss (`NetworkSpec.made_receptive`);
     memory failures become recorded cells, not crashes. Each row states
-    that T and how many input frames reach the loss."""
+    that T and how many input frames reach the loss. The table is
+    shd-2944's, so no other preset has one."""
+    if config.preset != "shd-2944":
+        raise ConfigError(f"preset {config.preset!r} has no scale-up table; shd-2944 has")
+    capacity = ARCH_PRESETS[config.preset].input_capacity
     rows = []
     for npt in per_tile_grid:
         if npt not in SCALEUP_SHD:
             raise ConfigError(f"no scale-up architecture for {npt} neurons/tile")
-        arch = ArchPreset(DATASET_PRESETS["shd"], SCALEUP_SHD[npt])
+        arch = ArchPreset(SCALEUP_SHD[npt], capacity)
         spec = network_spec_for(
             arch, config.max_activity, config.batch_size, config.num_timesteps
         ).made_receptive()
@@ -344,17 +303,11 @@ def weak_scaling_sweep(
 
 
 def write_rows_csv(rows: list, path, columns=None) -> None:
-    """One CSV line per row dict, floats as repr. `rows` may be empty only
-    with explicit `columns`, and then the header is written alone."""
+    """One CSV line per row dict; csv writes a float as str, its shortest
+    round-trip form. `rows` may be empty only with explicit `columns`, and
+    then the header is written alone."""
     columns = list(rows[0] if columns is None else columns)
     with open(path, "w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=columns)
         writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _fmt(row[k]) for k in columns})
-
-
-def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
-    return value
+        writer.writerows(rows)

@@ -28,6 +28,7 @@ for _var in (
     os.environ.setdefault(_var, "1")
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import replace
@@ -49,7 +50,6 @@ from .engine import train_epoch
 from .errors import ConfigError, DataFormatError, NonFiniteStep, OutOfTileMemory
 from .events import (
     BIN_WIDTH_US,
-    DatasetSpec,
     SpikeDataset,
     load_dataset,
     sparse_hidden_size,
@@ -98,18 +98,20 @@ _OPTIONS = {
         "reset_grad": (bool, True, "gradients flow through the reset (on or off)"),
     },
     "bench": {
-        **_CONFIG, **_SEED, **_OUT_DIR,
+        **_CONFIG, **_OUT_DIR,
+        "seed": (int, 42, "random seed for sparsity"),
         "sweep": (str, "sparsity", "which sweep", ("sparsity", "scaleup", "weak")),
-        "preset": (str, "shd-2944", "architecture preset", _PRESETS),
+        "preset": (str, "shd-2944", "architecture preset for sparsity/weak; "
+                   "scaleup takes shd-2944 only", _PRESETS),
         "max_activity": (float, 0.05, "capacity fraction for scaleup/weak"),
         "activity_grid": (str, "1.0,0.5,0.2,0.1,0.05,0.02", "sparsity grid"),
-        "per_tile_grid": (str, "2,4,8,16", "neurons-per-tile grid"),
+        "per_tile_grid": (str, "2,4,8,16", "neurons-per-tile grid for scaleup/weak"),
         "chip_grid": (str, "1,2,4,8,16", "weak-scaling chip counts"),
         "batch_grid": (str, "48,96,192", "weak-scaling batch sizes"),
-        "batch_size": (int, 48, "samples per batch"),
+        "batch_size": (int, 48, "samples per batch for sparsity/scaleup"),
         "timesteps": (int, 10, "steps per sequence (scaleup/weak: at least 2L)"),
-        "repetitions": (int, 2, "timing repetitions (first discarded)"),
-        "neurons_per_tile": (int, 2, "tile mapping density"),
+        "repetitions": (int, 2, "timing repetitions for sparsity (first discarded)"),
+        "neurons_per_tile": (int, 2, "tile mapping density for sparsity"),
         "chips": (int, None, "number of chips (default: the machine's)"),
         "machine_config": (str, None, "machine/cost key=value file"),
     },
@@ -159,7 +161,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve(command: str, args: argparse.Namespace) -> dict:
     """Defaults < config file < explicit flags. Every value given, as a
     flag or a config key, gets its type and is checked against its choices
-    here; argparse hands over strings only."""
+    here, as are the bounds of seed, epochs and tolerance, which no later
+    code checks; argparse hands over strings only."""
     options = _OPTIONS[command]
     from_file = {}
     if args.config is not None:
@@ -175,6 +178,11 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         value = resolved[name] = coerce(text, kind)
         if choices and value not in choices[0]:
             raise ConfigError(f"{name}={value!r} not one of {choices[0]}")
+    for name in ("seed", "epochs"):
+        if resolved.get(name, 0) < 0:
+            raise ConfigError(f"{name} must be >= 0, got {resolved[name]}")
+    if not 0 < resolved.get("tolerance", 1) < math.inf:
+        raise ConfigError(f"tolerance must be finite and > 0, got {resolved['tolerance']}")
     return resolved
 
 
@@ -211,8 +219,7 @@ def _arch(opts: dict) -> ArchPreset:
             layers = tuple(int(x) for x in opts["layers"].split(","))
         except ValueError as exc:
             raise ConfigError(f"bad --layers value {opts['layers']!r}") from exc
-        capacity = sparse_hidden_size(opts["max_activity"], layers[0])
-        return ArchPreset(DatasetSpec(layers[0], capacity, layers[-1]), layers)
+        return ArchPreset(layers, sparse_hidden_size(opts["max_activity"], layers[0]))
     if opts["preset"]:
         return ARCH_PRESETS[opts["preset"]]
     raise ConfigError("need --layers or --preset")

@@ -9,7 +9,8 @@ The on-disk format (ESF) is deliberately tiny and bit-exact:
     then num_events records of (uint32 LE timestamp_us, uint32 LE channel)
 
 The channel bound keeps a corrupt count from sizing the (T, num_channels)
-frames that binning allocates; the only preset, `shd`, has 700 channels.
+frames that binning allocates; the widest preset, shd-2944, has 700
+channels.
 
 Generated datasets are one ESF file per sample plus a manifest CSV with
 columns (path, label).
@@ -20,13 +21,12 @@ from __future__ import annotations
 import csv
 import io
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataFormatError
-from .lif import check_capacity
 
 ESF_MAGIC = b"ESFv0001"
 MAX_CHANNELS = 1 << 16
@@ -61,25 +61,6 @@ class EventStream:
     @property
     def num_events(self) -> int:
         return int(self.times_us.size)
-
-
-@dataclass(frozen=True)
-class DatasetSpec:
-    """Input width, sparse input capacity and class count of a dataset."""
-
-    input_size: int
-    sparse_input_size: int
-    num_classes: int
-
-    def __post_init__(self):
-        check_capacity(self.sparse_input_size)
-        if self.sparse_input_size > self.input_size:
-            raise ConfigError("sparse input size must be <= input size")
-
-
-DATASET_PRESETS = {
-    "shd": DatasetSpec(700, 48, 20),
-}
 
 
 def sparse_hidden_size(max_activity: float, dense_size: int) -> int:

@@ -19,6 +19,7 @@ from sparsnn.bench import (
     NATURAL,
     SPARSITY_COLUMNS,
     BenchConfig,
+    bench_dataset,
     collect_activity,
     network_spec_for,
     run_benchmark,
@@ -36,21 +37,31 @@ from sparsnn.rng import DropRng
 @pytest.mark.parametrize("mode", [FIXED, NATURAL])
 def test_run_benchmark_tiny(mode):
     config = BenchConfig(mode=mode, preset="tiny", max_activity=0.25, repetitions=2)
-    result = run_benchmark(config)
+    row = run_benchmark(config)
+    # A row has the sweep's columns, in order, so it and the header that an
+    # empty grid writes cannot drift apart.
+    assert tuple(row) == SPARSITY_COLUMNS
     # Both mean step times are finite and > 0 exactly when these two are;
     # a finite modeled_accel means the sparse ledger's time is > 0.
-    for value in (result.measured_accel, result.frames_per_sec, result.modeled_accel):
-        assert math.isfinite(value) and value > 0
-    # Forced spikes fill every hidden capacity; free dynamics stay at or
-    # below it, and on this preset leave every hidden layer silent.
+    for key in ("measured_accel", "frames_per_sec", "modeled_accel"):
+        assert math.isfinite(row[key]) and row[key] > 0
+    # The probe that feeds the ledger: forced spikes fill every hidden
+    # capacity over the live steps; free dynamics stay at or below it, and
+    # on this preset leave every hidden layer silent.
+    spec = config.spec
+    frames, _ = bench_dataset(config)
+    net = init_network(spec, seed=config.seed)
+    trace, _ = forward_pass(net, frames, SPARSE, DropRng(config.seed, 0), force_spikes=mode == FIXED)
+    act, _ = collect_activity(spec, trace)
+    hidden = tuple(float(act[:, k].sum() / spec.live_steps(k)) for k in (1, 2))
     capacities = network_spec_for(ARCH_PRESETS["tiny"], 0.25, 48, 10).sparse_sizes[1:]
-    assert all(0.0 <= s <= c for s, c in zip(result.hidden_spikes, capacities))
+    assert all(0.0 <= s <= c for s, c in zip(hidden, capacities))
     if mode == FIXED:
-        assert result.hidden_spikes == capacities
-        assert result.valid
+        assert hidden == capacities
+        assert row["valid"] is True
     else:
-        assert result.hidden_spikes == (0.0, 0.0)
-        assert not result.valid
+        assert hidden == (0.0, 0.0)
+        assert row["valid"] is False
 
 
 def test_ledger_prices_the_networks_own_activity():
@@ -277,6 +288,10 @@ def _config_choice(data):
     (data / "run.cfg").write_text("sweep=everything\n")
 
 
+def _config_negative_seed(data):
+    (data / "run.cfg").write_text("seed = -1\n")
+
+
 def _machine_cfg(line):
     def write(data):
         (data / "machine.cfg").write_text(line + "\n")
@@ -322,6 +337,10 @@ SIMULATE_MACHINE = ["simulate", "--machine-config", "{data}/machine.cfg"]
                  "does not move the float32 weight", id="gradcheck_eps_below_float32"),
     pytest.param(_config_choice, ["bench", "--config", "{data}/run.cfg"], 2,
                  "sweep='everything' not one of", id="config_value_not_a_choice"),
+    pytest.param(_config_negative_seed, TRAIN + ["--config", "{data}/run.cfg"], 2,
+                 "seed must be >= 0, got -1", id="config_negative_seed"),
+    pytest.param(None, ["bench", "--sweep", "scaleup", "--preset", "tiny"], 2,
+                 "preset 'tiny' has no scale-up table", id="scaleup_preset_tiny"),
     pytest.param(None, ["simulate", "--chips", "2"], 2, "fill 1 of 2 chips",
                  id="simulate_chips_left_empty"),
     pytest.param(_machine_cfg("sync_cycles_per_superstep = -1000000"), SIMULATE_MACHINE, 2,
@@ -335,6 +354,10 @@ SIMULATE_MACHINE = ["simulate", "--machine-config", "{data}/machine.cfg"]
     pytest.param(_machine_cfg("inter_chip_cycles_per_8_bytes = inf"), SIMULATE_MACHINE, 2,
                  "inter_chip_cycles_per_8_bytes must be finite and >= 0, got inf",
                  id="machine_inf_cost"),
+] + [
+    pytest.param(None, argv + ["--seed", "-1"], 2, "seed must be >= 0, got -1",
+                 id=f"{argv[0]}_seed_-1")
+    for argv in (TRAIN, ["bench"], ["gradcheck"], ["gen-data"])
 ] + [
     pytest.param(None, argv, 2, message, id=f"{argv[-2][2:]}_{argv[-1]}")
     for argv, message in [
@@ -351,6 +374,10 @@ SIMULATE_MACHINE = ["simulate", "--machine-config", "{data}/machine.cfg"]
         (TRAIN + ["--beta", "inf"], "beta must be finite and > 0"),
         (["gradcheck", "--nets", "1", "--eps", "inf"], "eps must be finite and > 0"),
         (["gradcheck", "--nets", "1", "--eps", "nan"], "eps must be finite and > 0"),
+        (TRAIN + ["--epochs", "-1"], "epochs must be >= 0, got -1"),
+    ] + [
+        (["gradcheck", "--tolerance", value], f"tolerance must be finite and > 0, got {value}")
+        for value in ("nan", "0.0", "-1.0", "inf")
     ]
 ])
 def test_bad_input_exits_with_code(tmp_path, capsys, corrupt, argv, code, message):

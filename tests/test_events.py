@@ -1,11 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from sparsnn.bench import ARCH_PRESETS, network_spec_for
 from sparsnn.errors import ConfigError, DataFormatError
 from sparsnn.events import (
-    DATASET_PRESETS,
     MAX_CHANNELS,
-    DatasetSpec,
     EventStream,
     SpikeDataset,
     bin_events,
@@ -75,7 +76,7 @@ class TestEsfFormat:
 
     def test_channel_count_is_bounded(self, tmp_path):
         assert stream([], [], n=MAX_CHANNELS).num_channels == MAX_CHANNELS
-        assert MAX_CHANNELS >= max(p.input_size for p in DATASET_PRESETS.values())
+        assert MAX_CHANNELS >= max(p.layer_sizes[0] for p in ARCH_PRESETS.values())
         with pytest.raises(DataFormatError, match="channels exceed"):
             EventStream([], [], num_channels=2**31, label=0)
         path = tmp_path / "a.esf"
@@ -182,14 +183,15 @@ class TestSparseHiddenSize:
             assert 2 <= out <= max(2, n)
 
     def test_dataset_presets_match_published_table(self):
-        shd = DATASET_PRESETS["shd"]
-        assert (shd.input_size, shd.sparse_input_size, shd.num_classes) == (700, 48, 20)
+        shd = ARCH_PRESETS["shd-2944"]
+        assert (shd.layer_sizes[0], shd.input_capacity, shd.layer_sizes[-1]) == (700, 48, 20)
 
     @pytest.mark.parametrize("capacity", [0, 3, 702])
     def test_dataset_input_capacity_follows_the_capacity_rule(self, capacity):
         # Even, >= 2 and at most the input width, as every capacity.
+        arch = replace(ARCH_PRESETS["shd-2944"], input_capacity=capacity)
         with pytest.raises(ConfigError):
-            DatasetSpec(700, capacity, 20)
+            network_spec_for(arch, 0.05, 48, 10)
 
 
 class TestSynthDataset:
