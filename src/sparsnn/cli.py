@@ -50,6 +50,8 @@ from .engine import train_epoch
 from .errors import ConfigError, DataFormatError, NonFiniteStep, OutOfTileMemory
 from .events import (
     BIN_WIDTH_US,
+    MAX_CHANNELS,
+    MAX_TIMESTEPS,
     SpikeDataset,
     load_dataset,
     sparse_hidden_size,
@@ -162,7 +164,9 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
     """Defaults < config file < explicit flags. Every value given, as a
     flag or a config key, gets its type and is checked against its choices
     here, as are the bounds of seed, epochs and tolerance, which no later
-    code checks; argparse hands over strings only."""
+    code checks, and the upper bounds of timesteps and input size, which
+    must hold before a command draws or allocates; argparse hands over
+    strings only."""
     options = _OPTIONS[command]
     from_file = {}
     if args.config is not None:
@@ -181,6 +185,9 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
     for name in ("seed", "epochs"):
         if resolved.get(name, 0) < 0:
             raise ConfigError(f"{name} must be >= 0, got {resolved[name]}")
+    for name, bound in (("timesteps", MAX_TIMESTEPS), ("input_size", MAX_CHANNELS)):
+        if resolved.get(name, 0) > bound:
+            raise ConfigError(f"{name} must be <= {bound}, got {resolved[name]}")
     if not 0 < resolved.get("tolerance", 1) < math.inf:
         raise ConfigError(f"tolerance must be finite and > 0, got {resolved['tolerance']}")
     return resolved

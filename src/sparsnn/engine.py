@@ -6,6 +6,10 @@ Spikes move between layers through a transport, chosen once per call from
 `load`s and `release`s the float64 weight copies; `send_input` and `send`
 make each step's payload, `send` with the spike matrix that resets the
 membranes; the kernel calls read sequences of payloads, joined by `stack`.
+Binary spikes are bool, input frames and spike matrices alike, and become
+floats only inside an operation (the reset factor 1 - S, the float64
+`stack`), where 0 and 1 are exact; the relaxed transport's smooth spikes
+are float64.
 
 Transports return spike slopes and input gradients dense, zero outside
 the sent entries, so the backward pass, the literal adjoint of the forward
@@ -147,9 +151,10 @@ MAX_BATCHES_PER_EPOCH = 1 << 20
 
 
 class DenseTransport:
-    """Binary spike matrices between layers, float32 state: the
-    reference path. The payload `send` returns is its spike matrix. `w64[l]`
-    is weight layer l's float64 copy (module docstring), read as W."""
+    """Bool spike matrices between layers, float32 state: the reference
+    path. The payload `send` returns is its spike matrix, and the input
+    payload is the frame itself. `w64[l]` is weight layer l's float64 copy
+    (module docstring), read as W."""
 
     dtype = np.float32
     always_reset_grad = False
@@ -164,7 +169,9 @@ class DenseTransport:
         self.w64 = None
 
     def send_input(self, t, frame):
-        return frame.astype(self.dtype)
+        """The payload of input frame t: the frame itself, bool from a
+        `SpikeDataset`; `stack` casts it with the other payloads."""
+        return frame
 
     def send(self, l, t, u, params):
         """Hidden layer l's (spike matrix, payload) at step t."""
@@ -305,10 +312,12 @@ class ForwardTrace:
     u[l][t]: membrane at the start of step t. The synaptic currents are
         not kept: the backward sweep never reads them.
     spikes[l][t]: the (B, n) spike matrix hidden layer l sent at step t,
-        one per step; spikes[l] is None for the readout layer.
+        one per step, bool (float64 in the relaxed transport); spikes[l]
+        is None for the readout layer.
     sent[l][t]: the payload weight layer l read at step t, one per step;
-        sent[0] holds the input frames. A dense payload is the spike
-        matrix itself: sent[l][t] is spikes[l - 1][t] for l >= 1.
+        sent[0] holds the input payloads, which the dense transports take
+        as the frames themselves. A dense payload is the spike matrix
+        itself: sent[l][t] is spikes[l - 1][t] for l >= 1.
     first[l]: the head of weight layer l's window (module docstring), read
         from the spike matrices that drive its current: the input frames
         for l = 0, spikes[l - 1] above.
@@ -343,11 +352,11 @@ def forward_pass(
     current is computed on its window only (module docstring); the LIF
     loops, the sends and the encoders run at every step.
 
-    `inputs` is a (B, T, input_size) binary array. In sparse mode `rng`
-    supplies drop decisions; its position is advanced internally by one
-    slot per (timestep, layer boundary). `force_spikes` drives every
-    hidden neuron above threshold each step, saturating spike batches at
-    capacity (throughput lower-bound mode).
+    `inputs` is a (B, T, input_size) binary array, bool or float. In
+    sparse mode `rng` supplies drop decisions; its position is advanced
+    internally by one slot per (timestep, layer boundary). `force_spikes`
+    drives every hidden neuron above threshold each step, saturating spike
+    batches at capacity (throughput lower-bound mode).
     """
     spec = net.spec
     inputs = np.asarray(inputs)

@@ -10,10 +10,13 @@ The on-disk format (ESF) is deliberately tiny and bit-exact:
 
 The channel bound keeps a corrupt count from sizing the (T, num_channels)
 frames that binning allocates; the widest preset, shd-2944, has 700
-channels.
+channels. MAX_TIMESTEPS bounds T the same way for the command line: SHD's
+~1 s samples are ~1000 bins at the default 1 ms width, and 4096 bins
+leave four times that.
 
 Generated datasets are one ESF file per sample plus a manifest CSV with
-columns (path, label).
+columns (path, label). Binned frames are bool, one byte per (bin,
+channel): a spike is a float only inside an operation.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .errors import ConfigError, DataFormatError
 
 ESF_MAGIC = b"ESFv0001"
 MAX_CHANNELS = 1 << 16
+MAX_TIMESTEPS = 1 << 12
 BIN_WIDTH_US = 1000  # default bin width; synthetic events sit mid-bin
 
 
@@ -112,17 +116,17 @@ def load_events(path) -> EventStream:
 def bin_events(
     stream: EventStream, num_timesteps: int, bin_width_us: int
 ) -> np.ndarray:
-    """Binary (T, num_channels) frames: bin t is 1 at channel c iff some
+    """Bool (T, num_channels) frames: bin t is True at channel c iff some
     event fell in [t*width, (t+1)*width). Events at or past T*width drop."""
     if bin_width_us <= 0:
         raise ConfigError("bin width must be positive")
     if num_timesteps < 1:
         raise ConfigError(f"need at least one timestep, got {num_timesteps}")
-    frames = np.zeros((num_timesteps, stream.num_channels), dtype=np.float32)
+    frames = np.zeros((num_timesteps, stream.num_channels), dtype=bool)
     if stream.num_events:
         idx = stream.times_us // np.uint32(bin_width_us)
         keep = idx < num_timesteps
-        frames[idx[keep].astype(np.int64), stream.channels[keep].astype(np.int64)] = 1.0
+        frames[idx[keep].astype(np.int64), stream.channels[keep].astype(np.int64)] = True
     return frames
 
 
@@ -239,7 +243,7 @@ def load_dataset(manifest_path) -> list:
 class SpikeDataset:
     """Pre-binned samples ready for the training engine."""
 
-    frames: np.ndarray  # (N, T, input_size) float32 binary
+    frames: np.ndarray  # (N, T, input_size) bool
     labels: np.ndarray  # (N,) int64
 
     @classmethod

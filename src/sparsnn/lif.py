@@ -8,9 +8,11 @@ threshold theta:
     I_i[t+1] = sum_j w_ij * S_j_in[t]
 
 Note the one-step transmission delay: the current computed from this
-step's input spikes only reaches the membrane at the next step. All state
-is float32; wider intermediates are allowed inside a single operation but
-results are rounded back to float32 at the boundary.
+step's input spikes only reaches the membrane at the next step. Membranes
+and currents are float32; wider intermediates are allowed inside a single
+operation but results are rounded back to float32 at the boundary. Spikes
+are bool, and become 0.0 and 1.0 only inside an operation, where both are
+exact.
 """
 
 from __future__ import annotations
@@ -200,20 +202,21 @@ class NetworkSpec:
 
 
 def threshold_spikes_dense(u: np.ndarray, threshold: np.ndarray) -> np.ndarray:
-    """Heaviside spikes: 1 where u >= threshold (ties fire), else 0."""
+    """Bool Heaviside spikes: True where u >= threshold (ties fire)."""
     u = np.asarray(u)
     threshold = np.asarray(threshold)
     if u.shape[-1] != threshold.shape[-1]:
         raise ContractViolation(
             f"membrane width {u.shape[-1]} != threshold width {threshold.shape[-1]}"
         )
-    return (u >= threshold).astype(np.float32)
+    return u >= threshold
 
 
 def membrane_update(
     u: np.ndarray, spikes: np.ndarray, i_syn: np.ndarray, params: LifParams
 ) -> np.ndarray:
     """u' = alpha * u * (1 - S) + (1 - alpha)/C * I, in the dtype of `u`.
+    `spikes` may be bool: 1 - S is formed in the dtype of `u`.
 
     Shared by the dense and sparse execution paths: the state update is
     dense by nature, only spike transmission differs between them.

@@ -107,17 +107,17 @@ def _place(spikes: np.ndarray, grads: np.ndarray | None, n_max: int) -> SparseSp
 
 
 def decode_to_dense(s: SparseSpikeBatch, n: int) -> np.ndarray:
-    """Dense binary (B, n) matrix with ones at the firing ids only."""
-    return scatter_to_dense(s, np.broadcast_to(np.float32(1.0), s.ids.shape), s.num_spikes, n)
+    """Dense bool (B, n) spike matrix, True at the firing ids only."""
+    return scatter_to_dense(s, np.broadcast_to(True, s.ids.shape), s.num_spikes, n)
 
 
 def scatter_to_dense(
     s: SparseSpikeBatch, values: np.ndarray, counts: np.ndarray, n: int
 ) -> np.ndarray:
-    """Dense (B, n) float32 matrix holding values[b, k] at column ids[b, k]
-    for every k < counts[b], and zero elsewhere."""
+    """Dense (B, n) matrix, in the dtype of `values`, holding values[b, k]
+    at column ids[b, k] for every k < counts[b], and zero elsewhere."""
     kept = check_ids(s, counts, n)
-    out = np.zeros((s.batch_size, n), dtype=np.float32)
+    out = np.zeros((s.batch_size, n), dtype=values.dtype)
     out[np.nonzero(kept)[0], s.ids[kept]] = values[kept]
     return out
 

@@ -95,7 +95,7 @@ def random_tiny_net(seed: int) -> tuple:
         beta=5.0,
         weight_gain=2.0,
     )
-    inputs = (rng.random((batch, T, layers[0])) < 0.4).astype(np.float32)
+    inputs = rng.random((batch, T, layers[0])) < 0.4
     labels = rng.integers(0, num_classes, size=batch)
     return net, inputs, labels
 

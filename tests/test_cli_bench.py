@@ -28,7 +28,7 @@ from sparsnn.bench import (
 )
 from sparsnn.engine import SPARSE, forward_pass
 from sparsnn.errors import DataFormatError
-from sparsnn.events import EventStream, load_dataset, write_events
+from sparsnn.events import MAX_CHANNELS, MAX_TIMESTEPS, EventStream, load_dataset, write_events
 from sparsnn.machine import MachineSpec, map_neurons, simulate_batch
 from sparsnn.model import init_network, load_checkpoint
 from sparsnn.rng import DropRng
@@ -358,6 +358,17 @@ SIMULATE_MACHINE = ["simulate", "--machine-config", "{data}/machine.cfg"]
     pytest.param(None, argv + ["--seed", "-1"], 2, "seed must be >= 0, got -1",
                  id=f"{argv[0]}_seed_-1")
     for argv in (TRAIN, ["bench"], ["gradcheck"], ["gen-data"])
+] + [
+    # Checked before any draw or allocation: the value would size the frames.
+    pytest.param(None, argv + ["--timesteps", str(MAX_TIMESTEPS + 1)], 2,
+                 f"timesteps must be <= {MAX_TIMESTEPS}, got {MAX_TIMESTEPS + 1}",
+                 id=f"{argv[0]}_timesteps_above_bound")
+    for argv in (TRAIN, ["bench", "--preset", "tiny", "--activity-grid", "0.5"],
+                 ["simulate"], ["gen-data"])
+] + [
+    pytest.param(None, ["gen-data", "--input-size", "70000"], 2,
+                 f"input_size must be <= {MAX_CHANNELS}, got 70000",
+                 id="gen-data_input_size_above_bound"),
 ] + [
     pytest.param(None, argv, 2, message, id=f"{argv[-2][2:]}_{argv[-1]}")
     for argv, message in [

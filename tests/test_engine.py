@@ -477,6 +477,38 @@ class TestGradientChecks:
         assert np.allclose(scores, scores[0])
 
 
+class TestBoolFrames:
+    """Spikes are bool on the host and become floats only inside an
+    operation, where 0 and 1 are exact: float32 frames give the same bytes."""
+
+    @pytest.mark.parametrize("mode", [DENSE, SPARSE, RELAXED])
+    def test_bool_and_float32_frames_give_identical_scores_and_gradients(self, mode):
+        # Capacities below the layer sizes, so the sparse run drops spikes.
+        spec = NetworkSpec((8, 12, 10, 4), (4, 6, 4), batch_size=3, num_timesteps=12)
+        net = init_network(spec, seed=0, grad_threshold=0.5, weight_gain=12.0)
+        frames = np.random.default_rng(4).random((3, 12, 8)) < 0.5
+        labels = np.array([0, 3, 1])
+        runs = []
+        for inputs in (frames, frames.astype(np.float32)):
+            rng = DropRng(5) if mode == SPARSE else None
+            trace, scores = forward_pass(net, inputs, mode=mode, rng=rng)
+            _, dl_dscores = softmax_cross_entropy(scores, labels)
+            grads = backward_pass(net, trace, dl_dscores)
+            runs.append([scores.tobytes()] + [g.tobytes() for g in grads])
+            assert all(g.any() for g in grads)
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("mode, dtype", [(DENSE, bool), (SPARSE, bool), (RELAXED, np.float64)])
+    def test_spike_matrices_keep_the_host_dtype(self, mode, dtype):
+        net = exactness_net(1, [8, 12, 10, 4], T=6, batch=2)
+        frames = np.random.default_rng(2).random((2, 6, 8)) < 0.5
+        trace, _ = forward_pass(net, frames, mode=mode, rng=DropRng(1))
+        assert all(s.dtype == dtype for layer in trace.spikes[:-1] for s in layer)
+        if mode != SPARSE:
+            # A dense input payload is the frame itself, not a float copy.
+            assert all(np.shares_memory(p, frames) for p in trace.sent[0])
+
+
 class TestExactnessRegime:
     def test_sparse_equals_dense_spikes_and_gradients(self):
         rng = np.random.default_rng(9)

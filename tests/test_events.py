@@ -149,6 +149,7 @@ class TestEsfCorruption:
 class TestBinning:
     def test_single_event(self):
         frames = bin_events(stream([0], [2]), 4, 1000)
+        assert frames.dtype == bool
         assert frames[0, 2] == 1.0
         assert frames.sum() == 1.0
 
@@ -165,6 +166,12 @@ class TestBinning:
         a = bin_events(stream([100, 2100], [0, 1]), 4, 1000)
         b = bin_events(stream([100, 2100, 3100], [0, 1, 5]), 4, 1000)
         assert np.all(b >= a)
+
+    def test_dataset_frames_are_one_byte_per_bin_and_channel(self):
+        streams = synth_pattern_dataset(3, 8, 2, 5, 0.1, seed=4)
+        ds = SpikeDataset.from_streams(streams, num_timesteps=5)
+        assert ds.frames.dtype == bool
+        assert ds.frames.nbytes == len(streams) * 5 * 8
 
 
 class TestSparseHiddenSize:
@@ -225,7 +232,7 @@ class TestSynthDataset:
         for s in streams:
             frame = bin_events(s, T, 1000)
             dists = {
-                c: np.abs(frame - tpl).sum() for c, tpl in templates.items()
+                c: np.count_nonzero(frame != tpl) for c, tpl in templates.items()
             }
             correct += min(dists, key=dists.get) == s.label
         assert correct == len(streams)

@@ -83,6 +83,7 @@ class TestThreshold:
     def test_tie_fires(self):
         u = np.array([[0.9, 1.0, 1.1]])
         out = threshold_spikes_dense(u, np.ones(3))
+        assert out.dtype == bool
         assert out.tolist() == [[0.0, 1.0, 1.0]]
 
     def test_all_below(self):

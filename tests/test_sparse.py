@@ -92,9 +92,9 @@ class TestDecode:
         batch.ids[0] = [0, 2]
         batch.num_spikes[0] = 1
         batch.num_grads[0] = 2
-        np.testing.assert_array_equal(
-            decode_to_dense(batch, 3), [[1.0, 0.0, 0.0]]
-        )
+        out = decode_to_dense(batch, 3)
+        assert out.dtype == bool
+        np.testing.assert_array_equal(out, [[1.0, 0.0, 0.0]])
 
     def test_empty(self):
         assert not decode_to_dense(SparseSpikeBatch.empty(3, 4), 7).any()
