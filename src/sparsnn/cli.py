@@ -76,6 +76,7 @@ _CONFIG = {"config": (str, None, "flat key=value config file")}
 _SEED = {"seed": (int, 42, "random seed")}
 _OUT_DIR = {"out_dir": (str, None, "output directory (default runs/<timestamp>)")}
 _PRESETS = tuple(sorted(ARCH_PRESETS))
+_FLOAT32_MAX = 3.4028234663852886e38  # the largest float32, bound of every float option
 
 _OPTIONS = {
     "train": {
@@ -164,9 +165,9 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
     """Defaults < config file < explicit flags. Every value given, as a
     flag or a config key, gets its type and is checked against its choices
     here, as are the bounds of seed, epochs and tolerance, which no later
-    code checks, and the upper bounds of timesteps and input size, which
-    must hold before a command draws or allocates; argparse hands over
-    strings only."""
+    code checks, and the upper bounds of timesteps, input size and the
+    magnitude of a finite float, which must hold before a command draws,
+    casts or allocates; argparse hands over strings only."""
     options = _OPTIONS[command]
     from_file = {}
     if args.config is not None:
@@ -182,6 +183,8 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         value = resolved[name] = coerce(text, kind)
         if choices and value not in choices[0]:
             raise ConfigError(f"{name}={value!r} not one of {choices[0]}")
+        if kind is float and _FLOAT32_MAX < abs(value) < math.inf:
+            raise ConfigError(f"{name}={value!r} does not fit float32")
     for name in ("seed", "epochs"):
         if resolved.get(name, 0) < 0:
             raise ConfigError(f"{name} must be >= 0, got {resolved[name]}")

@@ -32,8 +32,8 @@ t + 1 is driven by the payload of step t), then runs the layer's LIF
 loop over t. The backward pass sweeps the top layer first, each layer in
 reverse time, and then makes one input-gradient call for the layer below;
 before it sweeps a hidden layer it forms the spike slopes of the steps it
-sweeps. Stacked rows are t-major; in the backward pass they are in sweep
-order (t descending, then b ascending).
+sweeps. Stacked rows are t-major (t ascending, then b ascending) in both
+passes: the forward current and the weight gradient read one stack.
 
 One window per layer, and this is the one statement of its rule. Weight
 layer l gets kernel work only inside its window (first, lo, need, live),
@@ -70,11 +70,11 @@ which `NetworkSpec.windows` computes from the `first` of each layer:
   later (lo(0) = first(0)), forming spike slopes on the steps lo + 2..
   live + 1 it sweeps. Natural firing gives first >= need, so lo = need;
   forced spikes give every first 0, so lo is 0 and need is 2.
-So the forward current reads the payloads of steps first..live-1 in time
-order, the sweep makes rows live-1..lo, the weight gradient reads the
-first (live - first) * B of them with the payloads of steps
-live-1..first, and the input gradient the first (live - need) * B with
-those of steps live-1..need. A kernel with an empty window is not called.
+So the forward current and the weight gradient read the payloads of
+steps first..live-1, the sweep makes rows lo..live-1 (from live-1 down),
+the weight gradient reads the rows from first on, and the input gradient
+the rows from need on with the payloads of steps need..live-1. A kernel
+with an empty window is not called.
 This is exact: the head and the tail leave out only zeros that would be
 added to sums that start at +0.0, and the reach, lo and need leave out
 only rows that nothing reads. One caveat: the dense kernels are BLAS
@@ -88,11 +88,11 @@ gradient-check sizes), which its FD check covers.
 
 Weight gradients are summed over the window in float64 and rounded once
 at the end: one call per layer, on the stacked (dL/dI, payload) rows in
-sweep order, which writes its whole float64 buffer (`kernels` docstring).
-Every sparse element receives the same adds in the same order as a
-per-step sweep would give it; the dense gradient is one product over all
-(live - first) * B rows. They are formed after the sweep, when the weight
-copies are gone, one float64 buffer at a time.
+time order, which writes its whole float64 buffer (`kernels` docstring).
+Every sparse element receives the same adds in the same order as per-step
+calls in time order would give it; the dense gradient is one product over
+all (live - first) * B rows. They are formed after the sweep, when the
+weight copies are gone, one float64 buffer at a time.
 
 A transport holds one float64 copy of every weight matrix, `w64`, in the
 layout of `w.w` (`LayerWeights`), as do the weight gradients. `load` casts
@@ -334,7 +334,6 @@ class ForwardTrace:
 class EpochMetrics:
     mean_loss: float
     accuracy: float
-    batches: int
 
 
 def forward_pass(
@@ -451,20 +450,19 @@ def backward_pass(
         ds = None  # freed before the next input-grad call allocates
         if live > need:
             ds = transport.input_grad(
-                l, dl_di[l][: (live - need) * batch], net.weights[l],
-                trace.sent[l][need:live][::-1],
-            ).reshape(live - need, batch, -1)[::-1]
+                l, dl_di[l][(need - lo) * batch :], net.weights[l], trace.sent[l][need:live]
+            ).reshape(live - need, batch, -1)
         transport.w64[l] = None  # read by no later call
 
     transport.release()
     grads = []
     for l, w in enumerate(net.weights):
-        first, _, _, live = wins[l]
+        first, lo, _, live = wins[l]
         if live > first:
             # Written whole by the kernel (`kernels` docstring).
             acc = np.empty_like(w.w, dtype=np.float64)
             transport.weight_grad(
-                dl_di[l][: (live - first) * batch], trace.sent[l][first:live][::-1], acc
+                dl_di[l][(first - lo) * batch :], trace.sent[l][first:live], acc
             )
             grads.append(acc.astype(dt))
         else:
@@ -482,21 +480,18 @@ def _first_spike(spikes) -> int:
 
 def _sweep_layer(net, trace, l, lo, live, ds_in, dl_dscores, reset_grad) -> np.ndarray:
     """Reverse-time sweep of weight layer l's neurons over its window's
-    rows live-1..lo (module docstring).
+    rows lo..live-1 (module docstring). Returns dL/dI of steps lo+1..live
+    in time order as one float64 ((live - lo)*B, n) matrix, which both of
+    the layer's gradient kernels read: row block r pairs with the payload
+    of step lo + r.
 
-    `ds_in[t - lo - 2]` is dL/dS[t] from the layer above for
-    lo + 2 <= t < live + 2 (None for the readout layer). Returns dL/dI of
-    steps live..lo+1 in sweep order, as one float64 ((live - lo)*B, n)
-    matrix, which both of the layer's gradient kernels read: row block k
-    pairs with the payload of step live-1-k.
-
-    dL/dI[t] is gain * du[t + 1]. Iteration t of the loop applies what
-    step t adds to du and records one row. At the readout du is du[t + 1]
-    (the scores sum the membrane after the step-t update) and the row is
-    dL/dI[t]. At a hidden layer du is du[t], once dL/dS[t] has arrived, and
-    the row is dL/dI[t - 1]; du is +0.0 until dL/dS[live + 1], so the
-    sweep starts there from +0.0, the exact value a sweep from step T - 1
-    reaches.
+    One index r, from live - lo - 1 down to 0, names row r and step
+    lo + 2 + r, whose membrane, spikes, slopes and dL/dS from above
+    (`ds_in[r]`; None for the readout layer) a hidden layer reads; the
+    readout adds the scores' gradient of step lo + 1 + r. Iteration r
+    leaves du = du[lo + 2 + r], and row r is gain * du = dL/dI[lo + 1 + r].
+    du is +0.0 before the first iteration (the tail), so the sweep starts
+    there from +0.0, the exact value a sweep from step T - 1 reaches.
     """
     transport = trace.transport
     dt = transport.dtype
@@ -506,22 +501,20 @@ def _sweep_layer(net, trace, l, lo, live, ds_in, dl_dscores, reset_grad) -> np.n
     batch, n = dl_dscores.shape[0], net.spec.layer_sizes[l + 1]
     di = np.empty((live - lo, batch, n))
     du = np.zeros((batch, n), dtype=dt)
-    lag = int(hidden)  # steps from an update to the dL/dI it completes
     if hidden:
         swept = slice(lo + 2, live + 2)
-        slopes = transport.sent_slopes(trace.u[l][swept], params, trace.sent[l + 1][swept])
+        u, spikes = trace.u[l][swept], trace.spikes[l][swept]
+        slopes = transport.sent_slopes(u, params, trace.sent[l + 1][swept])
 
-    for k, t in enumerate(range(live + lag, lo + lag, -1)):
+    for r in range(live - lo - 1, -1, -1):
         if hidden:
-            u_t = trace.u[l][t]
-            j = t - lo - 2  # the row of `ds_in` and `slopes` for step t
-            ds = ds_in[j]
+            ds = ds_in[r]
             if reset_grad:
-                ds = ds + (-alpha) * u_t * du
-            du = alpha * (dt(1) - trace.spikes[l][t]) * du + slopes[j] * ds
+                ds = ds + (-alpha) * u[r] * du
+            du = alpha * (dt(1) - spikes[r]) * du + slopes[r] * ds
         else:
             du = alpha * du + dl_dscores
-        di[k] = gain * du
+        di[r] = gain * du
     return di.reshape(-1, n)
 
 
@@ -628,9 +621,7 @@ def train_epoch(
         seen += len(labels)
     if not losses:
         raise ConfigError("dataset yielded no batches at this batch size")
-    return EpochMetrics(
-        mean_loss=float(np.mean(losses)), accuracy=correct / seen, batches=len(losses)
-    )
+    return EpochMetrics(mean_loss=float(np.mean(losses)), accuracy=correct / seen)
 
 
 def evaluate(

@@ -145,12 +145,15 @@ def synth_pattern_dataset(
     `template_density * input_size` events per timestep (placed mid-bin);
     a sample is the template plus Poisson(noise_rate * input_size * T)
     extra events at uniform positions. Everything derives from `seed`.
+    Both rates are at most 1 event per channel and bin, all a frame holds.
     """
     if min(num_classes, input_size, samples_per_class, num_timesteps) < 1:
         raise ConfigError("dataset parameters must be positive")
     for name, value in (("noise rate", noise_rate), ("template density", template_density)):
         if not (np.isfinite(value) and value >= 0):
             raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+        if value > 1:
+            raise ConfigError(f"{name} must be <= 1 event per channel and bin, got {value}")
     rng = np.random.default_rng(seed)
     n_template = max(1, int(round(template_density * input_size * num_timesteps)))
     templates = []

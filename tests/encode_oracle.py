@@ -13,12 +13,12 @@ every accumulator element the same adds in the same order.
 `forward_pass` and `backward_pass` are the passes that the windowed ones
 replaced. The forward pass makes every layer's current call on the
 payloads of steps 0..T-2, silent ones included. The backward pass sweeps
-every timestep: it forms dL/dI of steps T-1..1 in every layer, dead ones
-included, feeds all of them to the kernels, and computes dL/dS of every
-payload step. The engine must give the same scores, membranes and
-gradients byte for byte. `ReplayTransport` is the dense program that a
-sparse run at any capacity computes: a sparse run must give the scores
-and gradients of its replay byte for byte.
+every timestep: it forms dL/dI of steps 1..T-1 in every layer, dead ones
+included, feeds all of them to the kernels in time order, and computes
+dL/dS of every payload step. The engine must give the same scores,
+membranes and gradients byte for byte. `ReplayTransport` is the dense
+program that a sparse run at any capacity computes: a sparse run must
+give the scores and gradients of its replay byte for byte.
 """
 
 import numpy as np
@@ -183,14 +183,14 @@ def backward_pass(net, trace, dl_dscores, reset_grad=True):
         ds = None
         if l > 0 and T > 1:
             ds = transport.input_grad(
-                l, dl_di[l], net.weights[l], trace.sent[l][: T - 1][::-1]
-            ).reshape(T - 1, batch, -1)[::-1]
+                l, dl_di[l], net.weights[l], trace.sent[l][: T - 1]
+            ).reshape(T - 1, batch, -1)
     transport.release()
     grads = []
     for l, w in enumerate(net.weights):
         acc = np.zeros_like(w.w, dtype=np.float64)
         if T > 1:
-            transport.weight_grad(dl_di[l], trace.sent[l][: T - 1][::-1], acc)
+            transport.weight_grad(dl_di[l], trace.sent[l][: T - 1], acc)
         grads.append(acc.astype(dt))
     return grads
 
@@ -212,7 +212,7 @@ def _sweep_layer(net, trace, l, ds_in, dl_dscores, reset_grad):
         if not hidden:
             du = du + dl_dscores
         if t:
-            di[T - 1 - t] = gain * du
+            di[t - 1] = gain * du
 
         if hidden:
             u_t = trace.u[l][t]

@@ -377,6 +377,9 @@ SIMULATE_MACHINE = ["simulate", "--machine-config", "{data}/machine.cfg"]
         (["gen-data", "--noise", "inf"], "noise rate must be finite and >= 0"),
         (["gen-data", "--template-density", "nan"], "template density must be finite and >= 0"),
         (["gen-data", "--template-density", "inf"], "template density must be finite and >= 0"),
+        (["gen-data", "--noise", "2"], "noise rate must be <= 1 event per channel and bin"),
+        (["gen-data", "--template-density", "2"],
+         "template density must be <= 1 event per channel and bin"),
         (TRAIN + ["--weight-gain", "-1"], "weight gain must be finite and >= 0"),
         (TRAIN + ["--weight-gain", "nan"], "weight gain must be finite and >= 0"),
         (TRAIN + ["--threshold", "nan"], "threshold and grad_threshold must be finite"),
@@ -416,6 +419,48 @@ def test_failed_gradcheck_exits_1(capsys):
 
 
 GEN_DATA = ["gen-data", "--classes", "2", "--input-size", "8", "--samples-per-class", "2"]
+
+# Tiny runs of every command, for the float-option guard below.
+GUARD_ARGV = {
+    "train": TRAIN,
+    "bench": ["bench", "--sweep", "scaleup", "--per-tile-grid", "2"],
+    "simulate": ["simulate"],
+    "gradcheck": ["gradcheck", "--nets", "1"],
+    "gen-data": GEN_DATA + ["--timesteps", "10"],
+}
+
+
+@pytest.fixture(scope="module")
+def guard_data(tmp_path_factory):
+    return _gen_data(tmp_path_factory.mktemp("guard") / "data")
+
+
+@pytest.mark.parametrize("command, name, value", [
+    pytest.param(command, name, value, id=f"{command}-{name}-{value}")
+    for command, options in cli._OPTIONS.items()
+    for name, (kind, *_) in options.items()
+    if kind is float
+    for value in ("1e300", "-1e300", "1e39", "nan", "inf", "-inf", "0", "-1", "1e-320")
+])
+def test_float_option_exits_with_a_documented_code(
+    tmp_path, capsys, guard_data, command, name, value
+):
+    # In process and under the suite's error::RuntimeWarning filter, so an
+    # overflow warning fails as a traceback would. A finite value beyond
+    # float32's range is rejected before any draw, cast or directory.
+    out = tmp_path / "run"
+    argv = [arg.format(data=guard_data) for arg in GUARD_ARGV[command]]
+    argv.append(f"--{name.replace('_', '-')}={value}")
+    if command != "gradcheck":
+        argv += ["--out-dir", str(out)]
+    capsys.readouterr()
+    code = cli.main(argv)
+    assert code in range(5)
+    if math.isfinite(float(value)) and abs(float(value)) > float(np.finfo(np.float32).max):
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith(f"config error: {name}=") and "does not fit float32" in err
+        assert not out.exists()
 
 
 def test_closed_stdout_exits_1(tmp_path, monkeypatch, capsys):

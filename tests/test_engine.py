@@ -281,7 +281,7 @@ class TestBackward:
         return swept
 
     @pytest.mark.parametrize("mode", [DENSE, SPARSE])
-    def test_weight_grads_accumulate_per_layer_in_sweep_order(self, mode, monkeypatch):
+    def test_weight_grads_accumulate_per_layer_in_time_order(self, mode, monkeypatch):
         name = "sparse_weight_grad" if mode == SPARSE else "dense_weight_grad"
         original = getattr(engine, name)
         calls = []
@@ -301,10 +301,10 @@ class TestBackward:
             swept.clear()
             backward_pass(net, trace, np.ones_like(scores))
             # One call per layer whose window (first, live) is not empty,
-            # after the weight copies are dropped. Its rows are the first
+            # after the weight copies are dropped. Its rows are the last
             # (live - first) * B rows of the sweep, dL/dI of steps
-            # live..first+1, and its payloads those of steps live-1..first:
-            # never the dead tail's, nor the silent head's.
+            # first+1..live, and its payloads those of steps first..live-1,
+            # in time order: never the dead tail's, nor the silent head's.
             first = [self._first(trace, inputs, l) for l in range(3)]
             windowed = [l for l in range(3) if live[l] > first[l]]
             assert len(calls) == len(windowed)
@@ -315,8 +315,8 @@ class TestBackward:
                 rows = (live[l] - first[l]) * B
                 assert dl_di.shape == (rows, net.spec.layer_sizes[l + 1])
                 assert np.shares_memory(dl_di, swept[l])
-                assert np.array_equal(dl_di, swept[l][:rows])
-                steps = [trace.sent[l][t] for t in range(live[l] - 1, first[l] - 1, -1)]
+                assert np.array_equal(dl_di, swept[l][len(swept[l]) - rows :])
+                steps = trace.sent[l][first[l] : live[l]]
                 if mode == SPARSE:
                     for key in ("ids", "num_spikes", "num_grads"):
                         assert np.array_equal(
@@ -382,13 +382,13 @@ class TestBackward:
             swept.clear()
             backward_pass(net, trace, np.ones_like(scores))
             # The sweep of layer l makes the dL/dI rows of payload steps
-            # live-1..lo, lo(l) = min(first(l), lo(l - 1) + 2): the weight
+            # lo..live-1, lo(l) = min(first(l), lo(l - 1) + 2): the weight
             # gradient reads steps from first on, and the sweep below
             # makes its rows from lo(l - 1) on, each from the dL/dS two
             # steps later. So there is one input-grad call per layer
             # above the first with live > need = lo(l - 1) + 2, top layer
-            # first, on the first (live - need) * B rows of dL/dI and the
-            # payloads of steps live-1..need.
+            # first, on the last (live - need) * B rows of dL/dI and the
+            # payloads of steps need..live-1, in time order.
             lo = [first[0]]
             for l in (1, 2):
                 lo.append(min(first[l], lo[-1] + 2))
@@ -403,9 +403,9 @@ class TestBackward:
                 rows = (live[l] - need) * B
                 assert args[1] is net.weights[l]
                 assert args[0].shape == (rows, net.spec.layer_sizes[l + 1])
-                assert np.array_equal(args[0], swept[l][:rows])
+                assert np.array_equal(args[0], swept[l][len(swept[l]) - rows :])
                 if mode == SPARSE:
-                    steps = [trace.sent[l][t] for t in range(live[l] - 1, need - 1, -1)]
+                    steps = trace.sent[l][need : live[l]]
                     assert np.array_equal(args[2].ids, np.concatenate([p.ids for p in steps]))
         assert late_starts > 0 and silent_layers > 0
 
@@ -834,8 +834,8 @@ class TestWindows:
         trace, scores = forward_pass(net, inputs, mode=mode, rng=DropRng(5), force_spikes=True)
         backward_pass(net, trace, np.ones_like(scores))
         # Forced spikes start every window at step 0, so each layer reads
-        # payload steps 0..live-1, live = 3, 5, 7, 9: in time order for the
-        # current and in sweep order for the weight gradient.
+        # payload steps 0..live-1, live = 3, 5, 7, 9, both kernels in time
+        # order: one and the same stack.
         forward, backward = calls["forward_current"], calls["weight_grad"]
         assert len(forward) == len(backward) == 4
         for live, fwd, bwd in zip((3, 5, 7, 9), forward, backward):
@@ -846,8 +846,7 @@ class TestWindows:
                 pairs = [(fwd, bwd)]
             for f, b in pairs:
                 assert len(f) == len(b) == live * B
-                f = f.reshape((live, B) + f.shape[1:])
-                assert np.array_equal(f[::-1], b.reshape(f.shape))
+                assert np.array_equal(f, b)
 
     @pytest.mark.parametrize("case", ["dense", "sparse", "sparse_capped"])
     def test_frames_after_the_receptive_ones_change_nothing(self, case):

@@ -410,22 +410,19 @@ class TestStackedBatches:
     @pytest.mark.parametrize("seed", range(5))
     def test_weight_grad_equals_per_step_sequence(self, seed):
         w, batches, dl_di = self._steps(seed)
-        # Sweep order: the last timestep first. The row loop accumulates
+        # Time order: the first timestep first. The row loop accumulates
         # step after step into `np.zeros`; the kernel writes the whole
         # sum in one call on the stacked batches, over NaN and -0.0.
         rng = np.random.default_rng(seed)
-        sweep = list(zip(dl_di, batches))[::-1]
         per_step = np.zeros(w.w.shape, order="F")
-        for g, s in sweep:
+        for g, s in zip(dl_di, batches):
             oracle.sparse_weight_grad(g, s, per_step)
         stacked = stale_buffer(rng, w.w.shape, "F")
-        sparse_weight_grad(
-            np.concatenate([g for g, _ in sweep]),
-            SparseTransport.stack([s for _, s in sweep]),
-            stacked,
-        )
+        sparse_weight_grad(np.concatenate(dl_di), SparseTransport.stack(batches), stacked)
         assert stacked.tobytes() == per_step.tobytes()
-        # The test can tell add orders apart: the forward order differs.
-        forward = stale_buffer(rng, w.w.shape, "F")
-        sparse_weight_grad(np.concatenate(dl_di), SparseTransport.stack(batches), forward)
-        assert not np.array_equal(forward, per_step)
+        # The test can tell add orders apart: the reversed order differs.
+        reverse = stale_buffer(rng, w.w.shape, "F")
+        sparse_weight_grad(
+            np.concatenate(dl_di[::-1]), SparseTransport.stack(batches[::-1]), reverse
+        )
+        assert not np.array_equal(reverse, per_step)
