@@ -3,9 +3,9 @@
 Spikes move between layers through a transport, chosen once per call from
 `mode`: dense, sparse or relaxed (`DenseTransport`, `SparseTransport`,
 `RelaxedTransport`; each class docstring says what it sends). A transport
-`load`s and `release`s the float64 weight copies; `send_input` and `send`
-make each step's payload, `send` with the spike matrix that resets the
-membranes; the kernel calls read sequences of payloads, joined by `stack`.
+holds no weights: `send_input` and `send` make each step's payload, `send`
+with the spike matrix that resets the membranes; the kernel calls read
+sequences of payloads, joined by `stack`, and the weight copy passed in.
 Binary spikes are bool, input frames and spike matrices alike, and become
 floats only inside an operation (the reset factor 1 - S, the float64
 `stack`), where 0 and 1 are exact; the relaxed transport's smooth spikes
@@ -94,11 +94,11 @@ calls in time order would give it; the dense gradient is one product over
 all (live - first) * B rows. They are formed after the sweep, when the
 weight copies are gone, one float64 buffer at a time.
 
-A transport holds one float64 copy of every weight matrix, `w64`, in the
-layout of `w.w` (`LayerWeights`), as do the weight gradients. `load` casts
-it in `forward_pass`, and `backward_pass` reuses it in the sweep, dropping
-each layer's copy after that layer's input-gradient call, so a training
-step casts each matrix once.
+The trace holds one float64 copy of every weight matrix, `w64`, in the
+layout of `w.w` (`LayerWeights`), as do the weight gradients. The forward
+pass casts it; `backward_pass` takes it for the sweep and drops each
+layer's copy after that layer's input-gradient call, so a training step
+casts each matrix once (a second backward on one trace casts afresh).
 
 Transports call kernels, encoders and LIF helpers through this module's
 names at call time, so wrappers installed on `sparsnn.engine` (profilers,
@@ -153,20 +153,11 @@ MAX_BATCHES_PER_EPOCH = 1 << 20
 class DenseTransport:
     """Bool spike matrices between layers, float32 state: the reference
     path. The payload `send` returns is its spike matrix, and the input
-    payload is the frame itself. `w64[l]` is weight layer l's float64 copy
-    (module docstring), read as W."""
+    payload is the frame itself. The kernels read `w64`, the layer's
+    float64 weight copy (module docstring), as W."""
 
     dtype = np.float32
     always_reset_grad = False
-    w64 = None
-
-    def load(self, weights):
-        """Cast every weight layer, unless the copies are already held."""
-        if self.w64 is None:
-            self.w64 = [w.w.astype(np.float64) for w in weights]
-
-    def release(self):
-        self.w64 = None
 
     def send_input(self, t, frame):
         """The payload of input frame t: the frame itself, bool from a
@@ -185,10 +176,10 @@ class DenseTransport:
         s = np.asarray(payloads, dtype=np.float64)
         return s.reshape(-1, s.shape[-1])
 
-    def current(self, l, w, payloads):
+    def current(self, w, w64, payloads):
         """Current of every row of `payloads` (a sequence of per-step
         payloads), one kernel call; rows follow the payloads."""
-        return dense_forward_current(w, self.stack(payloads), self.w64[l], self.dtype)
+        return dense_forward_current(w, self.stack(payloads), w64, self.dtype)
 
     def sent_slopes(self, u, params, payloads):
         """Spike slopes of a hidden layer at a run of steps, (steps, B, n),
@@ -203,10 +194,10 @@ class DenseTransport:
     def weight_grad(self, dl_di, payloads, dl_dw_acc):
         dense_weight_grad(dl_di, self.stack(payloads), dl_dw_acc)
 
-    def input_grad(self, l, dl_di, w, payloads):
+    def input_grad(self, dl_di, w, w64, payloads):
         """dL/dS of the sending layer for every row of `payloads`, dense
         (rows, n_pre); a dense product needs only dL/dI."""
-        return dense_input_grad(dl_di, w, self.w64[l], self.dtype)
+        return dense_input_grad(dl_di, w, w64, self.dtype)
 
 
 class RelaxedTransport(DenseTransport):
@@ -232,7 +223,7 @@ class SparseTransport(DenseTransport):
     returns is the batch's decoded firing segment, so it holds a spike
     exactly when the batch does (every capacity is at least 2). With
     capacities equal to the layer sizes and a very low secondary threshold
-    this reproduces dense. The kernels read `w64[l].T`, Wᵀ.
+    this reproduces dense. The kernels read `w64.T`, Wᵀ.
 
     Drop decisions for step t at boundary k (0 = input) use stream position
     `rng.position + t * num_weight_layers + k`.
@@ -264,8 +255,8 @@ class SparseTransport(DenseTransport):
             num_grads=np.concatenate([p.num_grads for p in payloads]),
         )
 
-    def current(self, l, w, payloads):
-        return sparse_forward_current(w, self.stack(payloads), self.w64[l].T)
+    def current(self, w, w64, payloads):
+        return sparse_forward_current(w, self.stack(payloads), w64.T)
 
     def sent_slopes(self, u, params, payloads):
         """The dense transport's slopes of the recorded membranes `u` at the
@@ -283,9 +274,9 @@ class SparseTransport(DenseTransport):
     def weight_grad(self, dl_di, payloads, dl_dw_acc):
         sparse_weight_grad(dl_di, self.stack(payloads), dl_dw_acc)
 
-    def input_grad(self, l, dl_di, w, payloads):
+    def input_grad(self, dl_di, w, w64, payloads):
         s = self.stack(payloads)
-        ds = sparse_input_grad(dl_di, w, s, self.w64[l].T)
+        ds = sparse_input_grad(dl_di, w, s, w64.T)
         return scatter_to_dense(s, ds, s.num_grads, w.fan_in)
 
 
@@ -309,6 +300,8 @@ class ForwardTrace:
     """Everything the backward sweep needs, recorded per weight layer.
 
     transport: the transport the forward pass ran.
+    w64[l]: weight layer l's float64 copy (module docstring), cast by the
+        forward pass; the backward pass takes the list and leaves None.
     u[l][t]: membrane at the start of step t. The synaptic currents are
         not kept: the backward sweep never reads them.
     spikes[l][t]: the (B, n) spike matrix hidden layer l sent at step t,
@@ -324,6 +317,7 @@ class ForwardTrace:
     """
 
     transport: DenseTransport
+    w64: list | None
     u: list
     spikes: list
     sent: list
@@ -364,14 +358,13 @@ def forward_pass(
             f"inputs shape {inputs.shape} != (B, {spec.num_timesteps}, {spec.input_size})"
         )
     transport = _transport(mode, spec, rng, force_spikes)
-    transport.load(net.weights)
+    trace = ForwardTrace(transport, net.weights64(), [], [], [], [])
     dtype = transport.dtype
 
     batch = inputs.shape[0]
     T = spec.num_timesteps
     L = spec.num_weight_layers
     scores = np.zeros((batch, spec.output_size), dtype=dtype)
-    trace = ForwardTrace(transport, [], [], [], [])
 
     # What weight layer l reads at each step, and the spike matrices of
     # those payloads: the input frames for l = 0.
@@ -387,7 +380,7 @@ def forward_pass(
         i_syn = np.zeros(shape, dtype=dtype)
         if live > first:
             i_syn[first + 1 : live + 1] = transport.current(
-                l, net.weights[l], payloads[first:live]
+                net.weights[l], trace.w64[l], payloads[first:live]
             ).reshape((live - first,) + shape[1:])
         u_seen = np.empty(shape, dtype=dtype)
         spikes, sent = ([], []) if hidden else (None, None)
@@ -439,7 +432,7 @@ def backward_pass(
     batch = dl_dscores.shape[0]
     L = spec.num_weight_layers
 
-    transport.load(net.weights)
+    w64, trace.w64 = trace.w64 or net.weights64(), None  # recast if a backward took them
     wins = spec.windows(trace.first)
     dl_di = [None] * L
     ds = None  # dL/dS of the layer being swept, from the layer above
@@ -450,11 +443,10 @@ def backward_pass(
         ds = None  # freed before the next input-grad call allocates
         if live > need:
             ds = transport.input_grad(
-                l, dl_di[l][(need - lo) * batch :], net.weights[l], trace.sent[l][need:live]
+                dl_di[l][(need - lo) * batch :], net.weights[l], w64[l], trace.sent[l][need:live]
             ).reshape(live - need, batch, -1)
-        transport.w64[l] = None  # read by no later call
+        w64[l] = None  # read by no later call
 
-    transport.release()
     grads = []
     for l, w in enumerate(net.weights):
         first, lo, _, live = wins[l]

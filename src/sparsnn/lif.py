@@ -229,13 +229,15 @@ def surrogate(x: np.ndarray, beta: float) -> np.ndarray:
     """Surrogate spike derivative h(x) = 1 / (beta*|x| + 1)^2.
 
     Even, maximal at x = 0 with h(0) = 1, strictly decreasing in |x|.
-    Preserves the floating dtype of `x`.
+    Preserves the floating dtype of `x`. A d that overflows gives the +0.0
+    limit exactly, without a warning; a NaN stays NaN.
     """
     if not beta > 0.0:
         raise ConfigError(f"beta must be > 0, got {beta}")
     x = np.asarray(x)
-    d = beta * np.abs(x) + 1.0
-    return 1.0 / (d * d)
+    with np.errstate(over="ignore"):
+        d = beta * np.abs(x) + 1.0
+        return 1.0 / (d * d)
 
 
 def relaxed_spike(x: np.ndarray, beta: float) -> np.ndarray:
@@ -253,5 +255,6 @@ def relaxed_spike(x: np.ndarray, beta: float) -> np.ndarray:
 def relaxed_spike_grad(x: np.ndarray, beta: float) -> np.ndarray:
     """Exact derivative of `relaxed_spike`: (beta/2) / (beta*|x| + 1)^2."""
     x = np.asarray(x)
-    d = beta * np.abs(x) + 1.0
-    return 0.5 * beta / (d * d)
+    with np.errstate(over="ignore"):
+        d = beta * np.abs(x) + 1.0
+        return 0.5 * beta / (d * d)

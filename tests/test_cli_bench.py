@@ -463,6 +463,14 @@ def test_float_option_exits_with_a_documented_code(
         assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--beta", "--threshold"])
+def test_steep_or_high_threshold_trains_without_overflow(tmp_path, guard_data, flag):
+    # In process, under the suite's error::RuntimeWarning filter: a surrogate
+    # whose denominator overflows float32 is its +0.0 limit, not a warning.
+    argv = [arg.format(data=guard_data) for arg in TRAIN]
+    assert cli.main(argv + [f"{flag}=1e30", "--out-dir", str(tmp_path / "run")]) == 0
+
+
 def test_closed_stdout_exits_1(tmp_path, monkeypatch, capsys):
     # A reader that went away, as in `sparsnn gen-data ... | head -0`.
     read_fd, write_fd = os.pipe()

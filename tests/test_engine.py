@@ -198,9 +198,9 @@ class TestBackward:
         net = exactness_net(4, [6, 8, 3], T=5, batch=2)
         inputs = random_inputs(np.random.default_rng(4), 2, 5, 6)
         trace, scores = forward_pass(net, inputs, mode=mode, rng=DropRng(4))
-        assert len(trace.transport.w64) == 2
+        assert len(trace.w64) == 2
         grads = backward_pass(net, trace, np.ones_like(scores))
-        assert trace.transport.w64 is None
+        assert trace.w64 is None
         for g, w in zip(grads, net.weights):
             # In the weights' layout, which the optimizer flattens them in.
             assert g.shape == w.w.shape
@@ -208,6 +208,17 @@ class TestBackward:
                 w.w.flags.c_contiguous, w.w.flags.f_contiguous
             )
             assert g.dtype == trace.transport.dtype
+
+    @pytest.mark.parametrize("mode", [DENSE, SPARSE, RELAXED])
+    def test_transport_holds_no_arrays(self, mode):
+        # The trace is the one record of a step: the weight copies and the
+        # payloads live there, never in the transport.
+        net = exactness_net(4, [6, 8, 3], T=5, batch=2)
+        inputs = random_inputs(np.random.default_rng(4), 2, 5, 6)
+        trace, _ = forward_pass(net, inputs, mode=mode, rng=DropRng(4))
+        for name, value in vars(trace.transport).items():
+            held = value if isinstance(value, (list, tuple)) else [value]
+            assert not any(isinstance(v, np.ndarray) for v in held), name
 
     @pytest.mark.parametrize("mode", [DENSE, SPARSE, RELAXED])
     def test_backward_twice_bit_identical(self, mode):
@@ -287,7 +298,7 @@ class TestBackward:
         calls = []
 
         def record(dl_di, s_in, dl_dw_acc):
-            calls.append((dl_di, s_in, trace.transport.w64))
+            calls.append((dl_di, s_in, trace.w64))
             original(dl_di, s_in, dl_dw_acc)
 
         monkeypatch.setattr(engine, name, record)

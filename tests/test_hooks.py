@@ -9,8 +9,9 @@ runs one layer at a time, so the calls come layer by layer (the input
 first), and each layer's calls come in time order:
 `perfbench/counts.py::step_activity` gives the k-th call of a layer to
 timestep k. It reads the arguments of the engine's kernel calls and of
-`simulate_batch` by parameter name too, so renaming one of the names in
-`BOUND_BY_NAME` makes every benchmark step fail.
+`simulate_batch` by parameter name too, and passes some arguments of
+`train_step`, `init_network` and `NetworkSpec` by keyword, so renaming one
+of the names in `BOUND_BY_NAME` makes every benchmark step fail.
 """
 
 import inspect
@@ -40,6 +41,9 @@ BOUND_BY_NAME = {
     engine.encode_binary: ("frame",),
     engine.threshold_spikes_dense: ("u", "threshold"),
     sparsnn.simulate_batch: ("mode", "grad_activity"),
+    engine.train_step: ("force_spikes",),
+    sparsnn.init_network: ("seed", "weight_gain"),
+    sparsnn.lif.NetworkSpec: ("layer_sizes", "sparse_sizes", "batch_size", "num_timesteps"),
 }
 
 

@@ -112,6 +112,15 @@ class TestSurrogate:
         with pytest.raises(ConfigError):
             surrogate(np.array(0.0), 0.0)
 
+    def test_overflow_is_the_zero_limit(self):
+        # Under the suite's error::RuntimeWarning filter: a d beyond float32's
+        # range gives exactly +0.0 and no warning; a NaN input stays NaN.
+        for h in (surrogate, relaxed_spike_grad):
+            out = h(np.float32([3e38, -1e30]), 10.0)
+            assert out.dtype == np.float32
+            assert out.tobytes() == np.float32([0.0, 0.0]).tobytes()
+            assert np.isnan(h(np.float32([np.nan]), 10.0)).all()
+
 
 class TestRelaxedSpike:
     def test_limits_and_midpoint(self):
