@@ -5,7 +5,7 @@ Spikes move between layers through a transport, chosen once per call from
 `RelaxedTransport`; each class docstring says what it sends). A transport
 holds no weights: `send_input` and `send` make each step's payload, `send`
 with the spike matrix that resets the membranes; the kernel calls read
-sequences of payloads, joined by `stack`, and the weight copy passed in.
+sequences of payloads, joined by `stack`, and the layer's weights.
 Binary spikes are bool, input frames and spike matrices alike, and become
 floats only inside an operation (the reset factor 1 - S, the float64
 `stack`), where 0 and 1 are exact; the relaxed transport's smooth spikes
@@ -30,10 +30,11 @@ forward pass encodes all T input payloads, then for each layer makes one
 current call on the stacked payloads of its window (the current of step
 t + 1 is driven by the payload of step t), then runs the layer's LIF
 loop over t. The backward pass sweeps the top layer first, each layer in
-reverse time, and then makes one input-gradient call for the layer below;
-before it sweeps a hidden layer it forms the spike slopes of the steps it
-sweeps. Stacked rows are t-major (t ascending, then b ascending) in both
-passes: the forward current and the weight gradient read one stack.
+reverse time, then makes one input-gradient call for the layer below and
+one weight-gradient call; before it sweeps a hidden layer it forms the
+spike slopes of the steps it sweeps. Stacked rows are t-major (t
+ascending, then b ascending) in both passes: the forward current and the
+weight gradient read one stack.
 
 One window per layer, and this is the one statement of its rule. Weight
 layer l gets kernel work only inside its window (first, lo, need, live),
@@ -91,14 +92,15 @@ at the end: one call per layer, on the stacked (dL/dI, payload) rows in
 time order, which writes its whole float64 buffer (`kernels` docstring).
 Every sparse element receives the same adds in the same order as per-step
 calls in time order would give it; the dense gradient is one product over
-all (live - first) * B rows. They are formed after the sweep, when the
-weight copies are gone, one float64 buffer at a time.
+all (live - first) * B rows. Each layer's is formed right after its
+input-gradient call, and its buffer and dL/dI are dropped before the layer
+below is swept, so no float64 buffer outlives its layer.
 
-The trace holds one float64 copy of every weight matrix, `w64`, in the
-layout of `w.w` (`LayerWeights`), as do the weight gradients. The forward
-pass casts it; `backward_pass` takes it for the sweep and drops each
-layer's copy after that layer's input-gradient call, so a training step
-casts each matrix once (a second backward on one trace casts afresh).
+Each weight-reading kernel casts `w.w` to float64 in its layout
+(`LayerWeights`), the weight gradients' layout too, when it is called, and
+drops the copy when it returns: on the float32 transports a step holds one
+float64 weight-sized buffer at a time. The cast is exact, so where it
+happens changes no byte.
 
 Transports call kernels, encoders and LIF helpers through this module's
 names at call time, so wrappers installed on `sparsnn.engine` (profilers,
@@ -153,8 +155,8 @@ MAX_BATCHES_PER_EPOCH = 1 << 20
 class DenseTransport:
     """Bool spike matrices between layers, float32 state: the reference
     path. The payload `send` returns is its spike matrix, and the input
-    payload is the frame itself. The kernels read `w64`, the layer's
-    float64 weight copy (module docstring), as W."""
+    payload is the frame itself. The kernels read W, cast to float64 by
+    each call (module docstring)."""
 
     dtype = np.float32
     always_reset_grad = False
@@ -176,10 +178,10 @@ class DenseTransport:
         s = np.asarray(payloads, dtype=np.float64)
         return s.reshape(-1, s.shape[-1])
 
-    def current(self, w, w64, payloads):
+    def current(self, w, payloads):
         """Current of every row of `payloads` (a sequence of per-step
         payloads), one kernel call; rows follow the payloads."""
-        return dense_forward_current(w, self.stack(payloads), w64, self.dtype)
+        return dense_forward_current(w, self.stack(payloads), self.dtype)
 
     def sent_slopes(self, u, params, payloads):
         """Spike slopes of a hidden layer at a run of steps, (steps, B, n),
@@ -194,10 +196,10 @@ class DenseTransport:
     def weight_grad(self, dl_di, payloads, dl_dw_acc):
         dense_weight_grad(dl_di, self.stack(payloads), dl_dw_acc)
 
-    def input_grad(self, dl_di, w, w64, payloads):
+    def input_grad(self, dl_di, w, payloads):
         """dL/dS of the sending layer for every row of `payloads`, dense
         (rows, n_pre); a dense product needs only dL/dI."""
-        return dense_input_grad(dl_di, w, w64, self.dtype)
+        return dense_input_grad(dl_di, w, self.dtype)
 
 
 class RelaxedTransport(DenseTransport):
@@ -223,7 +225,7 @@ class SparseTransport(DenseTransport):
     returns is the batch's decoded firing segment, so it holds a spike
     exactly when the batch does (every capacity is at least 2). With
     capacities equal to the layer sizes and a very low secondary threshold
-    this reproduces dense. The kernels read `w64.T`, Wᵀ.
+    this reproduces dense. The kernels read Wᵀ.
 
     Drop decisions for step t at boundary k (0 = input) use stream position
     `rng.position + t * num_weight_layers + k`.
@@ -255,8 +257,8 @@ class SparseTransport(DenseTransport):
             num_grads=np.concatenate([p.num_grads for p in payloads]),
         )
 
-    def current(self, w, w64, payloads):
-        return sparse_forward_current(w, self.stack(payloads), w64.T)
+    def current(self, w, payloads):
+        return sparse_forward_current(w, self.stack(payloads))
 
     def sent_slopes(self, u, params, payloads):
         """The dense transport's slopes of the recorded membranes `u` at the
@@ -274,9 +276,9 @@ class SparseTransport(DenseTransport):
     def weight_grad(self, dl_di, payloads, dl_dw_acc):
         sparse_weight_grad(dl_di, self.stack(payloads), dl_dw_acc)
 
-    def input_grad(self, dl_di, w, w64, payloads):
+    def input_grad(self, dl_di, w, payloads):
         s = self.stack(payloads)
-        ds = sparse_input_grad(dl_di, w, s, w64.T)
+        ds = sparse_input_grad(dl_di, w, s)
         return scatter_to_dense(s, ds, s.num_grads, w.fan_in)
 
 
@@ -300,8 +302,6 @@ class ForwardTrace:
     """Everything the backward sweep needs, recorded per weight layer.
 
     transport: the transport the forward pass ran.
-    w64[l]: weight layer l's float64 copy (module docstring), cast by the
-        forward pass; the backward pass takes the list and leaves None.
     u[l][t]: membrane at the start of step t. The synaptic currents are
         not kept: the backward sweep never reads them.
     spikes[l][t]: the (B, n) spike matrix hidden layer l sent at step t,
@@ -317,7 +317,6 @@ class ForwardTrace:
     """
 
     transport: DenseTransport
-    w64: list | None
     u: list
     spikes: list
     sent: list
@@ -358,7 +357,7 @@ def forward_pass(
             f"inputs shape {inputs.shape} != (B, {spec.num_timesteps}, {spec.input_size})"
         )
     transport = _transport(mode, spec, rng, force_spikes)
-    trace = ForwardTrace(transport, net.weights64(), [], [], [], [])
+    trace = ForwardTrace(transport, [], [], [], [])
     dtype = transport.dtype
 
     batch = inputs.shape[0]
@@ -380,7 +379,7 @@ def forward_pass(
         i_syn = np.zeros(shape, dtype=dtype)
         if live > first:
             i_syn[first + 1 : live + 1] = transport.current(
-                net.weights[l], trace.w64[l], payloads[first:live]
+                net.weights[l], payloads[first:live]
             ).reshape((live - first,) + shape[1:])
         u_seen = np.empty(shape, dtype=dtype)
         spikes, sent = ([], []) if hidden else (None, None)
@@ -432,34 +431,27 @@ def backward_pass(
     batch = dl_dscores.shape[0]
     L = spec.num_weight_layers
 
-    w64, trace.w64 = trace.w64 or net.weights64(), None  # recast if a backward took them
     wins = spec.windows(trace.first)
-    dl_di = [None] * L
+    grads = [None] * L
     ds = None  # dL/dS of the layer being swept, from the layer above
     for l in range(L - 1, -1, -1):
-        _, lo, need, live = wins[l]
+        first, lo, need, live = wins[l]
+        w, sent = net.weights[l], trace.sent[l]
         if live > lo:
-            dl_di[l] = _sweep_layer(net, trace, l, lo, live, ds, dl_dscores, reset_grad)
+            dl_di = _sweep_layer(net, trace, l, lo, live, ds, dl_dscores, reset_grad)
         ds = None  # freed before the next input-grad call allocates
         if live > need:
             ds = transport.input_grad(
-                dl_di[l][(need - lo) * batch :], net.weights[l], w64[l], trace.sent[l][need:live]
+                dl_di[(need - lo) * batch :], w, sent[need:live]
             ).reshape(live - need, batch, -1)
-        w64[l] = None  # read by no later call
-
-    grads = []
-    for l, w in enumerate(net.weights):
-        first, lo, _, live = wins[l]
         if live > first:
             # Written whole by the kernel (`kernels` docstring).
             acc = np.empty_like(w.w, dtype=np.float64)
-            transport.weight_grad(
-                dl_di[l][(first - lo) * batch :], trace.sent[l][first:live], acc
-            )
-            grads.append(acc.astype(dt))
+            transport.weight_grad(dl_di[(first - lo) * batch :], sent[first:live], acc)
+            grads[l] = acc.astype(dt)
         else:
-            grads.append(np.zeros_like(w.w, dtype=dt))
-        dl_di[l] = None
+            grads[l] = np.zeros_like(w.w, dtype=dt)
+        dl_di = acc = None  # freed before the layer below allocates
     return grads
 
 
@@ -498,15 +490,17 @@ def _sweep_layer(net, trace, l, lo, live, ds_in, dl_dscores, reset_grad) -> np.n
         u, spikes = trace.u[l][swept], trace.spikes[l][swept]
         slopes = transport.sent_slopes(u, params, trace.sent[l + 1][swept])
 
-    for r in range(live - lo - 1, -1, -1):
-        if hidden:
-            ds = ds_in[r]
-            if reset_grad:
-                ds = ds + (-alpha) * u[r] * du
-            du = alpha * (dt(1) - spikes[r]) * du + slopes[r] * ds
-        else:
-            du = alpha * du + dl_dscores
-        di[r] = gain * du
+    # A diverged step overflows here; `_check_finite` reports it by layer.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(live - lo - 1, -1, -1):
+            if hidden:
+                ds = ds_in[r]
+                if reset_grad:
+                    ds = ds + (-alpha) * u[r] * du
+                du = alpha * (dt(1) - spikes[r]) * du + slopes[r] * ds
+            else:
+                du = alpha * du + dl_dscores
+            di[r] = gain * du
     return di.reshape(-1, n)
 
 

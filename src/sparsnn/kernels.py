@@ -1,10 +1,10 @@
 """Forward-current and gradient kernels, dense and sparse.
 
-Every kernel reads the transport's float64 weight copy (`engine`
-docstring). The dense route is a plain matrix product on it, W (`w64`).
-The sparse route works on its transpose Wᵀ (`wt64`), whose rows are
-contiguous (`LayerWeights`), so each id a row names selects one row of Wᵀ,
-one weight column of W:
+Every weight-reading kernel casts W to float64 when it is called and drops
+the copy when it returns (`engine` docstring). The dense route is a plain
+matrix product on it, W. The sparse route works on its transpose Wᵀ,
+whose rows are contiguous (`LayerWeights`), so each id a row names selects
+one row of Wᵀ, one weight column of W:
 
 forward current  out[b] = sum of Wᵀ[ids] over the row's firing ids, added
                  in ascending-id order;
@@ -42,9 +42,7 @@ from .lif import LayerWeights
 from .sparse import SparseSpikeBatch, check_ids
 
 
-def dense_forward_current(
-    w: LayerWeights, s_in: np.ndarray, w64: np.ndarray, dtype
-) -> np.ndarray:
+def dense_forward_current(w: LayerWeights, s_in: np.ndarray, dtype) -> np.ndarray:
     """I = S @ W^T for a batch of dense spike rows.
 
     `dtype` is the boundary precision; the float64 gradient-check pipeline
@@ -55,19 +53,18 @@ def dense_forward_current(
         raise ContractViolation(
             f"spike shape {s_in.shape} incompatible with fan-in {w.fan_in}"
         )
-    out = np.asarray(s_in, dtype=np.float64) @ w64.T
+    out = np.asarray(s_in, dtype=np.float64) @ w.w.astype(np.float64).T
     return out.astype(dtype)
 
 
-def sparse_forward_current(
-    w: LayerWeights, s_in: SparseSpikeBatch, wt64: np.ndarray
-) -> np.ndarray:
+def sparse_forward_current(w: LayerWeights, s_in: SparseSpikeBatch) -> np.ndarray:
     """Sum of the rows of Wᵀ named by each row's firing ids.
 
     Gradient-only entries contribute nothing. Summation order is fixed
     (ascending id).
     """
     check_ids(s_in, s_in.num_spikes, w.fan_in)
+    wt64 = w.w.T.astype(np.float64)
     out = np.zeros((s_in.batch_size, w.n_post), dtype=np.float32)
     for row in range(s_in.batch_size):
         ns = int(s_in.num_spikes[row])
@@ -132,10 +129,7 @@ def dense_weight_grad(
 
 
 def sparse_input_grad(
-    dl_di: np.ndarray,
-    w: LayerWeights,
-    s_in: SparseSpikeBatch,
-    wt64: np.ndarray,
+    dl_di: np.ndarray, w: LayerWeights, s_in: SparseSpikeBatch
 ) -> np.ndarray:
     """Gradient w.r.t. every retained entry of `s_in` (both segments):
 
@@ -150,6 +144,7 @@ def sparse_input_grad(
         )
     check_ids(s_in, s_in.num_grads, w.fan_in)
     dl_di64 = np.asarray(dl_di, dtype=np.float64)
+    wt64 = w.w.T.astype(np.float64)
     out = np.zeros((s_in.batch_size, s_in.n_max), dtype=np.float32)
     for row in range(s_in.batch_size):
         ng = int(s_in.num_grads[row])
@@ -158,8 +153,6 @@ def sparse_input_grad(
     return out
 
 
-def dense_input_grad(
-    dl_di: np.ndarray, w: LayerWeights, w64: np.ndarray, dtype
-) -> np.ndarray:
+def dense_input_grad(dl_di: np.ndarray, w: LayerWeights, dtype) -> np.ndarray:
     """Dense counterpart: dL/dS = dL/dI @ W, float64 inside."""
-    return (np.asarray(dl_di, dtype=np.float64) @ w64).astype(dtype)
+    return (np.asarray(dl_di, dtype=np.float64) @ w.w.astype(np.float64)).astype(dtype)

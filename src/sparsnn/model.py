@@ -43,10 +43,6 @@ class Network:
     def weight_arrays(self) -> list:
         return [lw.w for lw in self.weights]
 
-    def weights64(self) -> list:
-        """Every weight matrix cast to float64, in its layout (`engine` docstring)."""
-        return [lw.w.astype(np.float64) for lw in self.weights]
-
 
 def init_network(
     spec: NetworkSpec,

@@ -130,8 +130,7 @@ def forward_pass(net, inputs, mode, rng=None, force_spikes=False):
     L = spec.num_weight_layers
     scores = np.zeros((batch, spec.output_size), dtype=dtype)
     # The full window: every layer's kernels start at payload step 0.
-    w64 = [w.w.astype(np.float64) for w in net.weights]
-    trace = ForwardTrace(transport, w64, [], [], [], [0] * L)
+    trace = ForwardTrace(transport, [], [], [], [0] * L)
 
     payloads = [transport.send_input(t, inputs[:, t, :]) for t in range(T)]
     for l in range(L):
@@ -140,7 +139,7 @@ def forward_pass(net, inputs, mode, rng=None, force_spikes=False):
         shape = (T, batch, spec.layer_sizes[l + 1])
         i_syn = np.zeros(shape, dtype=dtype)
         if T > 1:
-            i_syn[1:] = transport.current(net.weights[l], w64[l], payloads[:-1]).reshape(
+            i_syn[1:] = transport.current(net.weights[l], payloads[:-1]).reshape(
                 (T - 1,) + shape[1:]
             )
         u_seen = np.empty(shape, dtype=dtype)
@@ -175,9 +174,6 @@ def backward_pass(net, trace, dl_dscores, reset_grad=True):
     T = net.spec.num_timesteps
     L = spec.num_weight_layers
 
-    w64, trace.w64 = trace.w64, None
-    if w64 is None:  # an earlier backward pass took the copies
-        w64 = [w.w.astype(np.float64) for w in net.weights]
     dl_di = [None] * L
     ds = None
     for l in range(L - 1, -1, -1):
@@ -185,7 +181,7 @@ def backward_pass(net, trace, dl_dscores, reset_grad=True):
         ds = None
         if l > 0 and T > 1:
             ds = transport.input_grad(
-                dl_di[l], net.weights[l], w64[l], trace.sent[l][: T - 1]
+                dl_di[l], net.weights[l], trace.sent[l][: T - 1]
             ).reshape(T - 1, batch, -1)
     grads = []
     for l, w in enumerate(net.weights):
@@ -253,9 +249,9 @@ class ReplayTransport(DenseTransport):
         """The kept spikes of a sequence of payloads as one float64 matrix."""
         return np.concatenate([decode_to_dense(p, n) for p in payloads]).astype(np.float64)
 
-    def current(self, w, w64, payloads):
+    def current(self, w, payloads):
         s = self.decoded(payloads, w.fan_in)
-        return dense_forward_current(w, s, w64, self.dtype)
+        return dense_forward_current(w, s, self.dtype)
 
     def sent_slopes(self, u, params, payloads):
         slopes = DenseTransport.sent_slopes(self, u, params, payloads)

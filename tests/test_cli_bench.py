@@ -471,6 +471,24 @@ def test_steep_or_high_threshold_trains_without_overflow(tmp_path, guard_data, f
     assert cli.main(argv + [f"{flag}=1e30", "--out-dir", str(tmp_path / "run")]) == 0
 
 
+@pytest.mark.parametrize("flag", ["--lr", "--weight-gain"])
+def test_divergence_exits_1_without_a_warning(tmp_path, capsys, flag):
+    # In process, under the suite's error::RuntimeWarning filter: a step that
+    # overflows is reported once, by the finite check, which names the layer.
+    data = tmp_path / "data"
+    assert cli.main([
+        "gen-data", "--out-dir", str(data), "--classes", "3", "--input-size", "16",
+        "--samples-per-class", "2", "--timesteps", "10",
+    ]) == 0
+    argv = ["train", "--data", str(data), "--layers", "16,8,3", "--batch-size", "2",
+            "--timesteps", "10", f"{flag}=1e30", "--out-dir", str(tmp_path / "run")]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("training diverged:") and "in weight layer " in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_closed_stdout_exits_1(tmp_path, monkeypatch, capsys):
     # A reader that went away, as in `sparsnn gen-data ... | head -0`.
     read_fd, write_fd = os.pipe()

@@ -1,4 +1,5 @@
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -198,9 +199,10 @@ class TestBackward:
         net = exactness_net(4, [6, 8, 3], T=5, batch=2)
         inputs = random_inputs(np.random.default_rng(4), 2, 5, 6)
         trace, scores = forward_pass(net, inputs, mode=mode, rng=DropRng(4))
-        assert len(trace.w64) == 2
         grads = backward_pass(net, trace, np.ones_like(scores))
-        assert trace.w64 is None
+        # The kernels cast their own float64 weight copies, so the trace
+        # holds none: it records the step's membranes, spikes and payloads.
+        assert [f.name for f in fields(trace)] == ["transport", "u", "spikes", "sent", "first"]
         for g, w in zip(grads, net.weights):
             # In the weights' layout, which the optimizer flattens them in.
             assert g.shape == w.w.shape
@@ -211,8 +213,8 @@ class TestBackward:
 
     @pytest.mark.parametrize("mode", [DENSE, SPARSE, RELAXED])
     def test_transport_holds_no_arrays(self, mode):
-        # The trace is the one record of a step: the weight copies and the
-        # payloads live there, never in the transport.
+        # The trace is the one record of a step: the payloads live there,
+        # never in the transport.
         net = exactness_net(4, [6, 8, 3], T=5, batch=2)
         inputs = random_inputs(np.random.default_rng(4), 2, 5, 6)
         trace, _ = forward_pass(net, inputs, mode=mode, rng=DropRng(4))
@@ -222,8 +224,7 @@ class TestBackward:
 
     @pytest.mark.parametrize("mode", [DENSE, SPARSE, RELAXED])
     def test_backward_twice_bit_identical(self, mode):
-        # The first call releases the float64 weight copies; the second
-        # rebuilds them.
+        # The backward pass reads the trace and changes nothing in it.
         spec = NetworkSpec((6, 8, 10, 3), (6, 8, 10), batch_size=3, num_timesteps=8)
         net = init_network(spec, seed=0, alpha=0.85, grad_threshold=-1e6, weight_gain=8.0)
         inputs = random_inputs(np.random.default_rng(0), 3, 8, 6, density=0.6)
@@ -298,7 +299,7 @@ class TestBackward:
         calls = []
 
         def record(dl_di, s_in, dl_dw_acc):
-            calls.append((dl_di, s_in, trace.w64))
+            calls.append((dl_di, s_in, min(swept)))
             original(dl_di, s_in, dl_dw_acc)
 
         monkeypatch.setattr(engine, name, record)
@@ -312,7 +313,8 @@ class TestBackward:
             swept.clear()
             backward_pass(net, trace, np.ones_like(scores))
             # One call per layer whose window (first, live) is not empty,
-            # after the weight copies are dropped. Its rows are the last
+            # top layer first, each right after its own layer's sweep and
+            # before the sweep of the layer below. Its rows are the last
             # (live - first) * B rows of the sweep, dL/dI of steps
             # first+1..live, and its payloads those of steps first..live-1,
             # in time order: never the dead tail's, nor the silent head's.
@@ -321,8 +323,8 @@ class TestBackward:
             assert len(calls) == len(windowed)
             late_starts += sum(first[l] > 0 for l in windowed)
             empty_windows += sum(0 < live[l] <= first[l] for l in range(3))
-            for l, (dl_di, s_in, w64) in zip(windowed, calls):
-                assert w64 is None
+            for l, (dl_di, s_in, lowest_swept) in zip(windowed[::-1], calls):
+                assert lowest_swept == l
                 rows = (live[l] - first[l]) * B
                 assert dl_di.shape == (rows, net.spec.layer_sizes[l + 1])
                 assert np.shares_memory(dl_di, swept[l])
@@ -459,6 +461,33 @@ class TestBackward:
             not np.array_equal(a, b)
             for a, b in zip(with_reset, detached)
         )
+
+
+class TestWeightCopies:
+    """The float64 weight copies live one at a time: each kernel casts its
+    own and drops it when it returns, so the trace holds none. Measured by
+    tracemalloc, which numpy reports its buffers to, on a net whose
+    512 x 512 matrices dominate every other array of the step."""
+
+    COPY = 512 * 512 * 8  # bytes of one float64 copy of the largest matrix
+
+    @pytest.mark.parametrize("mode", [DENSE, SPARSE, RELAXED])
+    def test_forward_holds_one_copy_at_a_time(self, mode):
+        sizes = (64, 512, 512, 512, 4)
+        spec = NetworkSpec(sizes, sizes[:-1], batch_size=2, num_timesteps=8)
+        net = init_network(spec, seed=0, weight_gain=20.0)
+        inputs = random_inputs(np.random.default_rng(0), 2, 8, 64)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            trace, scores = forward_pass(net, inputs, mode=mode, rng=DropRng(3))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Every layer made its current call, so every matrix was cast.
+        assert all(live > first for first, _, _, live in spec.windows(trace.first))
+        assert held - base < self.COPY
+        assert peak - base < 1.5 * self.COPY
 
 
 class TestGradientChecks:
@@ -846,8 +875,9 @@ class TestWindows:
         backward_pass(net, trace, np.ones_like(scores))
         # Forced spikes start every window at step 0, so each layer reads
         # payload steps 0..live-1, live = 3, 5, 7, 9, both kernels in time
-        # order: one and the same stack.
-        forward, backward = calls["forward_current"], calls["weight_grad"]
+        # order: one and the same stack. The forward calls run bottom layer
+        # first, the weight-gradient calls top layer first.
+        forward, backward = calls["forward_current"], calls["weight_grad"][::-1]
         assert len(forward) == len(backward) == 4
         for live, fwd, bwd in zip((3, 5, 7, 9), forward, backward):
             if mode == SPARSE:

@@ -17,11 +17,6 @@ from sparsnn.rng import DropRng
 from sparsnn.sparse import SparseSpikeBatch, decode_to_dense, encode_sparse
 
 
-def as64(w):
-    """The float64 copy of W that the dense kernels read."""
-    return w.w.astype(np.float64)
-
-
 def batch_from(ids_rows, n_max, num_spikes=None):
     b = SparseSpikeBatch.empty(len(ids_rows), n_max)
     for r, ids in enumerate(ids_rows):
@@ -51,40 +46,39 @@ def include_everything_batch(rng, b, n):
 class TestForwardCurrent:
     def test_dense_one_hot(self):
         w = LayerWeights(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        out = dense_forward_current(w, np.array([[0.0, 1.0]]), as64(w), np.float32)
+        out = dense_forward_current(w, np.array([[0.0, 1.0]]), np.float32)
         assert out.tolist() == [[2.0, 4.0]]
 
     def test_dense_all_ones_row_sums(self):
         w = LayerWeights(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        out = dense_forward_current(w, np.ones((1, 2)), as64(w), np.float32)
+        out = dense_forward_current(w, np.ones((1, 2)), np.float32)
         assert out.tolist() == [[3.0, 7.0]]
 
     def test_dense_zeros(self):
         w = LayerWeights(np.ones((3, 5)))
-        assert not dense_forward_current(w, np.zeros((2, 5)), as64(w), np.float32).any()
+        assert not dense_forward_current(w, np.zeros((2, 5)), np.float32).any()
 
     def test_sparse_matches_values(self):
         w = LayerWeights(np.array([[1.0, 2.0], [3.0, 4.0]]))
         s = batch_from([[1]], 2)
-        assert sparse_forward_current(w, s, w.w.T.astype(np.float64)).tolist() == [[2.0, 4.0]]
+        assert sparse_forward_current(w, s).tolist() == [[2.0, 4.0]]
         s2 = batch_from([[0, 1]], 2)
-        assert sparse_forward_current(w, s2, w.w.T.astype(np.float64)).tolist() == [[3.0, 7.0]]
+        assert sparse_forward_current(w, s2).tolist() == [[3.0, 7.0]]
 
     def test_sparse_empty(self):
         w = LayerWeights(np.ones((3, 4)))
-        wt64 = w.w.T.astype(np.float64)
-        assert not sparse_forward_current(w, SparseSpikeBatch.empty(2, 4), wt64).any()
+        assert not sparse_forward_current(w, SparseSpikeBatch.empty(2, 4)).any()
 
     def test_grad_only_entries_do_not_transmit(self):
         w = LayerWeights(np.array([[1.0, 2.0], [3.0, 4.0]]))
         s = batch_from([[0, 1]], 2, num_spikes=[1])
-        assert sparse_forward_current(w, s, w.w.T.astype(np.float64)).tolist() == [[1.0, 3.0]]
+        assert sparse_forward_current(w, s).tolist() == [[1.0, 3.0]]
 
     def test_id_out_of_range(self):
         w = LayerWeights(np.ones((2, 2)))
         s = batch_from([[3]], 4)
         with pytest.raises(CorruptionError):
-            sparse_forward_current(w, s, w.w.T.astype(np.float64))
+            sparse_forward_current(w, s)
 
     def test_oracle_equivalence_random(self):
         rng = np.random.default_rng(0)
@@ -94,8 +88,8 @@ class TestForwardCurrent:
             b = int(rng.integers(1, 6))
             w = LayerWeights(rng.normal(size=(n_post, n_pre)).astype(np.float32))
             u, p, s = include_everything_batch(rng, b, n_pre)
-            got = sparse_forward_current(w, s, w.w.T.astype(np.float64))
-            want = dense_forward_current(w, decode_to_dense(s, n_pre), as64(w), np.float32)
+            got = sparse_forward_current(w, s)
+            want = dense_forward_current(w, decode_to_dense(s, n_pre), np.float32)
             np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-7)
 
     def test_work_proportional_to_activity(self):
@@ -105,13 +99,13 @@ class TestForwardCurrent:
         rng = np.random.default_rng(1)
         w = LayerWeights(rng.normal(size=(7, 16)).astype(np.float32))
         u, p, s = include_everything_batch(rng, 4, 16)
-        clean = sparse_forward_current(w, s, w.w.T.astype(np.float64))
+        clean = sparse_forward_current(w, s)
         for row in range(4):
             assert s.num_spikes[row] < s.num_grads[row]
             poisoned = LayerWeights(w.w.copy())
             unread = np.setdiff1d(np.arange(16), s.ids[row, : s.num_spikes[row]])
             poisoned.w[:, unread] = np.nan
-            got = sparse_forward_current(poisoned, s, poisoned.w.T.astype(np.float64))
+            got = sparse_forward_current(poisoned, s)
             assert np.array_equal(got[row], clean[row])
 
     def test_linearity_in_spikes(self):
@@ -120,9 +114,8 @@ class TestForwardCurrent:
         sa = batch_from([[0, 3, 7]], 12)
         sb = batch_from([[1, 4]], 12)
         su = batch_from([[0, 1, 3, 4, 7]], 12)
-        wt64 = w.w.T.astype(np.float64)
-        got = sparse_forward_current(w, su, wt64)
-        parts = sparse_forward_current(w, sa, wt64) + sparse_forward_current(w, sb, wt64)
+        got = sparse_forward_current(w, su)
+        parts = sparse_forward_current(w, sa) + sparse_forward_current(w, sb)
         np.testing.assert_allclose(got, parts, rtol=1e-6)
 
 
@@ -294,14 +287,20 @@ class TestOrientation:
         dl_di = dl_di.astype(np.float32)
         got = {}
         for order in "CF":
-            w64 = np.asarray(w.w, dtype=np.float64, order=order)
             acc = stale_buffer(rng, (n_post, n_pre), order)
             dense_weight_grad(dl_di, s, acc)
-            got[order] = [
-                dense_forward_current(w, s, w64, np.float32),
-                dense_input_grad(dl_di, w, w64, np.float32),
-                acc.astype(np.float32),
-            ]
+            got[order] = [acc.astype(np.float32)]
+        # The kernels cast W in its one layout, column-major; the products
+        # on a C-ordered float64 W are formed here.
+        got["F"] += [
+            dense_forward_current(w, s, np.float32),
+            dense_input_grad(dl_di, w, np.float32),
+        ]
+        w_c = np.ascontiguousarray(w.w, dtype=np.float64)
+        got["C"] += [
+            (s.astype(np.float64) @ w_c.T).astype(np.float32),
+            (dl_di.astype(np.float64) @ w_c).astype(np.float32),
+        ]
         for c, f in zip(got["C"], got["F"]):
             assert c.dtype == np.float32 and c.tobytes() == f.tobytes()
 
@@ -310,25 +309,19 @@ class TestInputGrad:
     def test_single_entry(self):
         w = LayerWeights(np.array([[1.0, 2.0], [3.0, 4.0]]))
         s = batch_from([[1]], 2)
-        out = sparse_input_grad(
-            np.array([[1.0, 0.0]], dtype=np.float32), w, s, w.w.T.astype(np.float64)
-        )
+        out = sparse_input_grad(np.array([[1.0, 0.0]], dtype=np.float32), w, s)
         assert out[0, 0] == 2.0
 
     def test_zero_upstream(self):
         w = LayerWeights(np.ones((3, 4)))
         s = batch_from([[0, 2]], 4)
-        out = sparse_input_grad(
-            np.zeros((1, 3), dtype=np.float32), w, s, w.w.T.astype(np.float64)
-        )
+        out = sparse_input_grad(np.zeros((1, 3), dtype=np.float32), w, s)
         assert not out.any()
 
     def test_gradient_only_entries_receive_gradients(self):
         w = LayerWeights(np.array([[1.0, 2.0], [3.0, 4.0]]))
         s = batch_from([[0, 1]], 2, num_spikes=[1])  # id 1 is gradient-only
-        out = sparse_input_grad(
-            np.array([[1.0, 1.0]], dtype=np.float32), w, s, w.w.T.astype(np.float64)
-        )
+        out = sparse_input_grad(np.array([[1.0, 1.0]], dtype=np.float32), w, s)
         assert out[0].tolist() == [4.0, 6.0]
 
     def test_full_coverage_matches_transpose_product(self):
@@ -339,8 +332,8 @@ class TestInputGrad:
             w = LayerWeights(rng.normal(size=(n_post, n_pre)).astype(np.float32))
             u, p, s = include_everything_batch(rng, b, n_pre)
             dl_di = rng.normal(size=(b, n_post)).astype(np.float32)
-            got = sparse_input_grad(dl_di, w, s, w.w.T.astype(np.float64))
-            want = dense_input_grad(dl_di, w, as64(w), np.float32)
+            got = sparse_input_grad(dl_di, w, s)
+            want = dense_input_grad(dl_di, w, np.float32)
             for row in range(b):
                 ng = int(s.num_grads[row])
                 ids = s.ids[row, :ng]
@@ -353,17 +346,14 @@ class TestInputGrad:
         # input gradient does.
         w = LayerWeights(np.ones((3, 4)))
         s = batch_from([[1], [0, 2], [1, 5]], 4, num_spikes=[1, 2, 1])
-        sparse_forward_current(w, s, w.w.T.astype(np.float64))
+        sparse_forward_current(w, s)
         with pytest.raises(CorruptionError, match="row 2"):
-            sparse_input_grad(np.ones((3, 3), dtype=np.float32), w, s, w.w.T.astype(np.float64))
+            sparse_input_grad(np.ones((3, 3), dtype=np.float32), w, s)
 
     def test_shape_mismatch(self):
         w = LayerWeights(np.ones((3, 4)))
         with pytest.raises(ContractViolation):
-            sparse_input_grad(
-                np.zeros((1, 2), dtype=np.float32), w, SparseSpikeBatch.empty(1, 4),
-                w.w.T.astype(np.float64),
-            )
+            sparse_input_grad(np.zeros((1, 2), dtype=np.float32), w, SparseSpikeBatch.empty(1, 4))
 
 
 class TestStackedBatches:
@@ -397,14 +387,13 @@ class TestStackedBatches:
         w, batches, dl_di = self._steps(seed)
         stacked = SparseTransport.stack(batches)
         assert stacked.batch_size == sum(s.batch_size for s in batches)
-        wt64 = w.w.T.astype(np.float64)
         assert np.array_equal(
-            sparse_forward_current(w, stacked, wt64),
-            np.concatenate([sparse_forward_current(w, s, wt64) for s in batches]),
+            sparse_forward_current(w, stacked),
+            np.concatenate([sparse_forward_current(w, s) for s in batches]),
         )
         assert np.array_equal(
-            sparse_input_grad(np.concatenate(dl_di), w, stacked, wt64),
-            np.concatenate([sparse_input_grad(g, w, s, wt64) for g, s in zip(dl_di, batches)]),
+            sparse_input_grad(np.concatenate(dl_di), w, stacked),
+            np.concatenate([sparse_input_grad(g, w, s) for g, s in zip(dl_di, batches)]),
         )
 
     @pytest.mark.parametrize("seed", range(5))
