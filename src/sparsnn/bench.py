@@ -1,30 +1,25 @@
 """Benchmark protocol: fixed/natural activity runs, sparsity sweeps,
 single-chip scale-up and weak scaling, CSV emission.
 
-Two activity regimes bracket the throughput of the sparse path:
+Two activity regimes set the activity the cost ledger prices:
 
   fixed_activity    every hidden neuron is forced above threshold, so
                     every spike tensor saturates at its capacity; the
-                    throughput lower bound for a given max_activity.
+                    most work a given max_activity allows.
   natural_activity  the dynamics run free on the dataset; realized
-                    activity is usually far below capacity, so this
-                    approximates the upper bound.
+                    activity is usually far below capacity.
 
-Wall-clock numbers time this package's own dense path against its sparse
-path on the local host (forward + backward + update per batch, first
-repetition discarded); modeled numbers come from the tile-machine cost
-ledger. The two are reported side by side and never mixed.
-"""
+Every figure here is modeled by the tile-machine cost ledger; wall-clock
+time is measured by perfbench, not here."""
 
 from __future__ import annotations
 
 import csv
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .engine import DENSE, SPARSE, forward_pass, train_step
+from .engine import SPARSE, forward_pass
 from .errors import ConfigError, OutOfTileMemory
 from .events import SpikeDataset, sparse_hidden_size, synth_pattern_dataset
 from .lif import NetworkSpec
@@ -38,13 +33,10 @@ from .machine import (
     weak_scale_run,
 )
 from .model import init_network
-from .optim import make_optimizer
 from .rng import DropRng
 
 FIXED = "fixed_activity"
 NATURAL = "natural_activity"
-WARMUP_DISCARD = 1
-OPTIMIZER, LR = "sgd", 1e-3
 # Poisson noise events per input channel and timestep of the bench data.
 NOISE_RATE = 0.01
 
@@ -85,7 +77,6 @@ class BenchConfig:
     preset: str = "shd-2944"
     batch_size: int = 48
     num_timesteps: int = 10
-    repetitions: int = 2
     seed: int = 42
     neurons_per_tile: int = 2
     machine: MachineSpec = field(default_factory=MachineSpec)
@@ -93,8 +84,6 @@ class BenchConfig:
     def __post_init__(self):
         if self.mode not in (FIXED, NATURAL):
             raise ConfigError(f"unknown bench mode {self.mode!r}")
-        if self.repetitions <= WARMUP_DISCARD:
-            raise ConfigError("need at least one repetition after warmup")
         if self.preset not in ARCH_PRESETS:
             raise ConfigError(
                 f"unknown preset {self.preset!r}; have {sorted(ARCH_PRESETS)}"
@@ -119,8 +108,8 @@ def network_spec_for(
     return NetworkSpec(arch.layer_sizes, sparse, batch_size, num_timesteps)
 
 
-def bench_dataset(config: BenchConfig) -> tuple:
-    """The one (frames, labels) batch of the configured preset: its input
+def bench_dataset(config: BenchConfig) -> np.ndarray:
+    """The frames of the one batch of the configured preset: its input
     width is `layer_sizes[0]`, its class count `layer_sizes[-1]`."""
     layers = ARCH_PRESETS[config.preset].layer_sizes
     streams = synth_pattern_dataset(
@@ -131,8 +120,7 @@ def bench_dataset(config: BenchConfig) -> tuple:
         noise_rate=NOISE_RATE,
         seed=config.seed + 1,
     )
-    ds = SpikeDataset.from_streams(streams, config.num_timesteps)
-    return ds.frames[: config.batch_size], ds.labels[: config.batch_size]
+    return SpikeDataset.from_streams(streams, config.num_timesteps).frames[: config.batch_size]
 
 
 def collect_activity(spec: NetworkSpec, trace) -> tuple:
@@ -149,56 +137,32 @@ def collect_activity(spec: NetworkSpec, trace) -> tuple:
     return act, grad
 
 
-def _timed_steps(net, frames, labels, opt, mode, config, force) -> list:
-    times = []
-    stride = net.spec.num_timesteps * net.spec.num_weight_layers
-    for rep in range(config.repetitions):
-        rng = DropRng(config.seed, (2 + rep) * (1 << 21) * stride)
-        start = time.perf_counter()
-        train_step(net, frames, labels, opt, mode, rng, force_spikes=force)
-        times.append(time.perf_counter() - start)
-    return times[WARMUP_DISCARD:]
-
-
 def run_benchmark(config: BenchConfig) -> dict:
-    """Time and model one configuration (see the module docstring): its
-    row of the sparsity sweep, keyed by `SPARSITY_COLUMNS`. `valid` is
-    False when a hidden layer stayed silent in the probe that feeds the
-    ledger: the row then prices a network that moves no spikes, not the
+    """Model one configuration (see the module docstring): its row of
+    the sparsity sweep, keyed by `SPARSITY_COLUMNS`. The ledger prices
+    the activity of one probe, a forward pass on the initial weights.
+    `valid` is False when a hidden layer stayed silent in that probe:
+    the row then prices a network that moves no spikes, not the
     configured activity. Communication sparsity is 1 - max_activity by
     definition; T and how many input frames reach the loss are stated."""
     spec = config.spec
-    frames, labels = bench_dataset(config)
-    force = config.mode == FIXED
-
-    dense_net = init_network(spec, seed=config.seed)
-    sparse_net = init_network(spec, seed=config.seed)
-    opt_d = make_optimizer(OPTIMIZER, LR)
-    opt_s = make_optimizer(OPTIMIZER, LR)
-
-    dense_times = _timed_steps(dense_net, frames, labels, opt_d, DENSE, config, force)
-    # The probe that feeds the ledger sees the initial weights: forward_pass
-    # writes no weight, so it runs on sparse_net before its timed steps.
-    rng = DropRng(config.seed, 0)
-    trace, _ = forward_pass(sparse_net, frames, SPARSE, rng, force_spikes=force)
-    act, grad = collect_activity(spec, trace)
-    sparse_times = _timed_steps(
-        sparse_net, frames, labels, opt_s, SPARSE, config, force
+    net = init_network(spec, seed=config.seed)
+    trace, _ = forward_pass(
+        net, bench_dataset(config), SPARSE, DropRng(config.seed, 0),
+        force_spikes=config.mode == FIXED,
     )
+    act, grad = collect_activity(spec, trace)
 
     mapping = map_neurons(spec, config.machine, config.neurons_per_tile)
     sparse_ledger = simulate_batch(
         spec, mapping, config.machine, act, mode="sparse", grad_activity=grad
     )
     dense_ledger = simulate_batch(spec, mapping, config.machine, None, mode="dense")
-    sparse_mean = float(np.mean(sparse_times))
     return {
         "mode": config.mode,
         "max_activity": config.max_activity,
         "communication_sparsity": 1.0 - config.max_activity,
-        "measured_accel": float(np.mean(dense_times)) / sparse_mean,
         "modeled_accel": acceleration_model(dense_ledger, sparse_ledger),
-        "frames_per_sec": config.batch_size * config.num_timesteps / sparse_mean,
         "valid": bool(act[:, 1 : spec.num_weight_layers].sum(axis=0).all()),
         "timesteps": spec.num_timesteps,
         "receptive_frames": spec.receptive_frames,
@@ -209,9 +173,7 @@ SPARSITY_COLUMNS = (
     "mode",
     "max_activity",
     "communication_sparsity",
-    "measured_accel",
     "modeled_accel",
-    "frames_per_sec",
     "valid",
     "timesteps",
     "receptive_frames",

@@ -102,7 +102,7 @@ _OPTIONS = {
     },
     "bench": {
         **_CONFIG, **_OUT_DIR,
-        "seed": (int, 42, "random seed for sparsity"),
+        "seed": (int, 42, "seed of the sparsity probe's weights, data and drops"),
         "sweep": (str, "sparsity", "which sweep", ("sparsity", "scaleup", "weak")),
         "preset": (str, "shd-2944", "architecture preset for sparsity/weak; "
                    "scaleup takes shd-2944 only", _PRESETS),
@@ -113,7 +113,6 @@ _OPTIONS = {
         "batch_grid": (str, "48,96,192", "weak-scaling batch sizes"),
         "batch_size": (int, 48, "samples per batch for sparsity/scaleup"),
         "timesteps": (int, 10, "steps per sequence (scaleup/weak: at least 2L)"),
-        "repetitions": (int, 2, "timing repetitions for sparsity (first discarded)"),
         "neurons_per_tile": (int, 2, "tile mapping density for sparsity"),
         "chips": (int, None, "number of chips (default: the machine's)"),
         "machine_config": (str, None, "machine/cost key=value file"),
@@ -319,7 +318,6 @@ def cmd_bench(opts: dict) -> int:
         preset=opts["preset"],
         batch_size=opts["batch_size"],
         num_timesteps=opts["timesteps"],
-        repetitions=opts["repetitions"],
         seed=opts["seed"],
         neurons_per_tile=opts["neurons_per_tile"],
         machine=_machine_from(opts),

@@ -118,12 +118,6 @@ class TileMapping:
     tile_of_neuron: list  # per weight layer: global tile id per neuron
     tiles_per_chip: int
 
-    @property
-    def tiles_used(self) -> int:
-        """Distinct tiles holding a neuron; packing continues where the
-        previous layer ended, so one tile may hold neurons of two layers."""
-        return int(np.unique(np.concatenate(self.tile_of_neuron)).size)
-
 
 def map_neurons(
     net: NetworkSpec,

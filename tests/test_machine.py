@@ -40,15 +40,18 @@ class TestMapping:
         net = spec([16, 1472, 1462, 10], [16, 48, 48], batch=1, T=1)
         machine = MachineSpec()
         mapping = map_neurons(net, machine, 2)
-        assert mapping.tiles_used == 1472
+        assert np.unique(np.concatenate(mapping.tile_of_neuron)).size == 1472
 
     @pytest.mark.parametrize("layers, tiles", [
         ((16, 7, 2), 5),  # tile 3 holds the last of 7 and the first of 2
         ((700, 975, 973, 20), 984),
     ])
     def test_tiles_used_counts_a_shared_tile_once(self, layers, tiles):
+        # Packing continues where the previous layer ended, so one tile
+        # may hold neurons of two layers.
         net = spec(list(layers), [2] * (len(layers) - 1))
-        assert map_neurons(net, MachineSpec(), 2).tiles_used == tiles
+        mapping = map_neurons(net, MachineSpec(), 2)
+        assert np.unique(np.concatenate(mapping.tile_of_neuron)).size == tiles
 
     def test_single_neuron_tile_zero(self):
         net = spec([4, 1], [2])
